@@ -26,12 +26,12 @@ Methods (all with constant step size gamma, sign(0) = +1 throughout):
 
 Randomness is consumed in a fixed order inside each step: the component index
 (integers(1, n, endpoint=True)) first, then the noise cube (uniform(-1, 1, d);
-svrg draws none). A rejected step still consumes its draws, so traces are
-bitwise reproducible from (config, seed). run_seeds steps all seeds of a
-reference-point method as one batch and decodes each seed's draws a block of
-steps at a time from its raw Philox words (vecmath.sample_steps), bit for bit
-the same as those calls; a seed's trace never depends on the other seeds of
-the batch.
+signsgd, sgd and svrg draw none, and signgd draws nothing at all). A rejected
+step still consumes its draws, so traces are bitwise reproducible from
+(config, seed). run_seeds steps all seeds of a call as one batch and decodes
+each seed's draws a block of steps at a time from its raw Philox words
+(vecmath.sample_steps), bit for bit the same as those calls; a seed's trace
+never depends on the other seeds of the batch.
 
 Communication accounting (bits): a sign step uploads d bits; an unsigned
 stochastic gradient uploads d * float_bits; a reference refresh (and the
@@ -398,16 +398,8 @@ class RunSpec:
             raise ValueError(f"float_bits must be >= 1, got {self.float_bits}")
 
 
-def _norm_fn(q: float) -> Callable[[np.ndarray], float]:
-    if q == 1:
-        return lambda v: float(np.abs(v).sum())
-    if q == 2:
-        return lambda v: math.sqrt(v @ v)
-    return lambda v: float(np.abs(v).max())
-
-
 class _Columns:
-    """Preallocated trace columns of one seed plus running accounting state."""
+    """Preallocated trace columns of one seed."""
 
     def __init__(self, T: int, d: int, keep_iterates: bool):
         size = T + 1
@@ -422,17 +414,6 @@ class _Columns:
         self.evals = np.zeros(size, dtype=np.int64)
         self.flags = np.zeros(size, dtype=np.int64)
         self.iterates = np.empty((T, d)) if keep_iterates else None
-        self.x_sum = np.zeros(d)
-
-    def snapshot(self, idx: int, prob: FiniteSumProblem, x: np.ndarray, bits: int, evals: int) -> None:
-        fval, grad = prob.value_and_full_gradient(x)
-        ag = np.abs(grad)
-        self.f[idx] = fval
-        self.g1[idx] = ag.sum()
-        self.g2[idx] = math.sqrt(grad @ grad)
-        self.gi[idx] = ag.max()
-        self.bits[idx] = bits
-        self.evals[idx] = evals
 
     def snapshot_rows(self, prob: FiniteSumProblem, t0: int, xs: np.ndarray) -> None:
         """f and the gradient norms of rows t0, t0 + 1, ... from their
@@ -449,13 +430,74 @@ class _Columns:
             self.iterates[t0:end] = xs[: end - t0]
 
 
-# float64 elements per buffer of the variance-reduced loop: the noise drawn
-# for one block of steps, and one seed's iterates of one snapshot chunk
+# float64 elements per buffer of the step loops: the noise drawn for one
+# block of steps, and one seed's iterates of one snapshot chunk
 _DRAW_ELEMENTS = 1 << 14
 _SNAPSHOT_ELEMENTS = 1 << 12
 
 
-def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], cols: list[_Columns]) -> np.ndarray:
+def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, d: int):
+    """Yields (t0, idx, noise) per block of steps t0, t0 + 1, ...: the
+    0-based component indices (steps, S) and noise cubes (steps, S, width)
+    of every seed, decoded from its own stream (vecmath.sample_steps)."""
+    S = len(rngs)
+    # even blocks start with no buffered half-word, so no bit-generator state
+    # is written back between blocks
+    block = max(2, min(T, _DRAW_ELEMENTS // (max(S, 1) * d)) & ~1)
+    idx = np.empty((block, S), dtype=np.int64)
+    noise = np.empty((block, S, width))
+    for t0 in range(0, T, block):
+        steps = min(block, T - t0)
+        for s, rng in enumerate(rngs):
+            idx[:steps, s], noise[:steps, s] = sample_steps(rng, n, width, steps)
+        yield t0, idx[:steps], noise[:steps]
+
+
+class _Chunks:
+    """Each seed's iterates (and distances) of the current chunk of rows,
+    snapshotted per seed when the chunk fills and at row T + 1. Chunk bounds
+    depend on n and d alone, so a seed's f and gradient norms never depend
+    on the other seeds of the call."""
+
+    def __init__(self, prob: FiniteSumProblem, T: int, cols: list[_Columns]):
+        self.prob, self.T, self.cols = prob, T, cols
+        self.size = max(1, _SNAPSHOT_ELEMENTS // max(prob.n, prob.d))
+        self.x = np.empty((len(cols), self.size, prob.d))
+        self.dist = np.empty((len(cols), self.size))
+
+    def record(self, t: int, x: np.ndarray, dist: np.ndarray | float = 0.0) -> None:
+        """Row t (0-based) of the first len(x) seeds, the ones still running."""
+        S = len(x)
+        c = t % self.size
+        self.x[:S, c] = x
+        self.dist[:S, c] = dist
+        if c == self.size - 1 or t == self.T:
+            for s in range(S):
+                self.cols[s].snapshot_rows(self.prob, t - c, self.x[s, :c + 1])
+                self.cols[s].dist[t - c:t + 1] = self.dist[s, :c + 1]
+
+
+def _first_failure(t: int, x: np.ndarray, premise: np.ndarray | None = None) -> tuple[int, Exception | None]:
+    """How many seeds step on after step t, and the error of the first seed
+    whose step broke its amplitude premise or left the finite floats, or
+    None. The seeds before it finish before the loop raises the error, as
+    running the seeds one after another would; seed 0's is raised at once."""
+    failed = ~np.isfinite(x).all(axis=1)
+    if premise is not None:
+        failed |= ~premise
+    if not failed.any():
+        return len(x), None
+    s = int(np.argmax(failed))
+    if premise is not None and not premise[s]:
+        error: Exception = AssertionError("noise amplitude violated")
+    else:
+        error = NonFiniteIterateError(t + 1)
+    if s == 0:
+        raise error
+    return s, error
+
+
+def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], cols: list[_Columns]) -> tuple[np.ndarray, np.ndarray]:
     """Inner loop of the reference-point methods, all seeds of a call at once.
 
     Row s of every (S, d) state array is seed s, and its arithmetic is that of
@@ -465,18 +507,8 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     rejected step refreshes its seed's reference with the one-vector
     full_gradient. ||x - ref||_q is carried across iterations: the accepted
     candidate's radius check IS the next step's distance. Covered by bitwise
-    equivalence tests against the public steppers.
-
-    Each seed's draws are decoded a block of steps at a time
-    (vecmath.sample_steps). The loop records iterates and distances only:
-    f and the gradient norms are evaluated per seed and per chunk of rows,
-    whose bounds depend on n and d alone (_Columns.snapshot_rows), so a
-    seed's trace never depends on the other seeds of the call; k, bits_cum
-    and grad_evals_cum follow from the refresh steps. A seed that breaks its
-    amplitude premise or leaves the finite floats stops the seeds after it;
-    the error of the first failing seed is raised once the seeds before it
-    have finished, as running the seeds one after another would. Returns the
-    final iterates, (S, d).
+    equivalence tests against the public steppers. k, bits_cum and
+    grad_evals_cum follow from the refresh steps after the loop.
     """
     S = len(rngs)
     n, d = prob.n, prob.d
@@ -484,8 +516,6 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     signed = spec.algo != "svrg"
     variant = 2 if spec.algo == "signsvrg_v2" else 1
     pair = ConjugatePair(spec.q)
-    norm_p = _norm_fn(pair.p)
-    width = d if signed else 0
     comp_grads = prob.component_gradient_batch
     move_bits = d if signed else d * spec.float_bits
     sync_bits = n * d * spec.float_bits
@@ -496,37 +526,19 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     g = prob.full_gradient(x1)
     ref_grad = np.tile(g, (S, 1))
     abs_ref_grad = np.abs(ref_grad)
-    ref_grad_p = np.full(S, norm_p(g))
+    ref_grad_p = np.full(S, norm(g, pair.p))
     ref_grad_zero = np.full(S, bool(np.any(g == 0.0)))
     dist = np.zeros(S)
     x_sum = np.zeros((S, d))
-
-    # even blocks start with no buffered half-word, so no bit-generator state
-    # is written back between blocks
-    block = max(2, min(T, _DRAW_ELEMENTS // (S * d)) & ~1)
-    chunk = max(1, _SNAPSHOT_ELEMENTS // max(n, d))
-    iters = np.empty((S, chunk, d))
-    dists = np.empty((S, chunk))
-    idx_block = np.empty((block, S), dtype=np.int64)
-    noise_block = np.empty((block, S, width))
-
-    def flush(t_first: int, rows: int) -> None:
-        for s in range(S):
-            cols[s].snapshot_rows(prob, t_first, iters[s, :rows])
-            cols[s].dist[t_first:t_first + rows] = dists[s, :rows]
+    chunks = _Chunks(prob, T, cols)
 
     failure: Exception | None = None
-    for t0 in range(0, T, block):
-        steps = min(block, T - t0)
-        for s in range(S):
-            idx_block[:steps, s], noise_block[:steps, s] = sample_steps(rngs[s], n, width, steps)
-        for j in range(steps):
+    for t0, idx, noise in _draw_blocks(rngs, n, d if signed else 0, T, d):
+        for j in range(len(idx)):
             t = t0 + j
-            c = t % chunk
-            iters[:S, c] = x
-            dists[:S, c] = dist
+            chunks.record(t, x, dist)
             x_sum += x
-            i = idx_block[j, :S]
+            i = idx[j, :S]
             v = comp_grads(i, x) - comp_grads(i, ref) + ref_grad
             premise = None
             if signed:
@@ -535,12 +547,12 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                     amp = drift + ref_grad_p
                     degenerate = amp == 0.0
                     premise = np.abs(v).max(axis=1) <= amp + 1e-9 * (1.0 + amp)
-                    arg = v + amp[:, None] * noise_block[j, :S]
+                    arg = v + amp[:, None] * noise[j, :S]
                 else:
                     amp = drift[:, None] + abs_ref_grad
                     degenerate = (drift == 0.0) & ref_grad_zero
                     premise = np.all(np.abs(v) <= amp + 1e-9 * (1.0 + amp), axis=1)
-                    arg = v + amp * noise_block[j, :S]
+                    arg = v + amp * noise[j, :S]
                 for s in np.flatnonzero(degenerate):
                     cols[s].flags[t] = FLAG_DEGENERATE
                 cand = x - np.where(arg >= 0.0, gamma, -gamma)
@@ -559,98 +571,86 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                     ref[s] = xs
                     ref_grad[s] = g
                     abs_ref_grad[s] = np.abs(g)
-                    ref_grad_p[s] = norm_p(g)
+                    ref_grad_p[s] = norm(g, pair.p)
                     ref_grad_zero[s] = np.any(g == 0.0)
                     cols[s].k[t + 1] = 1  # summed into k below
-            failed = ~np.isfinite(x).all(axis=1)
-            if premise is not None:
-                failed |= ~premise
-            if failed.any():
-                S = int(np.argmax(failed))
-                if premise is not None and not premise[S]:
-                    failure = AssertionError("noise amplitude violated")
-                else:
-                    failure = NonFiniteIterateError(t + 1)
-                if S == 0:
-                    raise failure
+            live, error = _first_failure(t, x, premise)
+            if error is not None:
+                S, failure = live, error
                 x, ref, ref_grad, abs_ref_grad = x[:S], ref[:S], ref_grad[:S], abs_ref_grad[:S]
                 ref_grad_p, ref_grad_zero, dist = ref_grad_p[:S], ref_grad_zero[:S], dist[:S]
                 x_sum = x_sum[:S]
-            if c == chunk - 1:
-                flush(t - c, chunk)
     if failure is not None:
         raise failure
 
-    c = T % chunk
-    iters[:, c] = x
-    dists[:, c] = dist
-    flush(T - c, c + 1)
+    chunks.record(T, x, dist)
     steps_done = np.arange(T + 1)
-    for s, col in enumerate(cols):
+    for col in cols:
         refreshes = np.cumsum(col.k, out=col.k)
         col.bits[:] = sync_bits + steps_done * move_bits + refreshes * (sync_bits - move_bits)
         col.evals[:] = n + 2 * steps_done + refreshes * n
         refreshes += 1
-        col.x_sum[:] = x_sum[s]
-    return x
+    return x, x_sum
 
 
-def _run_simple(spec: RunSpec, prob: FiniteSumProblem, T: int, rng: RngStream, cols: _Columns) -> np.ndarray:
+def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], cols: list[_Columns]) -> tuple[np.ndarray, np.ndarray]:
+    """Inner loop of the reference-free methods, all seeds of a call at once.
+
+    Row s of the (S, d) iterate is seed s, and its arithmetic is that of
+    step_signsgd / step_signsgd_plus / step_sgd / step_signgd on seed s
+    alone, bit for bit: component gradients come from
+    component_gradient_batch, and signgd takes each seed's one-vector
+    full_gradient. bits_cum and grad_evals_cum are the steps done times the
+    per-step costs.
+    """
+    S = len(rngs)
     n, d = prob.n, prob.d
-    gamma = spec.gamma
-    algo = spec.algo
-    g_inf = spec.g_inf
-    gen = rng.generator
-    gen_integers = gen.integers
-    gen_uniform = gen.uniform
-    comp_grad = prob.component_gradient
-    per_step_bits = {
-        "signsgd": d,
-        "signsgd_plus": d,
-        "sgd": d * spec.float_bits,
-        "signgd": n * d * spec.float_bits,
-    }[algo]
-    per_step_evals = n if algo == "signgd" else 1
+    algo, gamma, g_inf = spec.algo, spec.gamma, spec.g_inf
+    step_bits = {"signgd": n * d * spec.float_bits, "sgd": d * spec.float_bits}.get(algo, d)
+    step_evals = n if algo == "signgd" else 1
 
-    x = np.asarray(spec.x1, dtype=np.float64).copy()
-    bits = 0
-    evals = 0
-    for idx in range(T):
-        cols.snapshot(idx, prob, x, bits, evals)
-        if cols.iterates is not None:
-            cols.iterates[idx] = x
-        cols.x_sum += x
+    x = np.tile(np.array(spec.x1, dtype=np.float64), (S, 1))
+    x_sum = np.zeros((S, d))
+    chunks = _Chunks(prob, T, cols)
 
-        if algo == "signgd":
-            g = prob.full_gradient(x)
-            x = x - np.where(g >= 0.0, gamma, -gamma)
-        else:
-            i = int(gen_integers(1, n, endpoint=True)) - 1
-            g = comp_grad(i, x)
-            if algo == "signsgd":
-                x = x - np.where(g >= 0.0, gamma, -gamma)
-            elif algo == "signsgd_plus":
-                u = gen_uniform(-1.0, 1.0, d)
-                arg = g + g_inf * u
-                x = x - np.where(arg >= 0.0, gamma, -gamma)
-            else:  # sgd
+    failure: Exception | None = None
+    draws = () if algo == "signgd" else rngs
+    for t0, idx, noise in _draw_blocks(draws, n, d if algo == "signsgd_plus" else 0, T, d):
+        for j in range(len(idx)):
+            t = t0 + j
+            chunks.record(t, x)
+            x_sum += x
+            if algo == "signgd":
+                g = np.array([prob.full_gradient(xs) for xs in x])
+            else:
+                g = prob.component_gradient_batch(idx[j, :S], x)
+            if algo == "sgd":
                 x = x - gamma * g
-        bits += per_step_bits
-        evals += per_step_evals
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteIterateError(idx + 1)
+            else:
+                if algo == "signsgd_plus":
+                    g = g + g_inf * noise[j, :S]
+                x = x - np.where(g >= 0.0, gamma, -gamma)
+            live, error = _first_failure(t, x)
+            if error is not None:
+                S, failure = live, error
+                x, x_sum = x[:S], x_sum[:S]
+    if failure is not None:
+        raise failure
 
-    cols.snapshot(T, prob, x, bits, evals)
-    return x
+    chunks.record(T, x)
+    steps_done = np.arange(T + 1)
+    for col in cols:
+        col.bits[:] = steps_done * step_bits
+        col.evals[:] = steps_done * step_evals
+    return x, x_sum
 
 
 def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int]) -> list[Trace]:
-    """Execute T iterations for every seed and record one trace per seed (see
-    the trace module for the row conventions). The reference-point methods
-    step all seeds together, the others run them one after another; either
-    way a seed's trace does not depend on the other seeds. Aborts with
-    NonFiniteIterateError if an iterate leaves the finite floats, raising
-    the error of the first failing seed in seed order."""
+    """Execute T iterations for every seed, all seeds stepped as one batch,
+    and record one trace per seed (see the trace module for the row
+    conventions); a seed's trace does not depend on the other seeds. Aborts
+    with NonFiniteIterateError if an iterate leaves the finite floats,
+    raising the error of the first failing seed in seed order."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if len(seeds) < 1:
@@ -667,13 +667,12 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
 
     rngs = [RngStream(seed) for seed in seeds]
     cols = [_Columns(T, prob.d, spec.keep_iterates) for _ in seeds]
-    if spec.algo in _VR_ALGOS:
-        x_final = _run_vr(spec, prob, T, rngs, cols)
-    else:
-        x_final = [_run_simple(spec, prob, T, rng, col) for rng, col in zip(rngs, cols)]
+    # the final iterates and the sums of the iterates of rows 1..T, (S, d)
+    loop = _run_vr if spec.algo in _VR_ALGOS else _run_ref_free
+    x_final, x_sum = loop(spec, prob, T, rngs, cols)
 
     traces = []
-    for seed, col, xf in zip(seeds, cols, x_final):
+    for seed, col, xf, xs in zip(seeds, cols, x_final, x_sum):
         meta = {
             "algo": spec.algo,
             "gamma": spec.gamma,
@@ -699,7 +698,7 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
             grad_evals_cum=col.evals,
             flags=col.flags,
             x1=x1.copy(),
-            x_mean=col.x_sum / T,
+            x_mean=xs / T,
             x_final=xf.copy(),
             iterates=col.iterates,
             meta=meta,

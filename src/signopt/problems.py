@@ -67,8 +67,8 @@ class FiniteSumProblem(ABC):
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Row s is component_gradient(idx[s], xs[s]), bit for bit; the
-        problems the variance-reduced methods run on override it with
-        row-wise dots (vecmath.row_dot)."""
+        data-driven problems override it with row-wise dots
+        (vecmath.row_dot)."""
         return np.stack([self.component_gradient(int(i), x) for i, x in zip(idx, xs)])
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,6 +221,10 @@ class LogisticProblem(FiniteSumProblem):
         z = self.y * (self.a @ x)
         return -(self.a.T @ (self.y * self._sigmoid(-z))) / self.n
 
+    def value_and_full_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        z = self.y * (self.a @ x)
+        return float(np.logaddexp(0.0, -z).mean()), -(self.a.T @ (self.y * self._sigmoid(-z))) / self.n
+
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
         rows = self.a[idx]
         y = self.y[idx]
@@ -316,6 +320,15 @@ class AbsRegressionProblem(FiniteSumProblem):
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         r = self.a @ x - self.b
         return self.a.T @ np.where(r >= 0.0, 1.0, -1.0) / self.n
+
+    def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        rows = self.a[idx]
+        r = row_dot(rows, xs) - self.b[idx]
+        return np.where((r >= 0.0)[:, None], rows, -rows)
+
+    def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = xs @ self.a.T - self.b
+        return np.abs(r).mean(axis=1), np.where(r >= 0.0, 1.0, -1.0) @ self.a / self.n
 
     def grad_bound_inf(self) -> float:
         return float(np.abs(self.a).max())
@@ -482,8 +495,9 @@ def numeric_f_star(prob: FiniteSumProblem, iters: int = 20000) -> float:
     l2 = prob.lipschitz_constant(2.0)
     step = 1.0 / l2 if l2 else 1e-2
     x = np.zeros(prob.d)
-    best = prob.value(x)
+    best, grad = prob.value_and_full_gradient(x)
     for _ in range(iters):
-        x = x - step * prob.full_gradient(x)
-        best = min(best, prob.value(x))
+        x = x - step * grad
+        fval, grad = prob.value_and_full_gradient(x)
+        best = min(best, fval)
     return best

@@ -26,6 +26,12 @@ CSV_HEADER = "t,f,gnorm1,gnorm2,gnormInf,k,dist_to_ref,bits_cum,grad_evals_cum,f
 
 FLAG_DEGENERATE = 1
 
+_INT_COLUMNS = ("t", "k", "bits_cum", "grad_evals_cum", "flags")
+_CSV_DTYPE = np.dtype([
+    (name, np.int64 if name in _INT_COLUMNS else np.float64) for name in CSV_HEADER.split(",")
+])
+_CSV_ROW = (",".join("{}" if name in _INT_COLUMNS else "{!r}" for name in _CSV_DTYPE.names) + "\n").format
+
 
 @dataclass(frozen=True)
 class TraceRow:
@@ -111,43 +117,32 @@ class Trace:
         return self.row(self.T + 1)
 
     def to_csv(self, path: str) -> None:
+        cols = (self.t, self.f, self.gnorm1, self.gnorm2, self.gnorm_inf, self.k,
+                self.dist_to_ref, self.bits_cum, self.grad_evals_cum, self.flags)
         with open(path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for i in range(len(self.t)):
-                fh.write(
-                    f"{int(self.t[i])},{float(self.f[i])!r},{float(self.gnorm1[i])!r},"
-                    f"{float(self.gnorm2[i])!r},{float(self.gnorm_inf[i])!r},{int(self.k[i])},"
-                    f"{float(self.dist_to_ref[i])!r},{int(self.bits_cum[i])},"
-                    f"{int(self.grad_evals_cum[i])},{int(self.flags[i])}\n"
-                )
+            # a block of rows at a time bounds the Python objects alive at once
+            for r in range(0, len(self.t), 64):
+                values = [np.asarray(col[r:r + 64], dtype=_CSV_DTYPE[c]).tolist()
+                          for c, col in enumerate(cols)]
+                fh.writelines(map(_CSV_ROW, *values))
 
 
 def read_trace_csv(path: str) -> Trace:
     """Parse a trace CSV back into a (metrics-only) Trace.
 
     Iterate-dependent fields (x1, x_mean, x_final) are not stored in the CSV
-    and come back as empty arrays; metric columns round-trip exactly.
+    and come back as empty arrays; metric columns round-trip exactly, the
+    integer ones parsed as int64 rather than through float64.
     """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        raw = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if raw.shape[1] != 10:
-        raise ValueError(f"expected 10 columns, got {raw.shape[1]}")
+        raw = np.loadtxt(fh, delimiter=",", dtype=_CSV_DTYPE, ndmin=1)
+    if raw.size == 0:
+        raise ValueError("trace CSV has no rows")
+    cols = {name: np.ascontiguousarray(raw[name]) for name in _CSV_DTYPE.names}
+    cols["gnorm_inf"] = cols.pop("gnormInf")
     empty = np.empty(0)
-    return Trace(
-        t=raw[:, 0].astype(np.int64),
-        f=raw[:, 1],
-        gnorm1=raw[:, 2],
-        gnorm2=raw[:, 3],
-        gnorm_inf=raw[:, 4],
-        k=raw[:, 5].astype(np.int64),
-        dist_to_ref=raw[:, 6],
-        bits_cum=raw[:, 7].astype(np.int64),
-        grad_evals_cum=raw[:, 8].astype(np.int64),
-        flags=raw[:, 9].astype(np.int64),
-        x1=empty,
-        x_mean=empty,
-        x_final=empty,
-    )
+    return Trace(**cols, x1=empty, x_mean=empty, x_final=empty)

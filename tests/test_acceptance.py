@@ -114,8 +114,8 @@ def regret_batch():
     gamma = schedule_sec2(alpha, prob.d, T)
     g_inf = prob.grad_bound_inf()
     t0 = time.perf_counter()
-    traces = [run(RunSpec(algo="signsgd_plus", gamma=gamma, x1=x1, g_inf=g_inf),
-                  prob, T, s) for s in SEEDS]
+    traces = run_seeds(RunSpec(algo="signsgd_plus", gamma=gamma, x1=x1, g_inf=g_inf),
+                       prob, T, SEEDS)
     return dict(prob=prob, traces=traces, gamma=gamma, g_inf=g_inf, T=T,
                 f_star=f_star, x_star=x_star, elapsed=time.perf_counter() - t0)
 

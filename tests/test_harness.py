@@ -13,7 +13,7 @@ from signopt.harness import (
     execute_experiment,
     load_config,
 )
-from signopt.trace import CSV_HEADER, read_trace_csv
+from signopt.trace import CSV_HEADER, Trace, read_trace_csv
 
 BASE = {
     "problem": {"kind": "least_squares", "d": 6, "n": 10, "seed": 5},
@@ -140,6 +140,41 @@ def test_trace_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.dist_to_ref, tr.dist_to_ref)
     np.testing.assert_array_equal(back.bits_cum, tr.bits_cum)
     np.testing.assert_array_equal(back.flags, tr.flags)
+
+
+def _edge_trace():
+    # signed zero, the smallest subnormal, a huge float, and ints beyond 2^53
+    f = np.array([-0.0, 5e-324, 1e308, 0.1])
+    big = np.array([2**53 + 1, 2**62 + 3, 2**63 - 1, 0], dtype=np.int64)
+    return Trace(t=np.arange(1, 5), f=f, gnorm1=f[::-1].copy(), gnorm2=-f, gnorm_inf=f + 1.0,
+                 k=big[::-1].copy(), dist_to_ref=f * 0.5, bits_cum=big, grad_evals_cum=big - 1,
+                 flags=np.array([0, 1, 0, 1]), x1=np.empty(0), x_mean=np.empty(0),
+                 x_final=np.empty(0))
+
+
+def test_trace_csv_bytes_match_the_per_row_format(tmp_path):
+    tr = _edge_trace()
+    tr.to_csv(tmp_path / "t.csv")
+    want = CSV_HEADER + "\n" + "".join(
+        f"{int(tr.t[i])},{float(tr.f[i])!r},{float(tr.gnorm1[i])!r},"
+        f"{float(tr.gnorm2[i])!r},{float(tr.gnorm_inf[i])!r},{int(tr.k[i])},"
+        f"{float(tr.dist_to_ref[i])!r},{int(tr.bits_cum[i])},"
+        f"{int(tr.grad_evals_cum[i])},{int(tr.flags[i])}\n"
+        for i in range(len(tr.t))
+    )
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+def test_trace_csv_integer_columns_round_trip_beyond_2_pow_53(tmp_path):
+    tr = _edge_trace()
+    tr.to_csv(tmp_path / "t.csv")
+    back = read_trace_csv(tmp_path / "t.csv")
+    for col in ("t", "k", "bits_cum", "grad_evals_cum", "flags"):
+        assert getattr(back, col).dtype == np.int64
+        assert getattr(back, col).tolist() == getattr(tr, col).tolist(), col
+    for col in ("f", "gnorm1", "gnorm2", "gnorm_inf", "dist_to_ref"):
+        np.testing.assert_array_equal(getattr(back, col).view(np.int64),
+                                      getattr(tr, col).view(np.int64), err_msg=col)
 
 
 def test_reruns_are_byte_identical(tmp_path):

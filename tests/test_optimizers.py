@@ -214,28 +214,30 @@ def test_seed_batch_matches_steppers_and_single_runs(algo, q, kind):
 
 
 def test_seed_batch_raises_first_failing_seed_in_seed_order():
-    # an unstable unsigned step with an infinite radius overflows, each seed
-    # at its own iteration
+    # an unstable unsigned step (with an infinite radius for svrg) overflows,
+    # each seed at its own iteration; seed 3 runs twice, so two seeds fail at
+    # one step and the loop must stop at the first of them
     prob = _ls(d=5, n=7, seed=3)
-    spec = RunSpec(algo="svrg", gamma=6.0, x1=0.5 * np.ones(5), q=1.0, D=math.inf,
-                   L=prob.lipschitz_constant(1.0))
-    T, seeds = 1090, (0, 2, 3, 6)
-    outcome = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for seed in seeds:
-            try:
-                run(spec, prob, T, seed)
-                outcome[seed] = None
-            except NonFiniteIterateError as exc:
-                outcome[seed] = exc.iteration
-        first = next(s for s in seeds if outcome[s] is not None)
-        later = [outcome[s] for s in seeds[seeds.index(first) + 1:] if outcome[s] is not None]
-        # the setup must tell seed order from time order: a seed before the
-        # first failure finishes, and a later seed fails sooner
-        assert seeds.index(first) > 0 and later and min(later) < outcome[first]
-        with pytest.raises(NonFiniteIterateError) as caught:
-            run_seeds(spec, prob, T, seeds)
-    assert caught.value.iteration == outcome[first]
+    T, seeds = 1090, (0, 2, 3, 3, 6)
+    for algo in ("svrg", "sgd"):
+        spec = RunSpec(algo=algo, gamma=6.0, x1=0.5 * np.ones(5), q=1.0, D=math.inf,
+                       L=prob.lipschitz_constant(1.0))
+        outcome = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seed in seeds:
+                try:
+                    run(spec, prob, T, seed)
+                    outcome[seed] = None
+                except NonFiniteIterateError as exc:
+                    outcome[seed] = exc.iteration
+            first = next(s for s in seeds if outcome[s] is not None)
+            later = [outcome[s] for s in seeds[seeds.index(first) + 1:] if outcome[s] is not None]
+            # the setup must tell seed order from time order: a seed before
+            # the first failure finishes, and a later seed fails sooner
+            assert seeds.index(first) > 0 and later and min(later) < outcome[first], algo
+            with pytest.raises(NonFiniteIterateError) as caught:
+                run_seeds(spec, prob, T, seeds)
+        assert caught.value.iteration == outcome[first], algo
 
 
 def test_seed_batch_premise_violation_mid_batch():
@@ -267,26 +269,32 @@ def test_run_seeds_rejects_an_empty_batch():
 
 @pytest.mark.parametrize("algo", ["signsgd", "signsgd_plus", "sgd", "signgd"])
 def test_fused_simple_loop_matches_public_stepper(algo):
-    prob = _ls(d=5, n=7, seed=3)
     x1 = 0.5 * np.ones(5)
-    T, seed = 150, 13
-    kw = dict(algo=algo, gamma=0.02, x1=x1)
+    T = 150
+    kw = dict(algo=algo, gamma=0.02, x1=x1, keep_iterates=True)
     if algo == "signsgd_plus":
         kw["g_inf"] = 9.0
-    tr = run(RunSpec(**kw), prob, T, seed)
-
-    state = make_simple_state(x1, gamma=0.02)
-    rng = RngStream(seed)
-    for _ in range(T):
-        if algo == "signsgd":
-            state = step_signsgd(state, prob, rng)
-        elif algo == "signsgd_plus":
-            state = step_signsgd_plus(state, prob, rng, 9.0)
-        elif algo == "sgd":
-            state = step_sgd(state, prob, rng)
-        else:
-            state = step_signgd(state, prob)
-    np.testing.assert_array_equal(tr.x_final, state.x)
+    spec = RunSpec(**kw)
+    for kind in ("least_squares", "abs_regression"):
+        prob = make_problem(ProblemSpec(kind=kind, d=5, n=7, seed=3))
+        for seeds in ((13,), BATCH_SEEDS):
+            for seed, tr in zip(seeds, run_seeds(spec, prob, T, seeds)):
+                single = run(spec, prob, T, seed)
+                for col in TRACE_COLUMNS:
+                    np.testing.assert_array_equal(getattr(tr, col), getattr(single, col),
+                                                  err_msg=f"{kind} {seed} {col}")
+                state = make_simple_state(x1, gamma=0.02)
+                rng = RngStream(seed)
+                for _ in range(T):
+                    if algo == "signsgd":
+                        state = step_signsgd(state, prob, rng)
+                    elif algo == "signsgd_plus":
+                        state = step_signsgd_plus(state, prob, rng, 9.0)
+                    elif algo == "sgd":
+                        state = step_sgd(state, prob, rng)
+                    else:
+                        state = step_signgd(state, prob)
+                np.testing.assert_array_equal(tr.x_final, state.x, err_msg=f"{kind} {seed}")
 
 
 # ---------------------------------------------------------------- invariants

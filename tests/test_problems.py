@@ -12,6 +12,7 @@ import pytest
 
 from signopt.analysis import finite_diff_gradient
 from signopt.problems import (
+    AbsRegressionProblem,
     LeastSquaresProblem,
     ProblemSpec,
     estimate_lipschitz_empirical,
@@ -230,6 +231,18 @@ def test_numeric_f_star_agrees_with_closed_form():
     assert numeric_f_star(prob) == pytest.approx(f_star, abs=1e-8)
 
 
+def test_numeric_f_star_logistic_is_pinned():
+    # the fused value-and-gradient call shares one margin vector y * (a @ x)
+    # and must leave the descent, and so f*, exactly as separate calls did
+    prob = make_problem(ProblemSpec(kind="logistic", d=5, n=12, seed=2, label_noise=0.2))
+    for x in RngStream(4).generator.standard_normal((5, 5)):
+        val, grad = prob.value_and_full_gradient(x)
+        assert val == prob.value(x)
+        np.testing.assert_array_equal(grad, prob.full_gradient(x))
+    assert numeric_f_star(prob, iters=3000) == 0.6401290891364709
+    assert numeric_f_star(prob, iters=0) == prob.value(np.zeros(5)) == math.log(2.0)
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(kind="least_squares", d=0, n=5, seed=1)
@@ -269,6 +282,14 @@ def test_component_gradient_batch_is_rowwise_bitwise(spec):
     got = prob.component_gradient_batch(idx, xs)
     want = np.array([prob.component_gradient(int(i), x) for i, x in zip(idx, xs)])
     np.testing.assert_array_equal(got, want)
+
+
+def test_abs_regression_batch_subgradient_takes_sign_zero_as_plus():
+    prob = AbsRegressionProblem(np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([3.0, 2.0]))
+    xs = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])  # residual 0, then < 0
+    idx = np.array([0, 1, 0, 1])
+    np.testing.assert_array_equal(prob.component_gradient_batch(idx, xs),
+                                  [[1.0, 2.0], [3.0, -1.0], [-1.0, -2.0], [-3.0, 1.0]])
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
