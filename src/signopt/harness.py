@@ -87,6 +87,9 @@ _SCHEDULE_ALGOS = {
 
 _VR_ALGOS = {"signsvrg_v1", "signsvrg_v2", "svrg"}
 
+# the checks whose right-hand side needs f* (_resolve_f_star)
+_F_STAR_CHECKS = {"signgd_bound", "rate_bounds_v1", "rate_bounds_v2"}
+
 # check name -> algorithms it applies to (None = any)
 CHECKS = {
     "svrg_grad_bound_v1": {"signsvrg_v1"},
@@ -165,8 +168,23 @@ class ExperimentConfig:
                 )
 
 
+def _int(fld: str, raw: Any) -> int:
+    """raw itself when it is an int; JSON true/false and 1.5 are not."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(fld, f"must be an integer, got {raw!r}")
+    return raw
+
+
+def _number(fld: str, raw: Any) -> float:
+    """raw as a float when it is an int or a float; JSON true/false and
+    strings are not."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(fld, f"must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _parse_q(raw: Any) -> float:
-    if raw in (1, 2):
+    if not isinstance(raw, bool) and raw in (1, 2):
         return float(raw)
     if raw in ("inf", "Inf", "INF") or raw == math.inf:
         return math.inf
@@ -189,40 +207,41 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     pdoc = doc["problem"]
     if not isinstance(pdoc, dict):
         raise ConfigError("problem", "must be an object")
+    kind = pdoc.get("kind", "")
+    if not isinstance(kind, str):
+        raise ConfigError("problem.kind", f"must be a string, got {kind!r}")
+    sizes = {k: _int(f"problem.{k}", pdoc.get(k, 0)) for k in ("d", "n", "seed")}
+    rates = {k: _number(f"problem.{k}", pdoc.get(k, 0.0)) for k in ("lam", "label_noise")}
     try:
-        pspec = ProblemSpec(
-            kind=pdoc.get("kind", ""),
-            d=int(pdoc.get("d", 0)),
-            n=int(pdoc.get("n", 0)),
-            seed=int(pdoc.get("seed", 0)),
-            lam=float(pdoc.get("lam", 0.0)),
-            label_noise=float(pdoc.get("label_noise", 0.0)),
-        )
+        pspec = ProblemSpec(kind=kind, **sizes, **rates)
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from None
+    seeds = doc["seeds"]
+    if not isinstance(seeds, list):
+        raise ConfigError("seeds", f"must be a list of integers, got {seeds!r}")
     x1 = doc["x1"]
     if isinstance(x1, list):
-        x1 = tuple(float(v) for v in x1)
+        x1 = tuple(_number("x1", v) for v in x1)
     elif isinstance(x1, dict):
-        if set(x1) != {"gaussian"} or float(x1["gaussian"]) <= 0:
+        if set(x1) != {"gaussian"} or _number("x1", x1["gaussian"]) <= 0:
             raise ConfigError("x1", 'object form must be {"gaussian": positive_scale}')
         x1 = {"gaussian": float(x1["gaussian"])}
     elif x1 != "zeros":
         raise ConfigError("x1", f'must be "zeros", {{"gaussian": scale}}, or a list, got {x1!r}')
+    optional = {
+        k: None if doc.get(k) is None else _number(k, doc[k])
+        for k in ("P", "alpha", "gamma", "D", "g_inf")
+    }
     return ExperimentConfig(
         problem=pspec,
         algo=str(doc["algo"]),
         schedule=str(doc["schedule"]),
         q=_parse_q(doc["q"]),
-        T=int(doc["T"]),
-        seeds=tuple(int(s) for s in doc["seeds"]),
+        T=_int("T", doc["T"]),
+        seeds=tuple(_int("seeds", s) for s in seeds),
         x1=x1,
-        P=None if doc.get("P") is None else float(doc["P"]),
-        alpha=None if doc.get("alpha") is None else float(doc["alpha"]),
-        gamma=None if doc.get("gamma") is None else float(doc["gamma"]),
-        D=None if doc.get("D") is None else float(doc["D"]),
-        g_inf=None if doc.get("g_inf") is None else float(doc["g_inf"]),
-        F=int(doc.get("F", 32)),
+        F=_int("F", doc.get("F", 32)),
+        **optional,
         checks=tuple(str(c) for c in doc.get("checks", ())),
     )
 
@@ -504,12 +523,23 @@ def execute_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None)
         g_inf=derived.g_inf,
         float_bits=cfg.F,
     )
+    t_run = time.perf_counter()
     traces = run_seeds(spec, prob, cfg.T, cfg.seeds)
 
+    t_checks = time.perf_counter()
+    if _F_STAR_CHECKS.intersection(cfg.checks):
+        _resolve_f_star(derived, prob)  # before the checks, to time it apart
+    f_star_s = time.perf_counter() - t_checks if derived.f_star_source == "numeric" else 0.0
     reports: list[BoundReport] = []
     for name in cfg.checks:
         reports.extend(_evaluate_check(name, cfg, prob, derived, traces))
     all_hold = all(r.holds for r in reports)
+    t_end = time.perf_counter()
+    timing = {
+        "run_seeds_s": t_checks - t_run,
+        "f_star_s": f_star_s,
+        "checks_s": t_end - t_checks - f_star_s,
+    }
 
     trace_paths: list[str] = []
     result = ExperimentResult(
@@ -519,19 +549,21 @@ def execute_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None)
         trace_paths=trace_paths,
         reports=reports,
         all_hold=all_hold,
-        wall_time_s=time.perf_counter() - t_start,
+        wall_time_s=t_end - t_start,
     )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        t_csv = time.perf_counter()
         for seed, tr in zip(cfg.seeds, traces):
             fname = f"trace_seed{seed}.csv"
             tr.to_csv(str(out / fname))
             trace_paths.append(fname)
+        timing["csv_s"] = time.perf_counter() - t_csv
         with open(out / "summary.json", "w") as fh:
             json.dump(result.summary_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         with open(out / "timing.json", "w") as fh:
-            json.dump({"wall_time_s": result.wall_time_s}, fh)
+            json.dump({"wall_time_s": result.wall_time_s, **timing}, fh)
             fh.write("\n")
     return result

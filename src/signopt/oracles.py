@@ -19,6 +19,8 @@ __all__ = [
     "counterexample_drift",
     "brute_force_opnorm",
     "signgd_1d_closed_form",
+    "masked_sigmoid",
+    "softplus_libm",
 ]
 
 # slopes of the three linear-plus-quadratic components in the drift instance
@@ -136,3 +138,35 @@ def signgd_1d_closed_form(x1: float, gamma: float, T: int) -> np.ndarray:
         out[t] = a
         a = abs(a - gamma)
     return out
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid by two masked branches: 1/(1 + exp(-z)) where z >= 0
+    and exp(z)/(1 + exp(z)) elsewhere, each evaluated on its own gather.
+
+    The bitwise reference for LogisticProblem._sigmoid, which must give the
+    same bits from one exp over the whole array.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def softplus_libm(w: float) -> float:
+    """log(1 + e^w) from scalar libm calls, in the branches of numpy's
+    logaddexp(0, w): log(2) at 0, w + log1p(e^-w) above it and log1p(e^w)
+    below.
+
+    The bitwise reference for the logistic values, which must come from
+    np.logaddexp rather than from numpy's vectorized exp and log1p: those
+    round differently on several percent of elements.
+    """
+    if w == 0.0:
+        return math.log(2.0)
+    if w > 0.0:
+        return w + math.log1p(math.exp(-w))
+    return math.log1p(math.exp(w))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from signopt.cli import main
 from signopt.harness import (
@@ -60,6 +62,29 @@ def test_config_roundtrip():
         ({"F": 0}, "F"),
         ({"P": 0}, "P"),
         ({"bogus_key": 1}, "bogus_key"),
+        # strict types: no bool for an int, no truncated float, no numeric string
+        ({"q": True}, "q"),
+        ({"T": 1.5}, "T"),
+        ({"T": True}, "T"),
+        ({"seeds": [1.7]}, "seeds"),
+        ({"seeds": [1, False]}, "seeds"),
+        ({"seeds": "12"}, "seeds"),
+        ({"F": 32.9}, "F"),
+        ({"F": None}, "F"),
+        ({"problem": dict(BASE["problem"], kind=["logistic"])}, "problem.kind"),
+        ({"problem": dict(BASE["problem"], d="10")}, "problem.d"),
+        ({"problem": dict(BASE["problem"], n=10.0)}, "problem.n"),
+        ({"problem": dict(BASE["problem"], seed=True)}, "problem.seed"),
+        ({"problem": dict(BASE["problem"], lam="0.1")}, "problem.lam"),
+        ({"problem": dict(BASE["problem"], label_noise=None)}, "problem.label_noise"),
+        ({"P": "64"}, "P"),
+        ({"P": True}, "P"),
+        ({"alpha": "1"}, "alpha"),
+        ({"gamma": [0.1]}, "gamma"),
+        ({"D": False}, "D"),
+        ({"g_inf": "2"}, "g_inf"),
+        ({"x1": [0.0, True, 0, 0, 0, 0]}, "x1"),
+        ({"x1": {"gaussian": "1"}}, "x1"),
     ],
 )
 def test_config_rejections_name_the_field(patch, field):
@@ -67,6 +92,26 @@ def test_config_rejections_name_the_field(patch, field):
         config_from_dict(_cfg(**patch))
     assert err.value.field == field
     assert field in str(err.value)
+
+
+@given(
+    field=st.sampled_from(["T", "F", "seeds", "problem.d", "problem.n", "problem.seed"]),
+    value=st.one_of(st.integers(-3, 40), st.floats(allow_nan=False), st.booleans(),
+                    st.text(max_size=3), st.none()),
+)
+def test_integer_fields_accept_ints_and_keep_them(field, value):
+    doc = _cfg()
+    group, _, key = field.rpartition(".")
+    (doc[group] if group else doc)[key] = [value] if key == "seeds" else value
+    valid = type(value) is int and (value >= 1 or key in ("seeds", "seed"))
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError as exc:
+        assert not valid and exc.field in (field, group)
+        return
+    assert valid
+    got = cfg.seeds[0] if key == "seeds" else getattr(cfg.problem if group else cfg, key)
+    assert type(got) is int and got == value
 
 
 def test_manual_schedule_requires_gamma_and_d():
@@ -267,6 +312,30 @@ def test_signgd_f_star_numeric_fallback():
     result = execute_experiment(config_from_dict(doc))
     assert result.derived.f_star_source == "numeric"
     assert result.all_hold
+
+
+def test_timing_json_splits_the_phases(tmp_path):
+    numeric = {
+        "problem": {"kind": "logistic", "d": 3, "n": 8, "seed": 4},
+        "algo": "signgd",
+        "schedule": "cor1",
+        "q": 1,
+        "T": 100,
+        "seeds": [1, 2],
+        "x1": "zeros",
+        "checks": ["signgd_bound"],
+    }
+    optimum = dict(numeric, problem={"kind": "least_squares", "d": 3, "n": 8, "seed": 4})
+    for doc, source in ((numeric, "numeric"), (optimum, "optimum"), (BASE, None)):
+        out = tmp_path / str(source)
+        result = execute_experiment(config_from_dict(doc), out)
+        assert result.derived.f_star_source == source
+        timing = json.loads((out / "timing.json").read_text())
+        assert sorted(timing) == ["checks_s", "csv_s", "f_star_s", "run_seeds_s", "wall_time_s"]
+        assert (timing["f_star_s"] > 0.0) == (source == "numeric")
+        assert min(timing.values()) >= 0.0
+        phases = timing["run_seeds_s"] + timing["f_star_s"] + timing["checks_s"]
+        assert phases <= timing["wall_time_s"]
 
 
 # ---------------------------------------------------------------- cli exit codes

@@ -5,10 +5,16 @@ draw included); the equivalence tests then certify that the fused loop inside
 run() is bit-for-bit the same dynamics as the public single-step functions.
 """
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import signopt
 from signopt.optimizers import (
     ALGORITHMS,
     NonFiniteIterateError,
@@ -92,6 +98,32 @@ def test_frozen_vr_runs():
     tr3 = run(RunSpec(algo="svrg", gamma=0.05, x1=x1, q=1.0, D=0.6, L=L), prob, 8, 7)
     assert tr3.k.tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
     assert tr3.bits_cum.tolist() == [768, 896, 1024, 1792, 1920, 2048, 2816, 2944, 3072]
+
+
+def test_frozen_logistic_vr_run():
+    # pinned before the logistic kernels were rewritten: refreshes every few
+    # steps take the one-vector full gradient, the steps the batched
+    # component gradients and the snapshots the batched full gradient
+    prob = make_problem(ProblemSpec(kind="logistic", d=6, n=9, seed=11, label_noise=0.2))
+    L = prob.lipschitz_constant(2.0)
+    assert L.hex() == "0x1.b3146be2c0171p-2"
+    spec = RunSpec(algo="signsvrg_v2", gamma=0.03, x1=np.full(6, 0.5), q=2.0,
+                   D=2 * 0.03 * 6 ** 0.5, L=L)
+    expect = [
+        (["0x1.30a3d70a3d70dp+0", "-0x1.7ae147ae147b4p-2", "0x1.a3d70a3d70a3cp-2",
+          "0x1.e66666666666ap-1", "-0x1.f5c28f5c28f64p-2", "0x1.4f5c28f5c28f9p+0"],
+         18, "0x1.1b1183ff4bb20p-1", "0x1.759be384ca951p-5"),
+        (["0x1.3851eb851eb88p+0", "-0x1.99999999999a0p-2", "0x1.c28f5c28f5c28p-2",
+          "0x1.f5c28f5c28f60p-1", "-0x1.1eb851eb851f0p-2", "0x1.28f5c28f5c292p+0"],
+         19, "0x1.1e985c5151f42p-1", "0x1.86143257d7b46p-5"),
+        (["0x1.3851eb851eb88p+0", "-0x1.1eb851eb851f0p-2", "0x1.c28f5c28f5c28p-2",
+          "0x1.199999999999cp+0", "-0x1.99999999999a8p-4", "0x1.3851eb851eb88p+0"],
+         17, "0x1.238968157136fp-1", "0x1.948001799e5d3p-5"),
+    ]
+    for tr, (xf, k, f, g2) in zip(run_seeds(spec, prob, 60, (3, 4, 5)), expect):
+        assert [float(v).hex() for v in tr.x_final] == xf
+        assert int(tr.k[-1]) == k
+        assert (float(tr.f[-1]).hex(), float(tr.gnorm2[-1]).hex()) == (f, g2)
 
 
 # ---------------------------------------------------------------- schedules
@@ -262,6 +294,39 @@ def test_seed_batch_premise_violation_mid_batch():
         run_seeds(spec, prob, T, good[:2] + bad[:1] + good[2:])
 
 
+def test_amplitude_premise_is_checked_under_python_O():
+    script = textwrap.dedent("""
+        import numpy as np
+        from signopt.optimizers import RunSpec, make_signsvrg_state, run_seeds, step_signsvrg
+        from signopt.problems import ProblemSpec, make_problem
+        from signopt.vecmath import RngStream
+        assert False, "python -O strips assert statements"
+        prob = make_problem(ProblemSpec(kind="least_squares", d=5, n=7, seed=3))
+        L = 0.2 * prob.lipschitz_constant(1.0)
+        for seed in range(8):
+            state = make_signsvrg_state(0.5 * np.ones(5), prob, gamma=0.03, D=0.6, L=L,
+                                        q=1.0, variant=1)
+            rng = RngStream(seed)
+            try:
+                for _ in range(60):
+                    state, _ = step_signsvrg(state, prob, rng)
+            except AssertionError as exc:
+                print("stepper:", exc)
+                break
+        spec = RunSpec(algo="signsvrg_v1", gamma=0.03, x1=0.5 * np.ones(5), q=1.0, D=0.6, L=L)
+        try:
+            run_seeds(spec, prob, 60, range(8))
+        except AssertionError as exc:
+            print("batch:", exc)
+    """)
+    src = str(Path(signopt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env=env, check=True, timeout=60)
+    assert out.stdout.splitlines() == ["stepper: noise amplitude violated",
+                                       "batch: noise amplitude violated"]
+
+
 def test_run_seeds_rejects_an_empty_batch():
     with pytest.raises(ValueError):
         run_seeds(RunSpec(algo="signsgd", gamma=0.1, x1=np.ones(4)), _ls(), 5, ())
@@ -395,6 +460,30 @@ def test_signgd_multi_seed_identical():
     a = run(RunSpec(algo="signgd", gamma=0.05, x1=np.ones(4)), prob, 50, 1)
     b = run(RunSpec(algo="signgd", gamma=0.05, x1=np.ones(4)), prob, 50, 999)
     np.testing.assert_array_equal(a.x_final, b.x_final)  # deterministic method
+
+
+def test_signgd_batch_takes_one_full_gradient_per_step():
+    prob = _ls(d=5, n=7, seed=3)
+    calls = []
+
+    def full_gradient(x):
+        calls.append(1)
+        return type(prob).full_gradient(prob, x)
+
+    spec = RunSpec(algo="signgd", gamma=0.03, x1=np.ones(5), keep_iterates=True)
+    singles = [run(spec, prob, 40, seed) for seed in (2, 9, 5)]
+    prob.full_gradient = full_gradient
+    batch = run_seeds(spec, prob, 40, (2, 9, 5))
+    assert len(calls) == 40
+    for tr, single in zip(batch, singles):
+        assert tr.meta["seed"] == single.meta["seed"]
+        for col in TRACE_COLUMNS:
+            np.testing.assert_array_equal(getattr(tr, col), getattr(single, col), err_msg=col)
+    # the copies own their arrays
+    batch[1].x_final[0] = 99.0
+    batch[1].f[0] = 99.0
+    assert batch[0].x_final[0] == batch[2].x_final[0] != 99.0
+    assert batch[0].f[0] == batch[2].f[0] != 99.0
 
 
 def test_run_determinism():

@@ -8,10 +8,12 @@ from signopt.oracles import (
     brute_force_opnorm,
     counterexample_drift,
     expected_sign_analytic,
+    masked_sigmoid,
     monte_carlo_expected_sign,
     signgd_1d_closed_form,
+    softplus_libm,
 )
-from signopt.problems import ProblemSpec, make_problem
+from signopt.problems import LogisticProblem, ProblemSpec, make_problem
 from signopt.vecmath import RngStream
 
 
@@ -95,3 +97,30 @@ def test_signgd_closed_form_recursion():
     seq = signgd_1d_closed_form(0.83, 0.07, 40)
     for a, b in zip(seq, seq[1:]):
         assert b == pytest.approx(abs(a - 0.07), abs=1e-15)
+
+
+def test_sigmoid_matches_masked_oracle_bit_for_bit():
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                      1e-17, -1e-17, 36.7, -36.7, 709.7, -709.7, 710.0, -710.0,
+                      745.1, -745.1, 746.0, -746.0, 1e308, -1e308, np.inf, -np.inf])
+    rng = np.random.default_rng(5)
+    cases = [edges, np.float64(-3.5), np.array(0.0), np.array(-746.0), np.array([-0.0]),
+             rng.standard_normal(4) * 40, rng.standard_normal(500) * 40,
+             rng.standard_normal((8, 500)) * 40, np.tile(edges, (3, 1))]
+    for z in cases:
+        got = np.asarray(LogisticProblem._sigmoid(np.asarray(z)))
+        want = masked_sigmoid(z)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), z
+
+
+def test_logistic_values_match_libm_softplus_bit_for_bit():
+    # one row with a = y = 1: every value kernel returns the single term
+    # log(1 + e^-x) itself, so a last-ulp change of any element shows
+    prob = LogisticProblem(np.ones((1, 1)), np.ones(1))
+    xs = np.linspace(-40.0, 40.0, 2001)[:, None]
+    batch, _ = prob.value_and_full_gradient_batch(xs)
+    for x, v in zip(xs, batch):
+        want = softplus_libm(-x[0])
+        got = (v, prob.value_and_full_gradient(x)[0], prob.value(x), prob.component_value(0, x))
+        assert got == (want,) * 4, x
