@@ -40,7 +40,6 @@ n * d * float_bits.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -602,9 +601,10 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     Row s of the (S, d) iterate is seed s, and its arithmetic is that of
     step_signsgd / step_signsgd_plus / step_sgd / step_signgd on seed s
     alone, bit for bit: component gradients come from
-    component_gradient_batch, and signgd, which run_seeds steps for one
-    seed only, takes the one-vector full_gradient. bits_cum and
-    grad_evals_cum are the steps done times the per-step costs.
+    component_gradient_batch, and signgd, whose rows all start at x1 and
+    draw nothing, takes the one-vector full_gradient of row 0 and
+    broadcasts its step over the rows. bits_cum and grad_evals_cum are the
+    steps done times the per-step costs.
     """
     S = len(rngs)
     n, d = prob.n, prob.d
@@ -624,7 +624,7 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
             chunks.record(t, x)
             x_sum += x
             if algo == "signgd":
-                g = prob.full_gradient(x[0])  # the one row run_seeds steps
+                g = prob.full_gradient(x[0])  # every row equals row 0
             else:
                 g = prob.component_gradient_batch(idx[j, :S], x)
             if algo == "sgd":
@@ -668,18 +668,11 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
         make_signsvrg_state(x1, prob, spec.gamma, spec.D, spec.L, spec.q,
                             2 if spec.algo == "signsvrg_v2" else 1)
 
-    # signgd draws nothing, so every seed's trace is the first seed's: run
-    # that one and copy it
-    stepped = 1 if spec.algo == "signgd" else len(seeds)
-    rngs = [RngStream(seed) for seed in seeds[:stepped]]
-    cols = [_Columns(T, prob.d, spec.keep_iterates) for _ in rngs]
+    rngs = [RngStream(seed) for seed in seeds]
+    cols = [_Columns(T, prob.d, spec.keep_iterates) for _ in seeds]
     # the final iterates and the sums of the iterates of rows 1..T, (S, d)
     loop = _run_vr if spec.algo in _VR_ALGOS else _run_ref_free
     x_final, x_sum = loop(spec, prob, T, rngs, cols)
-    if stepped < len(seeds):
-        cols += [copy.deepcopy(cols[0]) for _ in seeds[stepped:]]
-        x_final = np.repeat(x_final, len(seeds), axis=0)
-        x_sum = np.repeat(x_sum, len(seeds), axis=0)
 
     traces = []
     for seed, col, xf, xs in zip(seeds, cols, x_final, x_sum):

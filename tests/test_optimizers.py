@@ -479,7 +479,7 @@ def test_signgd_batch_takes_one_full_gradient_per_step():
         assert tr.meta["seed"] == single.meta["seed"]
         for col in TRACE_COLUMNS:
             np.testing.assert_array_equal(getattr(tr, col), getattr(single, col), err_msg=col)
-    # the copies own their arrays
+    # each trace owns its arrays
     batch[1].x_final[0] = 99.0
     batch[1].f[0] = 99.0
     assert batch[0].x_final[0] == batch[2].x_final[0] != 99.0
