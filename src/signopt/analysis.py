@@ -39,7 +39,6 @@ __all__ = [
     "opnorm_inf_to_1",
     "example1_stats",
     "linf_constant_expected",
-    "finite_diff_gradient",
 ]
 
 
@@ -450,17 +449,3 @@ def example1_stats(d: int, n_samples: int, rng: RngStream) -> Example1Stats:
         linf[s] = az.sum() ** 2
     return Example1Stats(d=d, l1=l1, l2=l2, linf=linf)
 
-
-def finite_diff_gradient(prob: FiniteSumProblem, i: int, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of component i with per-coordinate step
-    h * (1 + |x_j|)."""
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    g = np.empty_like(x)
-    for j in range(len(x)):
-        hj = h * (1.0 + abs(float(x[j])))
-        e = np.zeros_like(x)
-        e[j] = hj
-        g[j] = (prob.component_value(i, x + e) - prob.component_value(i, x - e)) / (2.0 * hj)
-    return g

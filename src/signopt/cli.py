@@ -17,10 +17,10 @@ import sys
 
 import numpy as np
 
-from .analysis import example1_stats, linf_constant_expected, opnorm_1_to_inf, opnorm_2_to_2, opnorm_inf_to_1
+from .analysis import example1_stats, linf_constant_expected
 from .harness import ConfigError, execute_experiment, load_config
 from .optimizers import RunSpec, run
-from .oracles import brute_force_opnorm, expected_sign_analytic, monte_carlo_expected_sign
+from .oracles import expected_sign_analytic, monte_carlo_expected_sign
 from .problems import ProblemSpec, make_problem
 from .vecmath import RngStream
 
@@ -181,33 +181,6 @@ def _cmd_nonconvergence_demo(args: argparse.Namespace) -> int:
     return 2
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    # ad-hoc cross-validation of the operator-norm routines on random matrices
-    gen = RngStream(args.seed).child("oracle").generator
-    d = args.d
-    if d > 10:
-        print("error: oracle enumeration is limited to d <= 10", file=sys.stderr)
-        return 1
-    ok = True
-    for trial in range(5):
-        m = gen.standard_normal((d, d))
-        pairs = [
-            ("1->inf", opnorm_1_to_inf(m), brute_force_opnorm(m, 1.0)),
-            ("2->2", opnorm_2_to_2(m), brute_force_opnorm(m, 2.0)),
-        ]
-        got_inf = opnorm_inf_to_1(m)
-        if got_inf is not None:
-            pairs.append(("inf->1", got_inf, brute_force_opnorm(m, math.inf)))
-        for label, fast, slow in pairs:
-            rel = abs(fast - slow) / max(1.0, abs(slow))
-            good = rel <= 1e-9
-            ok = ok and good
-            print(f"trial {trial} {label}: fast={fast:.12g} exhaustive={slow:.12g} "
-                  f"rel={rel:.2e} {'ok' if good else 'FAIL'}")
-    print("operator norm routines agree" if ok else "operator norm MISMATCH")
-    return 0 if ok else 2
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="signopt",
@@ -249,11 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ncd.add_argument("--gamma", type=float, default=0.01)
     p_ncd.add_argument("--seed", type=int, default=0)
     p_ncd.set_defaults(func=_cmd_nonconvergence_demo)
-
-    p_or = sub.add_parser("oracle", help="cross-validate operator-norm routines")
-    p_or.add_argument("--d", type=int, default=6)
-    p_or.add_argument("--seed", type=int, default=0)
-    p_or.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -53,6 +53,7 @@ from .analysis import (
 )
 from .optimizers import (  # noqa: F401 (run stays importable: perfbench/tracing.py wraps harness.run)
     ALGORITHMS,
+    VR_ALGORITHMS,
     RunSpec,
     run,
     run_seeds,
@@ -85,8 +86,6 @@ _SCHEDULE_ALGOS = {
     "manual": set(ALGORITHMS),
 }
 
-_VR_ALGOS = {"signsvrg_v1", "signsvrg_v2", "svrg"}
-
 # check name -> algorithms it applies to (None = any)
 CHECKS = {
     "svrg_grad_bound_v1": {"signsvrg_v1"},
@@ -97,8 +96,8 @@ CHECKS = {
     "signgd_bound": {"signgd"},
     "rate_bounds_v1": {"signsvrg_v1"},
     "rate_bounds_v2": {"signsvrg_v2"},
-    "update_count_bound": _VR_ALGOS,
-    "comm_bits_bound": _VR_ALGOS,
+    "update_count_bound": VR_ALGORITHMS,
+    "comm_bits_bound": VR_ALGORITHMS,
 }
 
 
@@ -153,7 +152,7 @@ class ExperimentConfig:
             raise ConfigError("P", f"P must be >= 1, got {self.P}")
         if self.schedule == "manual" and (self.gamma is None or self.gamma <= 0):
             raise ConfigError("gamma", "manual schedule requires a positive gamma")
-        if self.schedule == "manual" and self.algo in _VR_ALGOS and (self.D is None or self.D <= 0):
+        if self.schedule == "manual" and self.algo in VR_ALGORITHMS and (self.D is None or self.D <= 0):
             raise ConfigError("D", "manual schedule with a reference-point method requires D > 0")
         for name in self.checks:
             if name not in CHECKS:
@@ -188,6 +187,13 @@ def _parse_q(raw: Any) -> float:
     raise ConfigError("q", f"q must be 1, 2, or \"inf\", got {raw!r}")
 
 
+def _str(fld: str, raw: Any) -> str:
+    """raw itself when it is a string; numbers and lists are not."""
+    if not isinstance(raw, str):
+        raise ConfigError(fld, f"must be a string, got {raw!r}")
+    return raw
+
+
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a single JSON object")
@@ -204,9 +210,7 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     pdoc = doc["problem"]
     if not isinstance(pdoc, dict):
         raise ConfigError("problem", "must be an object")
-    kind = pdoc.get("kind", "")
-    if not isinstance(kind, str):
-        raise ConfigError("problem.kind", f"must be a string, got {kind!r}")
+    kind = _str("problem.kind", pdoc.get("kind", ""))
     sizes = {k: _int(f"problem.{k}", pdoc.get(k, 0)) for k in ("d", "n", "seed")}
     rates = {k: _number(f"problem.{k}", pdoc.get(k, 0.0)) for k in ("lam", "label_noise")}
     try:
@@ -216,6 +220,9 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     seeds = doc["seeds"]
     if not isinstance(seeds, list):
         raise ConfigError("seeds", f"must be a list of integers, got {seeds!r}")
+    checks = doc.get("checks", [])
+    if not isinstance(checks, list):
+        raise ConfigError("checks", f"must be a list of strings, got {checks!r}")
     x1 = doc["x1"]
     if isinstance(x1, list):
         x1 = tuple(_number("x1", v) for v in x1)
@@ -231,15 +238,15 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     }
     return ExperimentConfig(
         problem=pspec,
-        algo=str(doc["algo"]),
-        schedule=str(doc["schedule"]),
+        algo=_str("algo", doc["algo"]),
+        schedule=_str("schedule", doc["schedule"]),
         q=_parse_q(doc["q"]),
         T=_int("T", doc["T"]),
         seeds=tuple(_int("seeds", s) for s in seeds),
         x1=x1,
         F=_int("F", doc.get("F", 32)),
         **optional,
-        checks=tuple(str(c) for c in doc.get("checks", ())),
+        checks=tuple(_str("checks", c) for c in checks),
     )
 
 
@@ -324,7 +331,7 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> _Derived:
     pair = ConjugatePair(cfg.q)
     P = float(cfg.P) if cfg.P is not None else float(cfg.F * prob.n)
 
-    needs_l = cfg.algo in _VR_ALGOS or cfg.algo == "signgd"
+    needs_l = cfg.algo in VR_ALGORITHMS or cfg.algo == "signgd"
     L = prob.lipschitz_constant(cfg.q) if needs_l else None
     if needs_l and L is None:
         raise ConfigError(
@@ -335,7 +342,7 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> _Derived:
 
     if cfg.schedule == "cor1":
         gamma, d_factory = schedule_cor1(prob.d, cfg.q, L, cfg.T)
-        D = d_factory(P) if cfg.algo in _VR_ALGOS else None
+        D = d_factory(P) if cfg.algo in VR_ALGORITHMS else None
     elif cfg.schedule == "cor2":
         alpha = _resolve_alpha(cfg, prob, x1)
         gamma, d_factory = schedule_cor2(alpha, prob.d, cfg.T)
@@ -345,7 +352,7 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> _Derived:
         D = None
     else:  # manual
         gamma = float(cfg.gamma)
-        D = cfg.D if cfg.algo in _VR_ALGOS else None
+        D = cfg.D if cfg.algo in VR_ALGORITHMS else None
 
     g_inf = cfg.g_inf
     if cfg.algo == "signsgd_plus" and g_inf is None:

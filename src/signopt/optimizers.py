@@ -1,4 +1,4 @@
-"""Single-step optimizers, step-size schedules, and the run loop.
+"""The sign-based methods: step-size schedules and the seed-batched run loops.
 
 Methods (all with constant step size gamma, sign(0) = +1 throughout):
 
@@ -31,7 +31,8 @@ step still consumes its draws, so traces are bitwise reproducible from
 (config, seed). run_seeds steps all seeds of a call as one batch and decodes
 each seed's draws a block of steps at a time from its raw Philox words
 (vecmath.sample_steps), bit for bit the same as those calls; a seed's trace
-never depends on the other seeds of the batch.
+never depends on the other seeds of the batch. oracles.reference_run steps one
+seed at a time with the calls themselves, and tests hold the two to the bit.
 
 Communication accounting (bits): a sign step uploads d bits; an unsigned
 stochastic gradient uploads d * float_bits; a reference refresh (and the
@@ -54,39 +55,25 @@ from .vecmath import (
     norm,
     norm_rows,
     row_dot,
-    sample_index,
     sample_steps,
-    sample_uniform_cube,
-    sign_vec,
 )
 
 __all__ = [
-    "SimpleState",
-    "SignSVRGState",
-    "StepReport",
     "RunSpec",
     "NonFiniteIterateError",
-    "make_simple_state",
-    "make_signsvrg_state",
-    "step_signsgd",
-    "step_signsgd_plus",
-    "step_signgd",
-    "step_sgd",
-    "step_signsvrg",
-    "step_svrg",
     "schedule_cor1",
     "schedule_cor2",
     "schedule_sec2",
     "run",
     "run_seeds",
-    "select_uniform_iterate",
-    "average_iterates",
     "ALGORITHMS",
+    "VR_ALGORITHMS",
 ]
 
 ALGORITHMS = ("signsgd", "signsgd_plus", "signgd", "sgd", "signsvrg_v1", "signsvrg_v2", "svrg")
 
-_VR_ALGOS = ("signsvrg_v1", "signsvrg_v2", "svrg")
+# the methods that keep a reference point and a trust radius
+VR_ALGORITHMS = ("signsvrg_v1", "signsvrg_v2", "svrg")
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -95,231 +82,6 @@ class NonFiniteIterateError(RuntimeError):
     def __init__(self, iteration: int):
         super().__init__(f"non-finite iterate produced at iteration {iteration}")
         self.iteration = iteration
-
-
-@dataclass(slots=True)
-class SimpleState:
-    """State of the reference-free methods."""
-
-    x: np.ndarray
-    t: int
-    gamma: float
-
-
-@dataclass(slots=True)
-class SignSVRGState:
-    """State of the radius-controlled variance-reduced methods.
-
-    Invariant maintained by the steppers: ||x - ref||_q <= D at the start of
-    every step, and ref_grad is exactly the full gradient at ref.
-    """
-
-    x: np.ndarray
-    ref: np.ndarray
-    ref_grad: np.ndarray
-    k: int
-    t: int
-    gamma: float
-    D: float
-    L: float
-    pair: ConjugatePair
-    variant: int
-
-
-@dataclass(slots=True)
-class StepReport:
-    """What a single variance-reduced step did, for trace accounting."""
-
-    moved: bool
-    ref_updated: bool
-    g_vector: np.ndarray | None
-    grad_evals_component: int
-    grad_evals_full: int
-    bits_sent: int
-    degenerate: bool = False
-
-
-def make_simple_state(x: np.ndarray, gamma: float, t: int = 1) -> SimpleState:
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    x = np.asarray(x, dtype=np.float64).copy()
-    if x.ndim != 1:
-        raise ValueError("x must be a vector")
-    return SimpleState(x=x, t=t, gamma=gamma)
-
-
-def make_signsvrg_state(
-    x: np.ndarray,
-    prob: FiniteSumProblem,
-    gamma: float,
-    D: float,
-    L: float,
-    q: float,
-    variant: int,
-) -> SignSVRGState:
-    """Fresh state with ref = x and ref_grad = full gradient at x."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if D <= 0:
-        raise ValueError(f"trust radius D must be positive, got {D}")
-    if L <= 0:
-        raise ValueError(f"smoothness constant L must be positive, got {L}")
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant}")
-    x = np.asarray(x, dtype=np.float64).copy()
-    return SignSVRGState(
-        x=x,
-        ref=x.copy(),
-        ref_grad=prob.full_gradient(x),
-        k=1,
-        t=1,
-        gamma=gamma,
-        D=D,
-        L=L,
-        pair=ConjugatePair(q),
-        variant=variant,
-    )
-
-
-def step_signsgd(state: SimpleState, prob: FiniteSumProblem, rng: RngStream) -> SimpleState:
-    i = sample_index(rng, prob.n) - 1
-    g = prob.component_gradient(i, state.x)
-    return SimpleState(state.x - state.gamma * sign_vec(g), state.t + 1, state.gamma)
-
-
-def step_signsgd_plus(
-    state: SimpleState, prob: FiniteSumProblem, rng: RngStream, g_inf: float
-) -> SimpleState:
-    """Sign step on the noise-corrupted gradient g + g_inf * U.
-
-    Requires g_inf >= ||grad f_i||_inf on the region visited; then each
-    coordinate of the expected step is grad f(x)^j / g_inf.
-    """
-    if g_inf <= 0:
-        raise ValueError(f"g_inf must be positive, got {g_inf}")
-    i = sample_index(rng, prob.n) - 1
-    u = sample_uniform_cube(rng, prob.d)
-    g = prob.component_gradient(i, state.x)
-    return SimpleState(state.x - state.gamma * sign_vec(g + g_inf * u), state.t + 1, state.gamma)
-
-
-def step_signgd(state: SimpleState, prob: FiniteSumProblem) -> SimpleState:
-    # at a stationary point sign(0) = +1 moves every coordinate by -gamma
-    g = prob.full_gradient(state.x)
-    return SimpleState(state.x - state.gamma * sign_vec(g), state.t + 1, state.gamma)
-
-
-def step_sgd(state: SimpleState, prob: FiniteSumProblem, rng: RngStream) -> SimpleState:
-    i = sample_index(rng, prob.n) - 1
-    g = prob.component_gradient(i, state.x)
-    return SimpleState(state.x - state.gamma * g, state.t + 1, state.gamma)
-
-
-def _vr_gradient_and_amplitude(
-    state: SignSVRGState, prob: FiniteSumProblem, i: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Variance-reduced gradient v and coordinatewise noise amplitude G_t."""
-    v = (
-        prob.component_gradient(i, state.x)
-        - prob.component_gradient(i, state.ref)
-        + state.ref_grad
-    )
-    drift = state.L * norm(state.x - state.ref, state.pair.q)
-    if state.variant == 1:
-        g_vec = np.full(len(v), drift + norm(state.ref_grad, state.pair.p))
-    else:
-        g_vec = drift + np.abs(state.ref_grad)
-    # the amplitude must dominate the argument coordinatewise, else the
-    # linearized-expectation identity behind the method breaks; an explicit
-    # raise, so that the check also runs under python -O
-    if not np.all(np.abs(v) <= g_vec + 1e-9 * (1.0 + np.abs(g_vec))):
-        raise AssertionError("noise amplitude violated")
-    return v, g_vec
-
-
-def _reject_update(state: SignSVRGState, prob: FiniteSumProblem) -> SignSVRGState:
-    return SignSVRGState(
-        x=state.x,
-        ref=state.x,
-        ref_grad=prob.full_gradient(state.x),
-        k=state.k + 1,
-        t=state.t + 1,
-        gamma=state.gamma,
-        D=state.D,
-        L=state.L,
-        pair=state.pair,
-        variant=state.variant,
-    )
-
-
-def _accept_move(state: SignSVRGState, cand: np.ndarray) -> SignSVRGState:
-    return SignSVRGState(
-        x=cand,
-        ref=state.ref,
-        ref_grad=state.ref_grad,
-        k=state.k,
-        t=state.t + 1,
-        gamma=state.gamma,
-        D=state.D,
-        L=state.L,
-        pair=state.pair,
-        variant=state.variant,
-    )
-
-
-def step_signsvrg(
-    state: SignSVRGState,
-    prob: FiniteSumProblem,
-    rng: RngStream,
-    float_bits: int = 32,
-) -> tuple[SignSVRGState, StepReport]:
-    """One step of the variance-reduced noisy sign method.
-
-    Draws (i, U), forms the candidate
-        x+ = x - gamma * sign(v + G_t (.) U),   v = grad f_i(x) - grad f_i(ref) + grad f(ref),
-    and accepts it iff ||x+ - ref||_q <= D. On rejection the iterate is
-    unchanged, the reference moves to x, and the full gradient is recomputed;
-    the rejected draw is discarded (fresh randomness next step).
-    """
-    i = sample_index(rng, prob.n) - 1
-    u = sample_uniform_cube(rng, prob.d)
-    v, g_vec = _vr_gradient_and_amplitude(state, prob, i)
-    degenerate = bool(np.any(g_vec == 0.0))
-    cand = state.x - state.gamma * sign_vec(v + g_vec * u)
-    if norm(cand - state.ref, state.pair.q) <= state.D:
-        new = _accept_move(state, cand)
-        report = StepReport(True, False, g_vec, 2, 0, len(cand), degenerate)
-    else:
-        new = _reject_update(state, prob)
-        report = StepReport(
-            False, True, g_vec, 2, 1, prob.n * prob.d * float_bits, degenerate
-        )
-    return new, report
-
-
-def step_svrg(
-    state: SignSVRGState,
-    prob: FiniteSumProblem,
-    rng: RngStream,
-    float_bits: int = 32,
-) -> tuple[SignSVRGState, StepReport]:
-    """Unsigned baseline: same reference logic, step along v itself.
-
-    E[v] = grad f(x) and ||v||_p <= L ||x - ref||_q + ||grad f(ref)||_p."""
-    i = sample_index(rng, prob.n) - 1
-    v = (
-        prob.component_gradient(i, state.x)
-        - prob.component_gradient(i, state.ref)
-        + state.ref_grad
-    )
-    cand = state.x - state.gamma * v
-    if norm(cand - state.ref, state.pair.q) <= state.D:
-        new = _accept_move(state, cand)
-        report = StepReport(True, False, None, 2, 0, len(cand) * float_bits)
-    else:
-        new = _reject_update(state, prob)
-        report = StepReport(False, True, None, 2, 1, prob.n * prob.d * float_bits)
-    return new, report
 
 
 def schedule_cor1(d: int, q: float, L: float, T: int) -> tuple[float, Callable[[float], float]]:
@@ -391,9 +153,13 @@ class RunSpec:
             raise ValueError(f"unknown algo {self.algo!r}; known: {ALGORITHMS}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.algo in _VR_ALGOS:
+        if self.algo in VR_ALGORITHMS:
             if self.D is None or self.L is None:
                 raise ValueError(f"{self.algo} requires both D and L")
+            if self.D <= 0:
+                raise ValueError(f"trust radius D must be positive, got {self.D}")
+            if self.L <= 0:
+                raise ValueError(f"smoothness constant L must be positive, got {self.L}")
         if self.algo == "signsgd_plus" and (self.g_inf is None or self.g_inf <= 0):
             raise ValueError("signsgd_plus requires a positive g_inf")
         if self.float_bits < 1:
@@ -503,13 +269,12 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     """Inner loop of the reference-point methods, all seeds of a call at once.
 
     Row s of every (S, d) state array is seed s, and its arithmetic is that of
-    step_signsvrg / step_svrg on seed s alone, float operation for float
+    oracles.reference_run on seed s alone, float operation for float
     operation: component gradients come from row-wise dots
     (component_gradient_batch), distances from vecmath.norm_rows, and a
     rejected step refreshes its seed's reference with the one-vector
     full_gradient. ||x - ref||_q is carried across iterations: the accepted
-    candidate's radius check IS the next step's distance. Covered by bitwise
-    equivalence tests against the public steppers. k, bits_cum and
+    candidate's radius check IS the next step's distance. k, bits_cum and
     grad_evals_cum follow from the refresh steps after the loop.
     """
     S = len(rngs)
@@ -599,10 +364,9 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     """Inner loop of the reference-free methods, all seeds of a call at once.
 
     Row s of the (S, d) iterate is seed s, and its arithmetic is that of
-    step_signsgd / step_signsgd_plus / step_sgd / step_signgd on seed s
-    alone, bit for bit: component gradients come from
-    component_gradient_batch, and signgd, whose rows all start at x1 and
-    draw nothing, takes the one-vector full_gradient of row 0 and
+    oracles.reference_run on seed s alone, bit for bit: component gradients
+    come from component_gradient_batch, and signgd, whose rows all start at
+    x1 and draw nothing, takes the one-vector full_gradient of row 0 and
     broadcasts its step over the rows. bits_cum and grad_evals_cum are the
     steps done times the per-step costs.
     """
@@ -663,15 +427,11 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
         raise ValueError(f"x1 must be a length-{prob.d} vector, got shape {x1.shape}")
     if not np.all(np.isfinite(x1)):
         raise ValueError("x1 must be finite")
-    if spec.algo in _VR_ALGOS:
-        # surface bad hyperparameters here rather than deep in the loop
-        make_signsvrg_state(x1, prob, spec.gamma, spec.D, spec.L, spec.q,
-                            2 if spec.algo == "signsvrg_v2" else 1)
 
     rngs = [RngStream(seed) for seed in seeds]
     cols = [_Columns(T, prob.d, spec.keep_iterates) for _ in seeds]
     # the final iterates and the sums of the iterates of rows 1..T, (S, d)
-    loop = _run_vr if spec.algo in _VR_ALGOS else _run_ref_free
+    loop = _run_vr if spec.algo in VR_ALGORITHMS else _run_ref_free
     x_final, x_sum = loop(spec, prob, T, rngs, cols)
 
     traces = []
@@ -713,13 +473,3 @@ def run(spec: RunSpec, prob: FiniteSumProblem, T: int, seed: int) -> Trace:
     """run_seeds for the single seed `seed`."""
     return run_seeds(spec, prob, T, (seed,))[0]
 
-
-def select_uniform_iterate(trace: Trace, rng: RngStream) -> int:
-    """Uniform iteration number in {1, ..., T}; the returned-point analyses
-    are all stated for an iterate chosen this way."""
-    return sample_index(rng, trace.T)
-
-
-def average_iterates(trace: Trace) -> np.ndarray:
-    """(1/T) sum of x_1..x_T, accumulated during the run."""
-    return trace.x_mean.copy()

@@ -1,17 +1,25 @@
 """Independent oracles used to cross-check the main implementation.
 
-Nothing here shares code with problems/optimizers/analysis: norms are
+Nothing here shares code with the optimizers or analysis: norms are
 re-derived by brute force, expectations by direct integration or Monte Carlo,
-dynamics by closed-form recursions. Tests compare the two routes.
+dynamics by closed-form recursions or by stepping one seed a step at a time
+from the problems' one-vector kernels (reference_run), gradients by finite
+differences. Tests compare the two routes.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .vecmath import RngStream
+from .trace import FLAG_DEGENERATE
+from .vecmath import ConjugatePair, RngStream, norm, sign_vec
+
+if TYPE_CHECKING:
+    from .optimizers import RunSpec
+    from .problems import FiniteSumProblem
 
 __all__ = [
     "expected_sign_analytic",
@@ -21,6 +29,9 @@ __all__ = [
     "signgd_1d_closed_form",
     "masked_sigmoid",
     "softplus_libm",
+    "reference_run",
+    "finite_diff_gradient",
+    "estimate_lipschitz_empirical",
 ]
 
 # slopes of the three linear-plus-quadratic components in the drift instance
@@ -170,3 +181,102 @@ def softplus_libm(w: float) -> float:
     if w > 0.0:
         return w + math.log1p(math.exp(-w))
     return math.log1p(math.exp(w))
+
+
+def reference_run(spec: RunSpec, prob: FiniteSumProblem, T: int, seed: int) -> dict[str, np.ndarray]:
+    """One seed of optimizers.run_seeds, stepped one step at a time.
+
+    Each step calls the seed's Generator itself (the index, then the noise
+    cube of the noisy sign methods) and the one-vector component_gradient
+    and full_gradient, and measures radii with vecmath.norm. The bitwise
+    reference for the seed-batched loops: returns the trace columns
+    x_final, iterates (rows 1..T), k, dist_to_ref, bits_cum, grad_evals_cum
+    and flags, which run_seeds must reproduce exactly.
+    """
+    gen = RngStream(seed).generator
+    n, d, algo, gamma, q = prob.n, prob.d, spec.algo, spec.gamma, spec.q
+    vr = algo in ("signsvrg_v1", "signsvrg_v2", "svrg")
+    unsigned = algo in ("sgd", "svrg")
+    sync_bits = n * d * spec.float_bits
+    step_bits = sync_bits if algo == "signgd" else d * spec.float_bits if unsigned else d
+    step_evals = n if algo == "signgd" else 2 if vr else 1
+    x = np.array(spec.x1, dtype=np.float64)
+    ref, ref_grad = x, prob.full_gradient(x)
+    k, bits, evals = (1, sync_bits, n) if vr else (0, 0, 0)
+    rows, flags, iterates = [], [], np.empty((T, d))
+    for t in range(T):
+        iterates[t] = x
+        dist = norm(x - ref, q) if vr else 0.0
+        rows.append((k, dist, bits, evals))
+        if algo != "signgd":
+            i = int(gen.integers(1, n, endpoint=True)) - 1
+        if algo in ("signsgd_plus", "signsvrg_v1", "signsvrg_v2"):
+            u = gen.uniform(-1.0, 1.0, d)
+        if algo == "signgd":
+            g = prob.full_gradient(x)
+        elif vr:
+            g = prob.component_gradient(i, x) - prob.component_gradient(i, ref) + ref_grad
+        else:
+            g = prob.component_gradient(i, x)
+        flag = 0
+        if algo == "signsgd_plus":
+            g = g + spec.g_inf * u
+        elif algo in ("signsvrg_v1", "signsvrg_v2"):
+            if algo == "signsvrg_v1":
+                amp = np.full(d, spec.L * dist + norm(ref_grad, ConjugatePair(q).p))
+            else:
+                amp = spec.L * dist + np.abs(ref_grad)
+            # an explicit raise, so that the premise is also checked under -O
+            if not np.all(np.abs(g) <= amp + 1e-9 * (1.0 + amp)):
+                raise AssertionError("noise amplitude violated")
+            flag = FLAG_DEGENERATE if np.any(amp == 0.0) else 0
+            g = g + amp * u
+        flags.append(flag)
+        cand = x - gamma * g if unsigned else x - gamma * sign_vec(g)
+        if not vr or norm(cand - ref, q) <= spec.D:
+            x, bits, evals = cand, bits + step_bits, evals + step_evals
+        else:  # the iterate stands still and the reference moves to it
+            ref, ref_grad, k = x, prob.full_gradient(x), k + 1
+            bits, evals = bits + sync_bits, evals + 2 + n
+    rows.append((k, norm(x - ref, q) if vr else 0.0, bits, evals))
+    k_col, dist_col, bits_col, evals_col = (np.array(c) for c in zip(*rows))
+    return {"x_final": x, "iterates": iterates, "k": k_col, "dist_to_ref": dist_col,
+            "bits_cum": bits_col, "grad_evals_cum": evals_col, "flags": np.array(flags + [0])}
+
+
+def finite_diff_gradient(prob: FiniteSumProblem, i: int, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of component i with per-coordinate step
+    h * (1 + |x_j|)."""
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
+    x = np.asarray(x, dtype=np.float64)
+    g = np.empty_like(x)
+    for j in range(len(x)):
+        hj = h * (1.0 + abs(float(x[j])))
+        e = np.zeros_like(x)
+        e[j] = hj
+        g[j] = (prob.component_value(i, x + e) - prob.component_value(i, x - e)) / (2.0 * hj)
+    return g
+
+
+def estimate_lipschitz_empirical(
+    prob: FiniteSumProblem, q: float, rng: RngStream, trials: int
+) -> float:
+    """Empirical lower estimate of L_q: max over sampled (i, x, y) of the
+    gradient-difference ratio. Never exceeds the analytic constant."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    pair = ConjugatePair(q)
+    gen = rng.generator
+    best = 0.0
+    for _ in range(trials):
+        i = int(gen.integers(0, prob.n))
+        x = gen.standard_normal(prob.d)
+        # mix global and local probes; curvature may vary across scales
+        y = x + gen.standard_normal(prob.d) * float(gen.choice([1.0, 1e-3]))
+        denom = norm(x - y, q)
+        if denom == 0.0:
+            continue
+        num = norm(prob.component_gradient(i, x) - prob.component_gradient(i, y), pair.p)
+        best = max(best, num / denom)
+    return best

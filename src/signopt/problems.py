@@ -31,7 +31,6 @@ __all__ = [
     "SphereQuadraticProblem",
     "CounterexampleProblem",
     "make_problem",
-    "estimate_lipschitz_empirical",
     "numeric_f_star",
     "PROBLEM_KINDS",
 ]
@@ -459,29 +458,6 @@ PROBLEM_KINDS = {
 
 def make_problem(spec: ProblemSpec) -> FiniteSumProblem:
     return PROBLEM_KINDS[spec.kind](spec)
-
-
-def estimate_lipschitz_empirical(
-    prob: FiniteSumProblem, q: float, rng: RngStream, trials: int
-) -> float:
-    """Empirical lower estimate of L_q: max over sampled (i, x, y) of the
-    gradient-difference ratio. Never exceeds the analytic constant."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    pair = ConjugatePair(q)
-    gen = rng.generator
-    best = 0.0
-    for _ in range(trials):
-        i = int(gen.integers(0, prob.n))
-        x = gen.standard_normal(prob.d)
-        # mix global and local probes; curvature may vary across scales
-        y = x + gen.standard_normal(prob.d) * float(gen.choice([1.0, 1e-3]))
-        denom = norm(x - y, q)
-        if denom == 0.0:
-            continue
-        num = norm(prob.component_gradient(i, x) - prob.component_gradient(i, y), pair.p)
-        best = max(best, num / denom)
-    return best
 
 
 def numeric_f_star(prob: FiniteSumProblem, iters: int = 20000) -> float:

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["CSV_HEADER", "FLAG_DEGENERATE", "TraceRow", "Trace", "read_trace_csv"]
+__all__ = ["CSV_HEADER", "FLAG_DEGENERATE", "Trace", "read_trace_csv"]
 
 CSV_HEADER = "t,f,gnorm1,gnorm2,gnormInf,k,dist_to_ref,bits_cum,grad_evals_cum,flags"
 
@@ -31,30 +31,6 @@ _CSV_DTYPE = np.dtype([
     (name, np.int64 if name in _INT_COLUMNS else np.float64) for name in CSV_HEADER.split(",")
 ])
 _CSV_ROW = (",".join("{}" if name in _INT_COLUMNS else "{!r}" for name in _CSV_DTYPE.names) + "\n").format
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    t: int
-    f: float
-    gnorm1: float
-    gnorm2: float
-    gnorm_inf: float
-    k: int
-    dist_to_ref: float
-    bits_cum: int
-    grad_evals_cum: int
-    flags: int
-
-    def gnorm(self, p: float) -> float:
-        """Gradient norm by exponent p in {1, 2, inf}."""
-        if p == 1:
-            return self.gnorm1
-        if p == 2:
-            return self.gnorm2
-        if p == float("inf"):
-            return self.gnorm_inf
-        raise ValueError(f"p must be one of {{1, 2, inf}}, got {p!r}")
 
 
 @dataclass
@@ -93,28 +69,6 @@ class Trace:
         if p == float("inf"):
             return self.gnorm_inf
         raise ValueError(f"p must be one of {{1, 2, inf}}, got {p!r}")
-
-    def row(self, t: int) -> TraceRow:
-        """Row by iteration number t in 1..T+1."""
-        if not 1 <= t <= self.T + 1:
-            raise IndexError(f"t must be in 1..{self.T + 1}, got {t}")
-        i = t - 1
-        return TraceRow(
-            t=int(self.t[i]),
-            f=float(self.f[i]),
-            gnorm1=float(self.gnorm1[i]),
-            gnorm2=float(self.gnorm2[i]),
-            gnorm_inf=float(self.gnorm_inf[i]),
-            k=int(self.k[i]),
-            dist_to_ref=float(self.dist_to_ref[i]),
-            bits_cum=int(self.bits_cum[i]),
-            grad_evals_cum=int(self.grad_evals_cum[i]),
-            flags=int(self.flags[i]),
-        )
-
-    @property
-    def final(self) -> TraceRow:
-        return self.row(self.T + 1)
 
     def to_csv(self, path: str) -> None:
         cols = (self.t, self.f, self.gnorm1, self.gnorm2, self.gnorm_inf, self.k,

@@ -18,9 +18,6 @@ __all__ = [
     "RngStream",
     "sign_vec",
     "norm",
-    "hadamard",
-    "sample_uniform_cube",
-    "sample_index",
     "sample_steps",
     "sample_unit_sphere",
     "row_dot",
@@ -125,29 +122,6 @@ def norm_rows(v: np.ndarray, p: float) -> np.ndarray:
     if p == math.inf:
         return np.abs(v).max(axis=1)
     raise ValueError(f"p must be one of {{1, 2, inf}}, got {p!r}")
-
-
-def hadamard(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    return u * v
-
-
-def sample_uniform_cube(rng: RngStream, d: int) -> np.ndarray:
-    """d i.i.d. coordinates uniform on [-1, 1]."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return rng.generator.uniform(-1.0, 1.0, size=d)
-
-
-def sample_index(rng: RngStream, n: int) -> int:
-    """Uniform integer in {1, ..., n}; Generator.integers is exactly uniform
-    (no modulo bias)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return int(rng.generator.integers(1, n, endpoint=True))
 
 
 def _steps_by_calls(gen, n: int, width: int, steps: int) -> tuple[np.ndarray, np.ndarray]:

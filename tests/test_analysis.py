@@ -15,7 +15,6 @@ from signopt.analysis import (
     comm_bits_bound,
     example1_stats,
     final_gap_bound,
-    finite_diff_gradient,
     linf_constant_expected,
     opnorm_1_to_inf,
     opnorm_2_to_2,
@@ -29,7 +28,7 @@ from signopt.analysis import (
     update_count_bound,
 )
 from signopt.optimizers import RunSpec, run, schedule_cor1, schedule_cor2
-from signopt.oracles import brute_force_opnorm
+from signopt.oracles import brute_force_opnorm, finite_diff_gradient
 from signopt.problems import ProblemSpec, make_problem
 from signopt.vecmath import ConjugatePair, RngStream
 

@@ -1,12 +1,15 @@
 """Config validation, experiment execution, artifact formats, exit codes."""
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import signopt.cli
 from signopt.cli import main
 from signopt.harness import (
     CHECKS,
@@ -85,6 +88,11 @@ def test_config_roundtrip():
         ({"g_inf": "2"}, "g_inf"),
         ({"x1": [0.0, True, 0, 0, 0, 0]}, "x1"),
         ({"x1": {"gaussian": "1"}}, "x1"),
+        ({"checks": "regret_bound"}, "checks"),  # a string is not a list of checks
+        ({"checks": [["svrg_grad_bound_v1"]]}, "checks"),
+        ({"algo": 5}, "algo"),
+        ({"algo": ["signsvrg_v1"]}, "algo"),
+        ({"schedule": 1}, "schedule"),
     ],
 )
 def test_config_rejections_name_the_field(patch, field):
@@ -405,3 +413,18 @@ def test_cli_nonconvergence_demo(capsys):
     assert main(["nonconvergence-demo", "--T", "100", "--gamma", "-1", "--seed", "0"]) == 1
     # a huge step escapes the region where the gradient bound is valid
     assert main(["nonconvergence-demo", "--T", "200", "--gamma", "3.0", "--seed", "0"]) == 2
+
+
+def test_cli_subcommands_are_the_documented_four(capsys):
+    # no hidden entry points: the parser offers exactly the subcommands that
+    # the module docstring and the README list
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    offered = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+    doc = signopt.cli.__doc__.split("Subcommands:")[1].split("\n\n")[0]
+    docstring = [line.split()[0] for line in doc.strip().splitlines()]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    usage = readme.split("has four subcommands:")[1].split("```")[1]
+    listed = [line.split()[1] for line in usage.strip().splitlines()]
+    assert offered == docstring == listed == ["run", "verify-key-identity", "example1",
+                                              "nonconvergence-demo"]

@@ -1,9 +1,11 @@
-"""Steppers, schedules, the fused run loop, and trace accounting.
+"""Schedules, the seed-batched run loops, and trace accounting.
 
 The frozen end states pin exact arithmetic (argument order of every random
-draw included); the equivalence tests then certify that the fused loop inside
-run() is bit-for-bit the same dynamics as the public single-step functions.
+draw included); the equivalence tests then certify that the seed-batched
+loops inside run_seeds() are bit-for-bit the same dynamics as
+oracles.reference_run, which steps one seed at a time.
 """
+import dataclasses
 import math
 import os
 import subprocess
@@ -19,25 +21,16 @@ from signopt.optimizers import (
     ALGORITHMS,
     NonFiniteIterateError,
     RunSpec,
-    average_iterates,
-    make_signsvrg_state,
-    make_simple_state,
     run,
     run_seeds,
     schedule_cor1,
     schedule_cor2,
     schedule_sec2,
-    select_uniform_iterate,
-    step_sgd,
-    step_signgd,
-    step_signsgd,
-    step_signsgd_plus,
-    step_signsvrg,
-    step_svrg,
 )
+from signopt.oracles import reference_run
 from signopt.problems import ProblemSpec, make_problem
 from signopt.trace import FLAG_DEGENERATE
-from signopt.vecmath import ConjugatePair, RngStream, norm
+from signopt.vecmath import ConjugatePair
 
 
 def _ls(d=4, n=6, seed=42):
@@ -168,36 +161,22 @@ def test_schedule_validation():
 
 # ---------------------------------------------------------------- fused loop equivalence
 
-@pytest.mark.parametrize("algo", ["signsvrg_v1", "signsvrg_v2", "svrg"])
-@pytest.mark.parametrize("D", [0.05, 0.6, 50.0], ids=["reject_heavy", "mixed", "accept_only"])
-def test_fused_vr_loop_matches_public_stepper(algo, D):
-    prob = _ls(d=5, n=7, seed=3)
-    L = prob.lipschitz_constant(1.0)
-    x1 = 0.5 * np.ones(5)
-    T, seed = 200, 11
-    tr = run(RunSpec(algo=algo, gamma=0.03, x1=x1, q=1.0, D=D, L=L), prob, T, seed)
-
-    state = make_signsvrg_state(
-        x1, prob, gamma=0.03, D=D, L=L, q=1.0,
-        variant=2 if algo == "signsvrg_v2" else 1,
-    )
-    rng = RngStream(seed)
-    ks, dists, bits = [state.k], [0.0], [prob.n * prob.d * 32]
-    stepper = step_svrg if algo == "svrg" else step_signsvrg
-    for _ in range(T):
-        state, rep = stepper(state, prob, rng)
-        ks.append(state.k)
-        dists.append(float(norm(state.x - state.ref, 1.0)))
-        bits.append(bits[-1] + rep.bits_sent)
-    np.testing.assert_array_equal(tr.x_final, state.x)
-    np.testing.assert_array_equal(tr.k, ks)
-    np.testing.assert_allclose(tr.dist_to_ref, dists, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(tr.bits_cum, bits)
-
-
 BATCH_SEEDS = (11, 4, 27, 8)
 TRACE_COLUMNS = ("t", "f", "gnorm1", "gnorm2", "gnorm_inf", "k", "dist_to_ref",
                  "bits_cum", "grad_evals_cum", "flags", "x_mean", "x_final", "iterates")
+
+
+ORACLE_COLUMNS = ("x_final", "iterates", "k", "dist_to_ref", "bits_cum", "grad_evals_cum", "flags")
+
+# radii in sign steps of length 0.03 d^{1/q}: a third of a step rejects every
+# sign step, five and a half refresh now and then, 333 never do
+RADII = {"reject_heavy": 1 / 3, "mixed": 5.5, "accept_only": 333.0}
+
+
+def _assert_matches_reference(tr, spec, prob, seed):
+    ref = reference_run(spec, prob, tr.T, seed)
+    for col in ORACLE_COLUMNS:
+        np.testing.assert_array_equal(getattr(tr, col), ref[col], err_msg=f"{seed} {col}")
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "trig_nonconvex", "logistic"])
@@ -206,43 +185,28 @@ TRACE_COLUMNS = ("t", "f", "gnorm1", "gnorm2", "gnorm_inf", "k", "dist_to_ref",
 def test_seed_batch_matches_steppers_and_single_runs(algo, q, kind):
     prob = make_problem(ProblemSpec(kind=kind, d=5, n=7, seed=3, lam=0.1 if kind == "trig_nonconvex" else 0.0))
     L = prob.lipschitz_constant(q)
-    # about five sign steps fit in the radius; the unsigned steps need a
-    # longer stride to refresh as often
+    # the unsigned steps need a longer stride to refresh as often
     gamma = 0.3 if algo == "svrg" else 0.03
-    D = 0.165 * ConjugatePair(q).dim_root(prob.d)
     x1 = 0.5 * np.ones(5)
     T = 120
-    spec = RunSpec(algo=algo, gamma=gamma, x1=x1, q=q, D=D, L=L, keep_iterates=True)
-    batch = run_seeds(spec, prob, T, BATCH_SEEDS)
-    # every seed refreshes, not all at the same steps
-    assert all(tr.k[-1] > 1 for tr in batch)
-    assert len({tuple(tr.k) for tr in batch}) > 1
-
-    stepper = step_svrg if algo == "svrg" else step_signsvrg
-    for seed, tr in zip(BATCH_SEEDS, batch):
-        assert tr.meta["seed"] == seed
-        single = run(spec, prob, T, seed)
-        for col in TRACE_COLUMNS:
-            np.testing.assert_array_equal(getattr(tr, col), getattr(single, col), err_msg=col)
-
-        state = make_signsvrg_state(x1, prob, gamma=gamma, D=D, L=L, q=q,
-                                    variant=2 if algo == "signsvrg_v2" else 1)
-        rng = RngStream(seed)
-        ks, dists, bits, evals = [state.k], [0.0], [prob.n * prob.d * 32], [prob.n]
-        flags = []
-        for _ in range(T):
-            state, rep = stepper(state, prob, rng)
-            ks.append(state.k)
-            dists.append(norm(state.x - state.ref, q))
-            bits.append(bits[-1] + rep.bits_sent)
-            evals.append(evals[-1] + rep.grad_evals_component + rep.grad_evals_full * prob.n)
-            flags.append(FLAG_DEGENERATE if rep.degenerate else 0)
-        np.testing.assert_array_equal(tr.x_final, state.x)
-        np.testing.assert_array_equal(tr.k, ks)
-        np.testing.assert_array_equal(tr.dist_to_ref, dists)
-        np.testing.assert_array_equal(tr.bits_cum, bits)
-        np.testing.assert_array_equal(tr.grad_evals_cum, evals)
-        np.testing.assert_array_equal(tr.flags[:-1], flags)
+    for radius, steps in RADII.items():
+        D = steps * 0.03 * ConjugatePair(q).dim_root(prob.d)
+        spec = RunSpec(algo=algo, gamma=gamma, x1=x1, q=q, D=D, L=L, keep_iterates=True)
+        batch = run_seeds(spec, prob, T, BATCH_SEEDS)
+        refreshes = [int(tr.k[-1]) - 1 for tr in batch]
+        if radius == "reject_heavy":
+            assert min(refreshes) > T // 2, radius
+        elif radius == "mixed":
+            # every seed refreshes, not all at the same steps
+            assert min(refreshes) > 0 and len({tuple(tr.k) for tr in batch}) > 1, radius
+        else:
+            assert max(refreshes) == 0, radius
+        for seed, tr in zip(BATCH_SEEDS, batch):
+            assert tr.meta["seed"] == seed
+            single = run(spec, prob, T, seed)
+            for col in TRACE_COLUMNS:
+                np.testing.assert_array_equal(getattr(tr, col), getattr(single, col), err_msg=col)
+            _assert_matches_reference(tr, spec, prob, seed)
 
 
 def test_seed_batch_raises_first_failing_seed_in_seed_order():
@@ -297,23 +261,19 @@ def test_seed_batch_premise_violation_mid_batch():
 def test_amplitude_premise_is_checked_under_python_O():
     script = textwrap.dedent("""
         import numpy as np
-        from signopt.optimizers import RunSpec, make_signsvrg_state, run_seeds, step_signsvrg
+        from signopt.optimizers import RunSpec, run_seeds
+        from signopt.oracles import reference_run
         from signopt.problems import ProblemSpec, make_problem
-        from signopt.vecmath import RngStream
         assert False, "python -O strips assert statements"
         prob = make_problem(ProblemSpec(kind="least_squares", d=5, n=7, seed=3))
         L = 0.2 * prob.lipschitz_constant(1.0)
-        for seed in range(8):
-            state = make_signsvrg_state(0.5 * np.ones(5), prob, gamma=0.03, D=0.6, L=L,
-                                        q=1.0, variant=1)
-            rng = RngStream(seed)
-            try:
-                for _ in range(60):
-                    state, _ = step_signsvrg(state, prob, rng)
-            except AssertionError as exc:
-                print("stepper:", exc)
-                break
         spec = RunSpec(algo="signsvrg_v1", gamma=0.03, x1=0.5 * np.ones(5), q=1.0, D=0.6, L=L)
+        for seed in range(8):
+            try:
+                reference_run(spec, prob, 60, seed)
+            except AssertionError as exc:
+                print("oracle:", exc)
+                break
         try:
             run_seeds(spec, prob, 60, range(8))
         except AssertionError as exc:
@@ -323,7 +283,7 @@ def test_amplitude_premise_is_checked_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                          text=True, env=env, check=True, timeout=60)
-    assert out.stdout.splitlines() == ["stepper: noise amplitude violated",
+    assert out.stdout.splitlines() == ["oracle: noise amplitude violated",
                                        "batch: noise amplitude violated"]
 
 
@@ -333,10 +293,9 @@ def test_run_seeds_rejects_an_empty_batch():
 
 
 @pytest.mark.parametrize("algo", ["signsgd", "signsgd_plus", "sgd", "signgd"])
-def test_fused_simple_loop_matches_public_stepper(algo):
-    x1 = 0.5 * np.ones(5)
+def test_fused_simple_loop_matches_reference_run(algo):
     T = 150
-    kw = dict(algo=algo, gamma=0.02, x1=x1, keep_iterates=True)
+    kw = dict(algo=algo, gamma=0.02, x1=0.5 * np.ones(5), keep_iterates=True)
     if algo == "signsgd_plus":
         kw["g_inf"] = 9.0
     spec = RunSpec(**kw)
@@ -348,18 +307,7 @@ def test_fused_simple_loop_matches_public_stepper(algo):
                 for col in TRACE_COLUMNS:
                     np.testing.assert_array_equal(getattr(tr, col), getattr(single, col),
                                                   err_msg=f"{kind} {seed} {col}")
-                state = make_simple_state(x1, gamma=0.02)
-                rng = RngStream(seed)
-                for _ in range(T):
-                    if algo == "signsgd":
-                        state = step_signsgd(state, prob, rng)
-                    elif algo == "signsgd_plus":
-                        state = step_signsgd_plus(state, prob, rng, 9.0)
-                    elif algo == "sgd":
-                        state = step_sgd(state, prob, rng)
-                    else:
-                        state = step_signgd(state, prob)
-                np.testing.assert_array_equal(tr.x_final, state.x, err_msg=f"{kind} {seed}")
+                _assert_matches_reference(tr, spec, prob, seed)
 
 
 # ---------------------------------------------------------------- invariants
@@ -376,22 +324,25 @@ def test_vr_radius_invariant():
 
 
 def test_vr_step_report_exclusivity():
+    # each step either moves (d sign bits or d floats, two component
+    # gradients) or refreshes the reference at the unmoved iterate (n d F
+    # bits, n more gradients), and a refresh happens exactly where k increments
     prob = _ls()
     L = prob.lipschitz_constant(1.0)
-    state = make_signsvrg_state(np.ones(4), prob, gamma=0.05, D=0.25, L=L, q=1.0, variant=1)
-    rng = RngStream(3)
-    seen_move = seen_reject = False
-    for _ in range(50):
-        state, rep = step_signsvrg(state, prob, rng)
-        assert rep.moved != rep.ref_updated  # exactly one happens
-        if rep.moved:
-            seen_move = True
-            assert rep.bits_sent == prob.d
-        else:
-            seen_reject = True
-            assert rep.bits_sent == prob.n * prob.d * 32
-            np.testing.assert_array_equal(state.ref, state.x)
-    assert seen_move and seen_reject
+    n, d = prob.n, prob.d
+    for algo, gamma, move_bits in (("signsvrg_v1", 0.05, d), ("svrg", 0.02, d * 32)):
+        spec = RunSpec(algo=algo, gamma=gamma, x1=np.ones(4), q=1.0, D=0.25, L=L,
+                       keep_iterates=True)
+        for tr in run_seeds(spec, prob, 50, (3, 4, 5, 6)):
+            step_k = np.diff(tr.k)
+            assert set(step_k) == {0, 1}, algo
+            refresh = step_k == 1
+            np.testing.assert_array_equal(np.diff(tr.bits_cum), np.where(refresh, n * d * 32, move_bits))
+            np.testing.assert_array_equal(np.diff(tr.grad_evals_cum), np.where(refresh, 2 + n, 2))
+            np.testing.assert_array_equal(tr.dist_to_ref[1:][refresh], 0.0)
+            x = np.vstack([tr.iterates, tr.x_final])
+            stood_still = np.all(x[1:] == x[:-1], axis=1)
+            np.testing.assert_array_equal(stood_still[refresh], True)
 
 
 def test_every_step_rejects_when_radius_below_step():
@@ -411,30 +362,18 @@ def test_every_step_rejects_when_radius_below_step():
 
 
 def test_vr_gradient_amplitude_bound():
-    # |v_t| <= L * dist + per-variant reference amplitude, checked via the
-    # reported gradient vector on random states
-    prob = _ls(d=5, n=7, seed=1)
+    # |v_t| <= L ||x_t - ref||_q + the variant's reference amplitude: with
+    # the true L the oracle checks it on every step of runs that both move
+    # and refresh, and with L far too small it raises
+    prob = _ls(d=5, n=7, seed=3)
     L = prob.lipschitz_constant(1.0)
-    pair = ConjugatePair(1.0)
-    for variant in (1, 2):
-        state = make_signsvrg_state(
-            np.ones(5), prob, gamma=0.02, D=0.5, L=L, q=1.0, variant=variant
-        )
-        rng = RngStream(variant)
-        for _ in range(100):
-            x_prev, ref_prev = state.x.copy(), state.ref.copy()
-            state, rep = step_signsvrg(state, prob, rng)
-            if rep.g_vector is None:
-                continue
-            # the estimate was built at the pre-step (x, ref) pair
-            dist = float(norm(x_prev - ref_prev, 1.0))
-            rg = prob.full_gradient(ref_prev)
-            if variant == 1:
-                amp = L * dist + norm(rg, pair.p)
-                assert np.all(np.abs(rep.g_vector) <= amp + 1e-9 * (1 + amp))
-            else:
-                amp = L * dist + np.abs(rg)
-                assert np.all(np.abs(rep.g_vector) <= amp + 1e-9 * (1 + amp))
+    for algo in ("signsvrg_v1", "signsvrg_v2"):
+        spec = RunSpec(algo=algo, gamma=0.03, x1=0.5 * np.ones(5), q=1.0, D=0.6, L=L)
+        for seed in range(8):
+            assert 1 < reference_run(spec, prob, 100, seed)["k"][-1] < 50
+        with pytest.raises(AssertionError, match="noise amplitude"):
+            for seed in range(8):
+                reference_run(dataclasses.replace(spec, L=0.2 * L), prob, 60, seed)
 
 
 def test_signgd_descent_accounting(trig_small):
@@ -516,16 +455,6 @@ def test_trace_shapes_and_snapshot_semantics():
     assert tr.bits_cum[0] == 0  # nothing sent before the first snapshot
     assert tr.bits_cum[-1] == T * 4
     np.testing.assert_allclose(tr.x_mean, tr.iterates.mean(axis=0), atol=1e-12)
-    np.testing.assert_allclose(average_iterates(tr), tr.x_mean, atol=0)
-
-
-def test_select_uniform_iterate_in_range():
-    prob = _ls()
-    tr = run(RunSpec(algo="signsgd", gamma=0.1, x1=np.ones(4)), prob, 9, 5)
-    rng = RngStream(0)
-    picks = {select_uniform_iterate(tr, rng) for _ in range(200)}
-    assert picks <= set(range(1, 10))
-    assert len(picks) == 9  # all T indices reachable
 
 
 def test_degenerate_flag_on_stationary_reference():
@@ -554,6 +483,10 @@ def test_runspec_validation():
         RunSpec(algo="signsvrg_v1", gamma=0.1, x1=x1)  # D, L missing
     with pytest.raises(ValueError):
         RunSpec(algo="signsvrg_v1", gamma=0.1, x1=x1, D=0.5)  # L missing
+    with pytest.raises(ValueError, match="trust radius"):
+        RunSpec(algo="svrg", gamma=0.1, x1=x1, D=0.0, L=1.0)
+    with pytest.raises(ValueError, match="smoothness"):
+        RunSpec(algo="signsvrg_v2", gamma=0.1, x1=x1, D=0.5, L=-1.0)
     assert set(ALGORITHMS) == {
         "signsgd", "signsgd_plus", "signgd", "sgd",
         "signsvrg_v1", "signsvrg_v2", "svrg",

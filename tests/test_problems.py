@@ -10,12 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from signopt.analysis import finite_diff_gradient
+from signopt.oracles import estimate_lipschitz_empirical, finite_diff_gradient
 from signopt.problems import (
     AbsRegressionProblem,
     LeastSquaresProblem,
     ProblemSpec,
-    estimate_lipschitz_empirical,
     make_problem,
     numeric_f_star,
 )
