@@ -44,7 +44,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"seeds={rep.n_seeds} -> {status}"
         )
     print(f"wrote {len(result.trace_paths)} trace(s) and summary.json to {args.out}")
-    print(f"wall time: {result.wall_time_s:.2f}s")
+    print(f"total time: {result.timing['total_s']:.2f}s")
     if not result.reports:
         print("no checks requested")
         return 0

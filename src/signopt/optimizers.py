@@ -153,6 +153,7 @@ class RunSpec:
             raise ValueError(f"unknown algo {self.algo!r}; known: {ALGORITHMS}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        ConjugatePair(self.q)  # every algorithm records q in its trace meta
         if self.algo in VR_ALGORITHMS:
             if self.D is None or self.L is None:
                 raise ValueError(f"{self.algo} requires both D and L")

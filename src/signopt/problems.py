@@ -95,6 +95,10 @@ class FiniteSumProblem(ABC):
         """(x*, f*) when known in closed form, else None."""
         return None
 
+    def f_infimum(self) -> float | None:
+        """inf f when it is certified exactly but not attained, else None."""
+        return None
+
     def f_lower_bound(self) -> float | None:
         """A valid lower bound on f; defaults to f* when the optimum is known."""
         opt = self.optimum()
@@ -184,9 +188,13 @@ class LeastSquaresProblem(FiniteSumProblem):
 
 
 class LogisticProblem(FiniteSumProblem):
-    """f_i(x) = log(1 + exp(-y_i a_i^T x)) with labels y_i in {-1, +1}."""
+    """f_i(x) = log(1 + exp(-y_i a_i^T x)) with labels y_i in {-1, +1}.
 
-    def __init__(self, a: np.ndarray, y: np.ndarray):
+    When constructed with a separator (the planted direction the labels came
+    from) f_infimum certifies inf f = 0 while every margin is positive.
+    """
+
+    def __init__(self, a: np.ndarray, y: np.ndarray, separator: np.ndarray | None = None):
         self.a = _frozen(np.atleast_2d(a))
         self.y = _frozen(np.atleast_1d(y))
         if self.a.shape[0] != self.y.shape[0]:
@@ -194,6 +202,9 @@ class LogisticProblem(FiniteSumProblem):
         if not np.all(np.abs(self.y) == 1.0):
             raise ValueError("labels must be +-1")
         self.n, self.d = self.a.shape
+        self.separator = None if separator is None else _frozen(separator)
+        if self.separator is not None and self.separator.shape != (self.d,):
+            raise ValueError(f"separator must have length d={self.d}")
 
     @staticmethod
     def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -237,6 +248,23 @@ class LogisticProblem(FiniteSumProblem):
     def lipschitz_constant(self, q: float) -> float:
         # logistic curvature is at most 1/4
         return 0.25 * _row_norm_sq_max(self.a, q)
+
+    def f_infimum(self) -> float | None:
+        """0.0 when the separator provably classifies every row, else None.
+
+        f > 0 everywhere, and with every margin m_i = y_i a_i^T s positive,
+        f(c s) -> 0 as c grows, so inf f = 0 (never attained). A computed
+        dot product of length d is off by at most d eps sum_k |a_ik s_k|
+        <= d eps ||a_i||_2 ||s||_2, so a margin must clear that allowance to
+        count: one positive only through rounding certifies nothing. One
+        O(nd) pass, with no (n, d) temporary.
+        """
+        if self.separator is None:
+            return None
+        margins = self.y * (self.a @ self.separator)
+        s_norm = float(norm(self.separator, 2))
+        allowance = self.d * np.finfo(np.float64).eps * s_norm * np.sqrt(row_dot(self.a, self.a))
+        return 0.0 if bool(np.all(margins > allowance)) else None
 
 
 class TrigProblem(FiniteSumProblem):
@@ -419,7 +447,7 @@ def _make_logistic(spec: ProblemSpec) -> LogisticProblem:
     if spec.label_noise > 0.0:
         flips = RngStream(spec.seed).child("labels").generator.uniform(size=spec.n)
         y = np.where(flips < spec.label_noise, -y, y)
-    return LogisticProblem(a, y)
+    return LogisticProblem(a, y, separator=target)
 
 
 def _make_trig(spec: ProblemSpec) -> TrigProblem:
@@ -463,15 +491,16 @@ def make_problem(spec: ProblemSpec) -> FiniteSumProblem:
 def numeric_f_star(prob: FiniteSumProblem, iters: int = 20000) -> float:
     """Surrogate optimal value via deterministic gradient descent.
 
-    For problems without a closed-form optimum (e.g. logistic). Uses step
-    1/L_2 when available, else a conservative line-search-free step. Returns
-    the best value seen; deterministic for a given problem.
+    For problems with neither a closed-form optimum nor a certified infimum,
+    e.g. logistic data whose label noise flipped a label against the planted
+    separator; without flips LogisticProblem.f_infimum certifies the exact 0
+    and this descent never runs. Uses step 1/L_2 when available, else a
+    conservative line-search-free step. Returns the best value seen;
+    deterministic for a given problem.
 
-    On separable data (logistic with label_noise 0) the infimum 0 is not
-    attained: f keeps falling as ||x|| grows, and the value returned is the
-    best of `iters` steps, above the infimum. As f* in a bound's right-hand
-    side, f(x_1) - f* is then smaller than with the true infimum, so the
-    check is stricter, never looser.
+    The value is an upper end of f*: as f* in a bound's right-hand side,
+    f(x_1) - f* is then smaller than with the true f*, so the check is
+    stricter, never looser.
     """
     l2 = prob.lipschitz_constant(2.0)
     step = 1.0 / l2 if l2 else 1e-2

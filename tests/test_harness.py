@@ -18,6 +18,7 @@ from signopt.harness import (
     execute_experiment,
     load_config,
 )
+from signopt.problems import make_problem
 from signopt.trace import CSV_HEADER, Trace, read_trace_csv
 
 BASE = {
@@ -306,44 +307,63 @@ def test_signgd_f_star_fallback_to_lower_bound():
     assert result.all_hold
 
 
+# logistic data whose label noise flipped a label against the planted
+# separator, so f_infimum certifies nothing and f* comes from numeric_f_star
+NOISY_SIGNGD = {
+    "problem": {"kind": "logistic", "d": 3, "n": 8, "seed": 4, "label_noise": 0.1},
+    "algo": "signgd",
+    "schedule": "cor1",
+    "q": 1,
+    "T": 100,
+    "seeds": [1],
+    "x1": "zeros",
+    "checks": ["signgd_bound"],
+}
+
+
 def test_signgd_f_star_numeric_fallback():
-    doc = {
-        "problem": {"kind": "logistic", "d": 3, "n": 8, "seed": 4},
-        "algo": "signgd",
-        "schedule": "cor1",
-        "q": 1,
-        "T": 100,
-        "seeds": [1],
-        "x1": "zeros",
-        "checks": ["signgd_bound"],
-    }
-    result = execute_experiment(config_from_dict(doc))
+    cfg = config_from_dict(NOISY_SIGNGD)
+    assert make_problem(cfg.problem).f_infimum() is None
+    result = execute_experiment(cfg)
     assert result.derived.f_star_source == "numeric"
+    assert result.derived.f_star > 0.0
+    assert result.all_hold
+
+
+def test_signgd_f_star_infimum_on_separable_logistic():
+    doc = dict(NOISY_SIGNGD, problem=dict(NOISY_SIGNGD["problem"], label_noise=0.0))
+    result = execute_experiment(config_from_dict(doc))
+    assert result.derived.f_star == 0.0
+    assert result.derived.f_star_source == "infimum"
+    assert result.derived.x_star is None  # an infimum has no minimizer
+    assert result.derived.f_star_s == 0.0
     assert result.all_hold
 
 
 def test_timing_json_splits_the_phases(tmp_path):
-    numeric = {
-        "problem": {"kind": "logistic", "d": 3, "n": 8, "seed": 4},
-        "algo": "signgd",
-        "schedule": "cor1",
-        "q": 1,
-        "T": 100,
-        "seeds": [1, 2],
-        "x1": "zeros",
-        "checks": ["signgd_bound"],
-    }
+    numeric = dict(NOISY_SIGNGD, seeds=[1, 2])
+    infimum = dict(numeric, problem={"kind": "logistic", "d": 3, "n": 8, "seed": 4})
     optimum = dict(numeric, problem={"kind": "least_squares", "d": 3, "n": 8, "seed": 4})
-    for doc, source in ((numeric, "numeric"), (optimum, "optimum"), (BASE, None)):
+    for doc, source in ((numeric, "numeric"), (infimum, "infimum"), (optimum, "optimum"), (BASE, None)):
         out = tmp_path / str(source)
         result = execute_experiment(config_from_dict(doc), out)
         assert result.derived.f_star_source == source
         timing = json.loads((out / "timing.json").read_text())
-        assert sorted(timing) == ["checks_s", "csv_s", "f_star_s", "run_seeds_s", "wall_time_s"]
+        assert timing == result.timing
+        assert sorted(timing) == [
+            "build_s", "checks_s", "csv_s", "f_star_s", "run_seeds_s", "total_s", "wall_time_s",
+        ]
         assert (timing["f_star_s"] > 0.0) == (source == "numeric")
         assert min(timing.values()) >= 0.0
-        phases = timing["run_seeds_s"] + timing["f_star_s"] + timing["checks_s"]
+        phases = timing["build_s"] + timing["run_seeds_s"] + timing["f_star_s"] + timing["checks_s"]
         assert phases <= timing["wall_time_s"]
+        assert timing["wall_time_s"] + timing["csv_s"] <= timing["total_s"]
+
+
+def test_timing_without_out_dir_ends_at_the_checks():
+    result = execute_experiment(config_from_dict(BASE))
+    assert "csv_s" not in result.timing
+    assert result.timing["total_s"] == result.timing["wall_time_s"]
 
 
 # ---------------------------------------------------------------- cli exit codes
@@ -360,6 +380,9 @@ def test_cli_run_all_hold_exits_zero(tmp_path, capsys):
     assert code == 0
     assert "all checks hold" in out
     assert out.count("-> holds") == 3
+    # the printed time ends after the artifacts are written
+    timing = json.loads((tmp_path / "out" / "timing.json").read_text())
+    assert f"total time: {timing['total_s']:.2f}s" in out
 
 
 def test_cli_run_violation_exits_two(tmp_path, capsys):

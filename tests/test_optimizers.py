@@ -487,6 +487,12 @@ def test_runspec_validation():
         RunSpec(algo="svrg", gamma=0.1, x1=x1, D=0.0, L=1.0)
     with pytest.raises(ValueError, match="smoothness"):
         RunSpec(algo="signsvrg_v2", gamma=0.1, x1=x1, D=0.5, L=-1.0)
+    # every algorithm records q in its trace meta, so every one validates it
+    for algo, extra in (("signsgd", {}), ("signgd", {}), ("signsgd_plus", {"g_inf": 1.0}),
+                        ("signsvrg_v1", {"D": 0.5, "L": 1.0})):
+        with pytest.raises(ValueError, match="q must be one of"):
+            RunSpec(algo=algo, gamma=0.1, x1=x1, q=3.0, **extra)
+        assert RunSpec(algo=algo, gamma=0.1, x1=x1, q=math.inf, **extra).q == math.inf
     assert set(ALGORITHMS) == {
         "signsgd", "signsgd_plus", "signgd", "sgd",
         "signsvrg_v1", "signsvrg_v2", "svrg",

@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from signopt.oracles import estimate_lipschitz_empirical, finite_diff_gradient
+from signopt.oracles import brute_force_opnorm, estimate_lipschitz_empirical, finite_diff_gradient
 from signopt.problems import (
     AbsRegressionProblem,
     LeastSquaresProblem,
+    LogisticProblem,
     ProblemSpec,
     make_problem,
     numeric_f_star,
@@ -90,6 +91,68 @@ def test_empirical_constant_never_exceeds_analytic(spec, q):
     prob = make_problem(spec)
     est = estimate_lipschitz_empirical(prob, q, RngStream(13), trials=300)
     assert est <= prob.lipschitz_constant(q) * (1 + 1e-9)
+
+
+def _fd_hessian(prob, i, x, h=1e-4):
+    """Hessian of f_i at x by central differences of component_gradient."""
+    cols = []
+    for k in range(prob.d):
+        e = np.zeros(prob.d)
+        e[k] = h
+        cols.append((prob.component_gradient(i, x + e) - prob.component_gradient(i, x - e)) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("spec", SMOOTH_SPECS[:3], ids=lambda s: s.kind)
+def test_lipschitz_constant_bounds_every_component_hessian(spec):
+    """L_q, the premise of every variance-reduced bound, is at least the
+    q -> p operator norm of each component Hessian, and equals the largest
+    one on points chosen to reach it: any x for least squares, x = 0 for
+    logistic (curvature 1/4) and a_i^T x = pi for trig (cos = -1, so the
+    Hessian is a_i a_i^T + lam I)."""
+    prob = make_problem(spec)
+    tol = 1e-9 if spec.kind == "least_squares" else 1e-6  # difference-quotient error
+    tight = [np.zeros(prob.d)] + [math.pi * a / float(a @ a) for a in prob.a]
+    xs = tight + list(RngStream(17).generator.standard_normal((4, prob.d)))
+    hessians = [_fd_hessian(prob, i, x) for x in xs for i in range(prob.n)]
+    for q in QS:
+        L = prob.lipschitz_constant(q)
+        worst = max(brute_force_opnorm(h, q) for h in hessians)
+        assert worst <= L * (1 + tol)
+        assert worst >= L * (1 - tol)
+
+
+def test_logistic_infimum_is_certified_on_separable_data():
+    prob = make_problem(ProblemSpec(kind="logistic", d=5, n=12, seed=2))
+    assert float((prob.y * (prob.a @ prob.separator)).min()) > 0.0
+    assert prob.f_infimum() == 0.0
+    assert prob.optimum() is None  # the infimum is not attained
+    for spec in SMOOTH_SPECS[:1] + SMOOTH_SPECS[2:]:
+        assert make_problem(spec).f_infimum() is None
+
+
+def test_logistic_infimum_needs_every_margin_positive():
+    prob = make_problem(ProblemSpec(kind="logistic", d=5, n=12, seed=2))
+    flipped = prob.y.copy()
+    flipped[3] = -flipped[3]
+    assert LogisticProblem(prob.a, flipped, prob.separator).f_infimum() is None
+    assert LogisticProblem(prob.a, prob.y).f_infimum() is None  # no separator
+    noisy = make_problem(ProblemSpec(kind="logistic", d=5, n=12, seed=2, label_noise=0.2))
+    assert float((noisy.y * (noisy.a @ noisy.separator)).min()) < 0.0
+    assert noisy.f_infimum() is None
+    # a margin within the dot product's rounding error certifies nothing
+    for tail, certified in ((1e-20, None), (1e-3, 0.0)):
+        rows = np.array([[1.0, -1.0, tail], [1.0, 1.0, 1.0]])
+        assert LogisticProblem(rows, np.ones(2), np.ones(3)).f_infimum() == certified
+    with pytest.raises(ValueError, match="separator"):
+        LogisticProblem(rows, np.ones(2), np.ones(2))
+
+
+def test_logistic_value_falls_to_the_infimum_along_the_separator():
+    prob = make_problem(ProblemSpec(kind="logistic", d=5, n=12, seed=2))
+    vals = [prob.value(c * prob.separator) for c in (1.0, 10.0, 100.0, 1000.0)]
+    assert all(later < earlier for earlier, later in zip(vals, vals[1:]))
+    assert 0.0 < vals[-1] < 1e-8
 
 
 def test_least_squares_constants_are_tight():
