@@ -37,7 +37,8 @@ __all__ = [
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """A read-only float64 copy; the caller's own array stays writable."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 

@@ -1,5 +1,6 @@
 """The benchmark in perfbench/ drives the package through names it imports
-and, when tracing, wraps by name (`harness.run`, `harness.numeric_f_star`,
+(`harness.execute_experiment`, `trace.read_trace_csv`) and, when tracing,
+wraps by name (`harness.run`, `harness.numeric_f_star`,
 `harness.make_problem`, the analysis evaluators, `Trace.to_csv`). A refactor
 that drops one of them breaks every benchmark run; these tests make it break
 the test suite instead, by running one benchmark child on a tiny config.
@@ -47,6 +48,9 @@ def test_benchmark_child_runs_the_package(tmp_path, traced):
     assert sample["ok"], sample
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["derived"]["f_star_source"] == "numeric"
+    # the child's exact round-trip check covers the trace files it names
+    traces = sorted(p.name for p in (tmp_path / "out").glob("trace_seed*"))
+    assert traces == summary["traces"] == ["trace_seed1.npy", "trace_seed2.npy"]
     if traced:
         assert sample["layers"]["harness.f_star_s"] > 0.0
         assert (tmp_path / "spans.csv").read_text().startswith("trace_id,")

@@ -19,7 +19,7 @@ from signopt.harness import (
     load_config,
 )
 from signopt.problems import make_problem
-from signopt.trace import CSV_HEADER, Trace, read_trace_csv
+from signopt.trace import _TRACE_DTYPE, CSV_HEADER, Trace, read_trace
 
 BASE = {
     "problem": {"kind": "least_squares", "d": 6, "n": 10, "seed": 5},
@@ -163,37 +163,59 @@ def test_alpha_needed_without_optimum():
 
 # ---------------------------------------------------------------- execution
 
+TRACE_NAMES = ["trace_seed1.npy", "trace_seed2.npy", "trace_seed3.npy"]
+CSV_NAMES = ["trace_seed1.csv", "trace_seed2.csv", "trace_seed3.csv"]
+
+
 def test_execute_writes_all_artifacts(tmp_path):
     cfg = config_from_dict(_cfg())
-    result = execute_experiment(cfg, tmp_path)
+    result = execute_experiment(cfg, tmp_path / "npy")
     assert result.all_hold
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "summary.json", "timing.json",
-        "trace_seed1.csv", "trace_seed2.csv", "trace_seed3.csv",
+    assert sorted(p.name for p in (tmp_path / "npy").iterdir()) == [
+        "summary.json", "timing.json", *TRACE_NAMES,
     ]
-    with open(tmp_path / "trace_seed1.csv") as fh:
-        assert fh.readline().rstrip("\n") == CSV_HEADER
-    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert np.load(tmp_path / "npy" / "trace_seed1.npy").dtype == _TRACE_DTYPE
+    doc = json.loads((tmp_path / "npy" / "summary.json").read_text())
+    assert doc["traces"] == TRACE_NAMES
     assert doc["all_hold"] is True
     assert [r["name"] for r in doc["reports"]] == list(cfg.checks)
     assert doc["config"]["algo"] == "signsvrg_v1"
     assert doc["derived"]["gamma"] > 0
     assert doc["meta"]["package_version"]
 
+    # csv=True writes the same traces as CSV files, and only the trace names move
+    execute_experiment(cfg, tmp_path / "csv", csv=True)
+    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == [
+        "summary.json", "timing.json", *CSV_NAMES,
+    ]
+    with open(tmp_path / "csv" / "trace_seed1.csv") as fh:
+        assert fh.readline().rstrip("\n") == CSV_HEADER
+    for tr, name in zip(result.traces, CSV_NAMES):
+        tr.to_csv(tmp_path / "want.csv")
+        assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
+    doc_csv = json.loads((tmp_path / "csv" / "summary.json").read_text())
+    assert doc_csv == dict(doc, traces=CSV_NAMES)
+
+
+def _assert_columns_bitwise(back, tr):
+    for col in ("t", "k", "bits_cum", "grad_evals_cum", "flags"):
+        assert getattr(back, col).dtype == np.int64
+        assert getattr(back, col).tolist() == getattr(tr, col).tolist(), col
+    for col in ("f", "gnorm1", "gnorm2", "gnorm_inf", "dist_to_ref"):
+        np.testing.assert_array_equal(getattr(back, col).view(np.int64),
+                                      getattr(tr, col).view(np.int64), err_msg=col)
+
 
 def test_trace_csv_roundtrip(tmp_path):
     cfg = config_from_dict(_cfg(seeds=[4]))
+    result = execute_experiment(cfg, tmp_path, csv=True)
+    _assert_columns_bitwise(read_trace(tmp_path / "trace_seed4.csv"), result.traces[0])
+
+
+def test_trace_npy_roundtrip(tmp_path):
+    cfg = config_from_dict(_cfg(seeds=[4]))
     result = execute_experiment(cfg, tmp_path)
-    tr = result.traces[0]
-    back = read_trace_csv(tmp_path / "trace_seed4.csv")
-    np.testing.assert_array_equal(back.t, tr.t)
-    np.testing.assert_array_equal(back.f, tr.f)
-    np.testing.assert_array_equal(back.gnorm1, tr.gnorm1)
-    np.testing.assert_array_equal(back.gnorm_inf, tr.gnorm_inf)
-    np.testing.assert_array_equal(back.k, tr.k)
-    np.testing.assert_array_equal(back.dist_to_ref, tr.dist_to_ref)
-    np.testing.assert_array_equal(back.bits_cum, tr.bits_cum)
-    np.testing.assert_array_equal(back.flags, tr.flags)
+    _assert_columns_bitwise(read_trace(tmp_path / "trace_seed4.npy"), result.traces[0])
 
 
 def _edge_trace():
@@ -222,21 +244,56 @@ def test_trace_csv_bytes_match_the_per_row_format(tmp_path):
 def test_trace_csv_integer_columns_round_trip_beyond_2_pow_53(tmp_path):
     tr = _edge_trace()
     tr.to_csv(tmp_path / "t.csv")
-    back = read_trace_csv(tmp_path / "t.csv")
-    for col in ("t", "k", "bits_cum", "grad_evals_cum", "flags"):
-        assert getattr(back, col).dtype == np.int64
-        assert getattr(back, col).tolist() == getattr(tr, col).tolist(), col
-    for col in ("f", "gnorm1", "gnorm2", "gnorm_inf", "dist_to_ref"):
-        np.testing.assert_array_equal(getattr(back, col).view(np.int64),
-                                      getattr(tr, col).view(np.int64), err_msg=col)
+    _assert_columns_bitwise(read_trace(tmp_path / "t.csv"), tr)
+
+
+def test_trace_npy_edge_values_round_trip_by_bits(tmp_path):
+    tr = _edge_trace()
+    tr.to_npy(tmp_path / "t.npy")
+    _assert_columns_bitwise(read_trace(tmp_path / "t.npy"), tr)
+    # a fixed header, then the raw little-endian records
+    raw = (tmp_path / "t.npy").read_bytes()
+    assert raw.startswith(b"\x93NUMPY")
+    assert raw.endswith(np.load(tmp_path / "t.npy").tobytes())
+
+
+@pytest.mark.parametrize("bad", ["wrong_dtype", "big_endian", "pickled", "two_d", "empty", "text"])
+def test_read_trace_rejects_a_malformed_npy(tmp_path, bad):
+    good = np.zeros(3, dtype=_TRACE_DTYPE)
+    path = tmp_path / "t.npy"
+    if bad == "wrong_dtype":
+        np.save(path, np.zeros((3, 10)))
+    elif bad == "big_endian":
+        np.save(path, good.astype(_TRACE_DTYPE.newbyteorder(">")))
+    elif bad == "pickled":
+        np.save(path, np.array([{"t": 1}, None], dtype=object), allow_pickle=True)
+    elif bad == "two_d":
+        np.save(path, good.reshape(1, 3))
+    elif bad == "empty":
+        np.save(path, good[:0])
+    else:
+        path.write_text(CSV_HEADER + "\n1,0.0,0.0,0.0,0.0,1,0.0,0,0,0\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_trace(path)
+
+
+def test_read_trace_rejects_an_unknown_suffix_and_csv_header(tmp_path):
+    (tmp_path / "t.txt").write_text(CSV_HEADER + "\n1,0.0,0.0,0.0,0.0,1,0.0,0,0,0\n")
+    with pytest.raises(ValueError, match="t.txt"):
+        read_trace(tmp_path / "t.txt")
+    (tmp_path / "t.csv").write_text("t,f\n1,0.0\n")
+    with pytest.raises(ValueError, match="t.csv"):
+        read_trace(tmp_path / "t.csv")
 
 
 def test_reruns_are_byte_identical(tmp_path):
     cfg = config_from_dict(_cfg())
-    execute_experiment(cfg, tmp_path / "a")
-    execute_experiment(cfg, tmp_path / "b")
-    for name in ["summary.json", "trace_seed1.csv", "trace_seed2.csv", "trace_seed3.csv"]:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    for csv, names in ((False, TRACE_NAMES), (True, CSV_NAMES)):
+        execute_experiment(cfg, tmp_path / f"a{csv}", csv=csv)
+        execute_experiment(cfg, tmp_path / f"b{csv}", csv=csv)
+        for name in ["summary.json", *names]:
+            a = (tmp_path / f"a{csv}" / name).read_bytes()
+            assert a == (tmp_path / f"b{csv}" / name).read_bytes(), name
 
 
 def test_x1_shared_across_seeds():
@@ -351,18 +408,18 @@ def test_timing_json_splits_the_phases(tmp_path):
         timing = json.loads((out / "timing.json").read_text())
         assert timing == result.timing
         assert sorted(timing) == [
-            "build_s", "checks_s", "csv_s", "f_star_s", "run_seeds_s", "total_s", "wall_time_s",
+            "build_s", "checks_s", "f_star_s", "run_seeds_s", "total_s", "traces_s", "wall_time_s",
         ]
         assert (timing["f_star_s"] > 0.0) == (source == "numeric")
         assert min(timing.values()) >= 0.0
         phases = timing["build_s"] + timing["run_seeds_s"] + timing["f_star_s"] + timing["checks_s"]
         assert phases <= timing["wall_time_s"]
-        assert timing["wall_time_s"] + timing["csv_s"] <= timing["total_s"]
+        assert timing["wall_time_s"] + timing["traces_s"] <= timing["total_s"]
 
 
 def test_timing_without_out_dir_ends_at_the_checks():
     result = execute_experiment(config_from_dict(BASE))
-    assert "csv_s" not in result.timing
+    assert "traces_s" not in result.timing
     assert result.timing["total_s"] == result.timing["wall_time_s"]
 
 
@@ -383,6 +440,14 @@ def test_cli_run_all_hold_exits_zero(tmp_path, capsys):
     # the printed time ends after the artifacts are written
     timing = json.loads((tmp_path / "out" / "timing.json").read_text())
     assert f"total time: {timing['total_s']:.2f}s" in out
+
+
+def test_cli_run_csv_flag_selects_the_trace_format(tmp_path):
+    config = _write(tmp_path, _cfg())
+    assert main(["run", "--config", config, "--out", str(tmp_path / "npy")]) == 0
+    assert main(["run", "--config", config, "--out", str(tmp_path / "csv"), "--csv"]) == 0
+    assert sorted(p.name for p in (tmp_path / "npy").glob("trace_*")) == TRACE_NAMES
+    assert sorted(p.name for p in (tmp_path / "csv").glob("trace_*")) == CSV_NAMES
 
 
 def test_cli_run_violation_exits_two(tmp_path, capsys):

@@ -322,6 +322,16 @@ def test_problem_arrays_are_frozen():
         prob.a[0, 0] = 99.0
 
 
+def test_problem_freezes_a_copy_not_the_callers_array():
+    rows = np.arange(12, dtype=np.float64).reshape(4, 3)
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    prob = LogisticProblem(rows, y)
+    assert rows.flags.writeable and y.flags.writeable
+    rows[0, 2] = 1e-3
+    assert prob.a[0, 2] == 2.0
+    assert not prob.a.flags.writeable
+
+
 def test_same_seed_same_problem():
     a = make_problem(ProblemSpec(kind="logistic", d=4, n=8, seed=77))
     b = make_problem(ProblemSpec(kind="logistic", d=4, n=8, seed=77))
