@@ -30,7 +30,7 @@ __all__ = ["main"]
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
-        result = execute_experiment(cfg, args.out, csv=args.csv)
+        result = execute_experiment(cfg, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -191,10 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="execute a JSON-configured experiment")
     p_run.add_argument("--config", required=True, help="path to the JSON config")
     p_run.add_argument("--out", required=True, help="output directory for traces and summary")
-    p_run.add_argument(
-        "--csv", action="store_true",
-        help="write each trace as trace_seed<s>.csv instead of trace_seed<s>.npy",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_vki = sub.add_parser(

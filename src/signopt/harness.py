@@ -2,10 +2,10 @@
 
 A JSON config fully determines an experiment: problem recipe, algorithm,
 schedule, horizon, seed list, start point, and the list of bound checks to
-evaluate on the recorded traces. Outputs: one trace file per seed (`.npy`,
-or CSV on request) plus a summary.json whose bytes depend only on the config
-(wall-clock timing goes to a separate timing.json so the deterministic
-artifacts stay byte-identical across reruns).
+evaluate on the recorded traces. Outputs: one `.npy` trace file per seed
+plus a summary.json whose bytes depend only on the config (wall-clock timing
+goes to a separate timing.json so the deterministic artifacts stay
+byte-identical across reruns).
 
 Config schema (see README for the prose version):
 
@@ -517,12 +517,9 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def execute_experiment(
-    cfg: ExperimentConfig, out_dir: str | Path | None = None, csv: bool = False
-) -> ExperimentResult:
+def execute_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Run all seeds, evaluate all requested checks, optionally write
-    one trace file per seed, summary.json, and timing.json under out_dir.
-    Traces go to `trace_seed<s>.npy`, or to `trace_seed<s>.csv` with csv."""
+    trace_seed<s>.npy files, summary.json, and timing.json under out_dir."""
     t_start = time.perf_counter()
     prob = make_problem(cfg.problem)
     derived = _resolve(cfg, prob)
@@ -570,12 +567,8 @@ def execute_experiment(
         out.mkdir(parents=True, exist_ok=True)
         t_traces = time.perf_counter()
         for seed, tr in zip(cfg.seeds, traces):
-            if csv:
-                fname = f"trace_seed{seed}.csv"
-                tr.to_csv(str(out / fname))
-            else:
-                fname = f"trace_seed{seed}.npy"
-                tr.to_npy(str(out / fname))
+            fname = f"trace_seed{seed}.npy"
+            tr.to_npy(str(out / fname))
             trace_paths.append(fname)
         timing["traces_s"] = time.perf_counter() - t_traces
         with open(out / "summary.json", "w") as fh:

@@ -13,9 +13,10 @@ all-zero noise amplitude on some coordinate).
 A trace file holds the ten metric columns. `Trace.to_npy` writes them as
 one 1-D structured `.npy` array, one field per CSV_HEADER column with
 explicit little-endian `<i8`/`<f8` types, so the file is a fixed header
-plus the raw column bytes on any host. `Trace.to_csv` writes the same columns
-as text under a fixed header, floats with repr (shortest round-trip). Both
-formats round-trip every column by bits, and identical runs produce
+plus the raw column bytes on any host; `signopt run` writes this format.
+`Trace.to_csv` writes the same columns as text under a fixed header, floats
+with repr (shortest round-trip), e.g. `read_trace("t.npy").to_csv("t.csv")`.
+Both formats round-trip every column by bits, and identical runs produce
 byte-identical files in either. `read_trace` reads both.
 """
 from __future__ import annotations

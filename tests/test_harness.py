@@ -164,18 +164,17 @@ def test_alpha_needed_without_optimum():
 # ---------------------------------------------------------------- execution
 
 TRACE_NAMES = ["trace_seed1.npy", "trace_seed2.npy", "trace_seed3.npy"]
-CSV_NAMES = ["trace_seed1.csv", "trace_seed2.csv", "trace_seed3.csv"]
 
 
 def test_execute_writes_all_artifacts(tmp_path):
     cfg = config_from_dict(_cfg())
-    result = execute_experiment(cfg, tmp_path / "npy")
+    result = execute_experiment(cfg, tmp_path)
     assert result.all_hold
-    assert sorted(p.name for p in (tmp_path / "npy").iterdir()) == [
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
         "summary.json", "timing.json", *TRACE_NAMES,
     ]
-    assert np.load(tmp_path / "npy" / "trace_seed1.npy").dtype == _TRACE_DTYPE
-    doc = json.loads((tmp_path / "npy" / "summary.json").read_text())
+    assert np.load(tmp_path / "trace_seed1.npy").dtype == _TRACE_DTYPE
+    doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["traces"] == TRACE_NAMES
     assert doc["all_hold"] is True
     assert [r["name"] for r in doc["reports"]] == list(cfg.checks)
@@ -183,18 +182,13 @@ def test_execute_writes_all_artifacts(tmp_path):
     assert doc["derived"]["gamma"] > 0
     assert doc["meta"]["package_version"]
 
-    # csv=True writes the same traces as CSV files, and only the trace names move
-    execute_experiment(cfg, tmp_path / "csv", csv=True)
-    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == [
-        "summary.json", "timing.json", *CSV_NAMES,
-    ]
-    with open(tmp_path / "csv" / "trace_seed1.csv") as fh:
-        assert fh.readline().rstrip("\n") == CSV_HEADER
-    for tr, name in zip(result.traces, CSV_NAMES):
+    # a written trace exports to the same CSV bytes as the in-memory trace
+    for tr, name in zip(result.traces, TRACE_NAMES):
         tr.to_csv(tmp_path / "want.csv")
-        assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
-    doc_csv = json.loads((tmp_path / "csv" / "summary.json").read_text())
-    assert doc_csv == dict(doc, traces=CSV_NAMES)
+        read_trace(tmp_path / name).to_csv(tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    with open(tmp_path / "got.csv") as fh:
+        assert fh.readline().rstrip("\n") == CSV_HEADER
 
 
 def _assert_columns_bitwise(back, tr):
@@ -208,8 +202,9 @@ def _assert_columns_bitwise(back, tr):
 
 def test_trace_csv_roundtrip(tmp_path):
     cfg = config_from_dict(_cfg(seeds=[4]))
-    result = execute_experiment(cfg, tmp_path, csv=True)
-    _assert_columns_bitwise(read_trace(tmp_path / "trace_seed4.csv"), result.traces[0])
+    result = execute_experiment(cfg, tmp_path)
+    read_trace(tmp_path / "trace_seed4.npy").to_csv(tmp_path / "t.csv")
+    _assert_columns_bitwise(read_trace(tmp_path / "t.csv"), result.traces[0])
 
 
 def test_trace_npy_roundtrip(tmp_path):
@@ -288,12 +283,10 @@ def test_read_trace_rejects_an_unknown_suffix_and_csv_header(tmp_path):
 
 def test_reruns_are_byte_identical(tmp_path):
     cfg = config_from_dict(_cfg())
-    for csv, names in ((False, TRACE_NAMES), (True, CSV_NAMES)):
-        execute_experiment(cfg, tmp_path / f"a{csv}", csv=csv)
-        execute_experiment(cfg, tmp_path / f"b{csv}", csv=csv)
-        for name in ["summary.json", *names]:
-            a = (tmp_path / f"a{csv}" / name).read_bytes()
-            assert a == (tmp_path / f"b{csv}" / name).read_bytes(), name
+    execute_experiment(cfg, tmp_path / "a")
+    execute_experiment(cfg, tmp_path / "b")
+    for name in ["summary.json", *TRACE_NAMES]:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_x1_shared_across_seeds():
@@ -440,14 +433,7 @@ def test_cli_run_all_hold_exits_zero(tmp_path, capsys):
     # the printed time ends after the artifacts are written
     timing = json.loads((tmp_path / "out" / "timing.json").read_text())
     assert f"total time: {timing['total_s']:.2f}s" in out
-
-
-def test_cli_run_csv_flag_selects_the_trace_format(tmp_path):
-    config = _write(tmp_path, _cfg())
-    assert main(["run", "--config", config, "--out", str(tmp_path / "npy")]) == 0
-    assert main(["run", "--config", config, "--out", str(tmp_path / "csv"), "--csv"]) == 0
-    assert sorted(p.name for p in (tmp_path / "npy").glob("trace_*")) == TRACE_NAMES
-    assert sorted(p.name for p in (tmp_path / "csv").glob("trace_*")) == CSV_NAMES
+    assert sorted(p.name for p in (tmp_path / "out").glob("trace_*")) == TRACE_NAMES
 
 
 def test_cli_run_violation_exits_two(tmp_path, capsys):
