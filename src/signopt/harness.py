@@ -172,11 +172,17 @@ def _int(fld: str, raw: Any) -> int:
 
 
 def _number(fld: str, raw: Any) -> float:
-    """raw as a float when it is an int or a float; JSON true/false and
-    strings are not."""
+    """raw as a float when it is a finite int or float; JSON true/false,
+    strings, NaN and Infinity (which Python's JSON reader accepts) are not."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(fld, f"must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an int beyond the floats
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(fld, f"must be a finite number, got {raw!r}")
+    return value
 
 
 def _parse_q(raw: Any) -> float:

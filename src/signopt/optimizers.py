@@ -28,11 +28,13 @@ Randomness is consumed in a fixed order inside each step: the component index
 (integers(1, n, endpoint=True)) first, then the noise cube (uniform(-1, 1, d);
 signsgd, sgd and svrg draw none, and signgd draws nothing at all). A rejected
 step still consumes its draws, so traces are bitwise reproducible from
-(config, seed). run_seeds steps all seeds of a call as one batch and decodes
-each seed's draws a block of steps at a time from its raw Philox words
-(vecmath.sample_steps), bit for bit the same as those calls; a seed's trace
-never depends on the other seeds of the batch. oracles.reference_run steps one
-seed at a time with the calls themselves, and tests hold the two to the bit.
+(config, seed). run_seeds steps all seeds of a call as one batch. A block of
+steps at a time, one vecmath.sample_steps call decodes the draws of every
+seed at once from the raw Philox words of its own stream, bit for bit the
+same as those calls; a seed's trace never depends on the other seeds of the
+batch. A variance-reduced step takes the component gradients at the iterates
+and at the references in one call. oracles.reference_run steps one seed at a
+time with the calls themselves, and tests hold the two to the bit.
 
 Communication accounting (bits): a sign step uploads d bits; an unsigned
 stochastic gradient uploads d * float_bits; a reference refresh (and the
@@ -151,6 +153,10 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algo {self.algo!r}; known: {ALGORITHMS}")
+        for name in ("gamma", "D", "L", "g_inf"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         ConjugatePair(self.q)  # every algorithm records q in its trace meta
@@ -208,23 +214,22 @@ _SNAPSHOT_ELEMENTS = 1 << 12
 def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, d: int):
     """Yields (t0, idx, noise) per block of steps t0, t0 + 1, ...: the
     0-based component indices (steps, S) and noise cubes (steps, S, width)
-    of every seed, decoded from its own stream (vecmath.sample_steps)."""
+    of every seed, decoded from its own stream, all seeds of a block in one
+    vecmath.sample_steps call."""
     S = len(rngs)
-    # even blocks start with no buffered half-word, so no bit-generator state
-    # is written back between blocks
+    # even blocks start with no buffered half-word, so the streams stay on
+    # the batched decoder from one block to the next
     block = max(2, min(T, _DRAW_ELEMENTS // (max(S, 1) * d)) & ~1)
-    idx = np.empty((block, S), dtype=np.int64)
-    noise = np.empty((block, S, width))
+    out = np.empty((block, S), dtype=np.int64), np.empty((block, S, width))
     for t0 in range(0, T, block):
-        steps = min(block, T - t0)
-        for s, rng in enumerate(rngs):
-            idx[:steps, s], noise[:steps, s] = sample_steps(rng, n, width, steps)
-        yield t0, idx[:steps], noise[:steps]
+        yield (t0, *sample_steps(rngs, n, width, min(block, T - t0), out))
 
 
 class _Chunks:
     """Each seed's iterates (and distances) of the current chunk of rows,
-    snapshotted per seed when the chunk fills and at row T + 1. Chunk bounds
+    snapshotted per seed when the chunk fills and at row T + 1. The step
+    loops write row t of seed s to x[s, t % size] and dist[s, t % size]
+    themselves and call flush on the chunk's last row. Chunk bounds
     depend on n and d alone, so a seed's f and gradient norms never depend
     on the other seeds of the call."""
 
@@ -232,30 +237,32 @@ class _Chunks:
         self.prob, self.T, self.cols = prob, T, cols
         self.size = max(1, _SNAPSHOT_ELEMENTS // max(prob.n, prob.d))
         self.x = np.empty((len(cols), self.size, prob.d))
-        self.dist = np.empty((len(cols), self.size))
+        self.dist = np.zeros((len(cols), self.size))
 
-    def record(self, t: int, x: np.ndarray, dist: np.ndarray | float = 0.0) -> None:
-        """Row t (0-based) of the first len(x) seeds, the ones still running."""
-        S = len(x)
+    def flush(self, t: int, S: int) -> None:
+        """Snapshot the chunk's rows up to row t (0-based) of the first S
+        seeds, the ones still running."""
         c = t % self.size
-        self.x[:S, c] = x
-        self.dist[:S, c] = dist
-        if c == self.size - 1 or t == self.T:
-            for s in range(S):
-                self.cols[s].snapshot_rows(self.prob, t - c, self.x[s, :c + 1])
-                self.cols[s].dist[t - c:t + 1] = self.dist[s, :c + 1]
+        for s in range(S):
+            self.cols[s].snapshot_rows(self.prob, t - c, self.x[s, :c + 1])
+            self.cols[s].dist[t - c:t + 1] = self.dist[s, :c + 1]
+
+    def record_last(self, x: np.ndarray, dist: np.ndarray | float = 0.0) -> None:
+        """Row T + 1 of the first len(x) seeds, and the chunk it closes."""
+        c = self.T % self.size
+        self.x[:len(x), c] = x
+        self.dist[:len(x), c] = dist
+        self.flush(self.T, len(x))
 
 
-def _first_failure(t: int, x: np.ndarray, premise: np.ndarray | None = None) -> tuple[int, Exception | None]:
-    """How many seeds step on after step t, and the error of the first seed
-    whose step broke its amplitude premise or left the finite floats, or
-    None. The seeds before it finish before the loop raises the error, as
+def _first_failure(t: int, x: np.ndarray, premise: np.ndarray | None = None) -> tuple[int, Exception]:
+    """The first seed whose step t broke its amplitude premise or left the
+    finite floats, and its error; the loops call it only when one did. The
+    seeds before it step on and finish before the loop raises the error, as
     running the seeds one after another would; seed 0's is raised at once."""
     failed = ~np.isfinite(x).all(axis=1)
     if premise is not None:
         failed |= ~premise
-    if not failed.any():
-        return len(x), None
     s = int(np.argmax(failed))
     if premise is not None and not premise[s]:
         error: Exception = AssertionError("noise amplitude violated")
@@ -271,12 +278,14 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
 
     Row s of every (S, d) state array is seed s, and its arithmetic is that of
     oracles.reference_run on seed s alone, float operation for float
-    operation: component gradients come from row-wise dots
-    (component_gradient_batch), distances from vecmath.norm_rows, and a
-    rejected step refreshes its seed's reference with the one-vector
-    full_gradient. ||x - ref||_q is carried across iterations: the accepted
-    candidate's radius check IS the next step's distance. k, bits_cum and
-    grad_evals_cum follow from the refresh steps after the loop.
+    operation: component gradients come from row-wise dots, distances from
+    vecmath.norm_rows, and a rejected step refreshes its seed's reference
+    with the one-vector full_gradient. The iterates and the references share
+    one (2, S, d) buffer, so a step takes both component gradients in one
+    component_gradient_batch call. ||x - ref||_q is carried across
+    iterations: the accepted candidate's radius check IS the next step's
+    distance. k, bits_cum and grad_evals_cum follow from the refresh steps
+    after the loop.
     """
     S = len(rngs)
     n, d = prob.n, prob.d
@@ -290,7 +299,9 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
 
     x1 = np.array(spec.x1, dtype=np.float64)
     x = np.tile(x1, (S, 1))
-    ref = x.copy()
+    xr = np.empty((2, S, d))  # row 0: this step's iterates, row 1: the references
+    xr[1] = x1
+    ref = xr[1]
     g = prob.full_gradient(x1)
     ref_grad = np.tile(g, (S, 1))
     abs_ref_grad = np.abs(ref_grad)
@@ -299,16 +310,22 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     dist = np.zeros(S)
     x_sum = np.zeros((S, d))
     chunks = _Chunks(prob, T, cols)
+    chunk_x, chunk_dist, chunk_size = chunks.x, chunks.dist, chunks.size
 
     failure: Exception | None = None
+    premise = None
     for t0, idx, noise in _draw_blocks(rngs, n, d if signed else 0, T, d):
         for j in range(len(idx)):
             t = t0 + j
-            chunks.record(t, x, dist)
+            c = t % chunk_size
+            chunk_x[:S, c] = x
+            chunk_dist[:S, c] = dist
+            if c == chunk_size - 1:
+                chunks.flush(t, S)
             x_sum += x
-            i = idx[j, :S]
-            v = comp_grads(i, x) - comp_grads(i, ref) + ref_grad
-            premise = None
+            xr[0] = x
+            g = comp_grads(idx[j, :S], xr)
+            v = g[0] - g[1] + ref_grad
             if signed:
                 drift = L * dist
                 if variant == 1:
@@ -321,8 +338,9 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                     degenerate = (drift == 0.0) & ref_grad_zero
                     premise = np.all(np.abs(v) <= amp + 1e-9 * (1.0 + amp), axis=1)
                     arg = v + amp * noise[j, :S]
-                for s in np.flatnonzero(degenerate):
-                    cols[s].flags[t] = FLAG_DEGENERATE
+                if degenerate.any():
+                    for s in np.flatnonzero(degenerate):
+                        cols[s].flags[t] = FLAG_DEGENERATE
                 cand = x - np.where(arg >= 0.0, gamma, -gamma)
             else:
                 cand = x - gamma * v
@@ -342,16 +360,15 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                     ref_grad_p[s] = norm(g, pair.p)
                     ref_grad_zero[s] = np.any(g == 0.0)
                     cols[s].k[t + 1] = 1  # summed into k below
-            live, error = _first_failure(t, x, premise)
-            if error is not None:
-                S, failure = live, error
-                x, ref, ref_grad, abs_ref_grad = x[:S], ref[:S], ref_grad[:S], abs_ref_grad[:S]
+            if not (np.isfinite(x).all() and (premise is None or premise.all())):
+                S, failure = _first_failure(t, x, premise)
+                x, xr, ref_grad, abs_ref_grad = x[:S], xr[:, :S], ref_grad[:S], abs_ref_grad[:S]
                 ref_grad_p, ref_grad_zero, dist = ref_grad_p[:S], ref_grad_zero[:S], dist[:S]
-                x_sum = x_sum[:S]
+                x_sum, ref = x_sum[:S], xr[1]
     if failure is not None:
         raise failure
 
-    chunks.record(T, x, dist)
+    chunks.record_last(x, dist)
     steps_done = np.arange(T + 1)
     for col in cols:
         refreshes = np.cumsum(col.k, out=col.k)
@@ -380,13 +397,17 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     x = np.tile(np.array(spec.x1, dtype=np.float64), (S, 1))
     x_sum = np.zeros((S, d))
     chunks = _Chunks(prob, T, cols)
+    chunk_x, chunk_size = chunks.x, chunks.size
 
     failure: Exception | None = None
     draws = () if algo == "signgd" else rngs
     for t0, idx, noise in _draw_blocks(draws, n, d if algo == "signsgd_plus" else 0, T, d):
         for j in range(len(idx)):
             t = t0 + j
-            chunks.record(t, x)
+            c = t % chunk_size
+            chunk_x[:S, c] = x
+            if c == chunk_size - 1:
+                chunks.flush(t, S)
             x_sum += x
             if algo == "signgd":
                 g = prob.full_gradient(x[0])  # every row equals row 0
@@ -398,14 +419,13 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
                 if algo == "signsgd_plus":
                     g = g + g_inf * noise[j, :S]
                 x = x - np.where(g >= 0.0, gamma, -gamma)
-            live, error = _first_failure(t, x)
-            if error is not None:
-                S, failure = live, error
+            if not np.isfinite(x).all():
+                S, failure = _first_failure(t, x)
                 x, x_sum = x[:S], x_sum[:S]
     if failure is not None:
         raise failure
 
-    chunks.record(T, x)
+    chunks.record_last(x)
     steps_done = np.arange(T + 1)
     for col in cols:
         col.bits[:] = steps_done * step_bits

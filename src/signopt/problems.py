@@ -66,10 +66,14 @@ class FiniteSumProblem(ABC):
         return self.value(x), self.full_gradient(x)
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Row s is component_gradient(idx[s], xs[s]), bit for bit; the
+        """Row s is component_gradient(idx[s], xs[s]), bit for bit, for xs
+        of shape (S, d) or a stack (m, S, d) against the same idx (S,); the
         data-driven problems override it with row-wise dots
         (vecmath.row_dot)."""
-        return np.stack([self.component_gradient(int(i), x) for i, x in zip(idx, xs)])
+        grads = np.empty(xs.shape)
+        for pos in np.ndindex(xs.shape[:-1]):
+            grads[pos] = self.component_gradient(int(idx[pos[-1]]), xs[pos])
+        return grads
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f and the full gradient at every row of xs, shapes (m,) and (m, d).
@@ -173,7 +177,7 @@ class LeastSquaresProblem(FiniteSumProblem):
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
         rows = self.a[idx]
-        return (row_dot(rows, xs) - self.b[idx])[:, None] * rows
+        return (row_dot(rows, xs) - self.b[idx])[..., None] * rows
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = xs @ self.a.T - self.b
@@ -239,7 +243,7 @@ class LogisticProblem(FiniteSumProblem):
         rows = self.a[idx]
         y = self.y[idx]
         z = y * row_dot(rows, xs)
-        return (-y * self._sigmoid(-z))[:, None] * rows
+        return (-y * self._sigmoid(-z))[..., None] * rows
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = -(self.y * (xs @ self.a.T))
@@ -299,7 +303,7 @@ class TrigProblem(FiniteSumProblem):
         # the one-vector method takes math.sin; np.sin agrees bit for bit,
         # which the batch-vs-single tests pin
         rows = self.a[idx]
-        return -np.sin(row_dot(rows, xs))[:, None] * rows + self.lam * xs
+        return -np.sin(row_dot(rows, xs))[..., None] * rows + self.lam * xs
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = xs @ self.a.T
@@ -351,7 +355,7 @@ class AbsRegressionProblem(FiniteSumProblem):
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
         rows = self.a[idx]
         r = row_dot(rows, xs) - self.b[idx]
-        return np.where((r >= 0.0)[:, None], rows, -rows)
+        return np.where((r >= 0.0)[..., None], rows, -rows)
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = xs @ self.a.T - self.b

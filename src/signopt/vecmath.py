@@ -10,6 +10,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -134,86 +135,121 @@ def _steps_by_calls(gen, n: int, width: int, steps: int) -> tuple[np.ndarray, np
     return idx, noise
 
 
-def _steps_from_philox(
-    bitgen: np.random.Philox, n: int, width: int, steps: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Decode the draws of `steps` steps from raw Philox words.
+def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np.ndarray) -> None:
+    """Fill idx (steps, S) and noise (steps, S, width) with the draws of
+    `steps` steps of every generator gens[s], decoded from raw Philox words.
 
     Generator's rules for these calls: a bounded integer with range n - 1 <
     2^32 is Lemire's multiply-shift on a 32-bit half-word (low half of a
     fresh 64-bit word first, the high half buffered in the bit generator for
     the next bounded integer); a uniform double is -1 + 2 (w >> 11) 2^-53 on
-    one whole word. Returns None, with the bit generator rewound, if any
-    half-word falls in Lemire's rejection zone: that rare draw consumes
-    extra half-words, and the caller replays the block through Generator.
+    one whole word. With no half-word buffered, the words of steps 2k and
+    2k + 1 are [int][noise 2k][noise 2k + 1], so every stream is decoded at
+    once from one (S, words) array, and an odd block leaves its last high
+    half buffered. A stream goes through the calls themselves when it has
+    no Philox bit generator (or n > 2^32), when it starts on a buffered
+    half-word, or, rewound, when one of its half-words falls in Lemire's
+    rejection zone: that rare draw consumes extra half-words.
     """
-    saved = bitgen.state
-    has, buf = saved["has_uint32"], saved["uinteger"]
-    n_int = (steps + 1 - has) // 2 if n > 1 else 0
-    words = bitgen.random_raw(steps * width + n_int)
-    if n > 1:
-        k = np.arange(n_int)
-        int_pos = (2 * k + has) * width + k  # the fresh word opens its step
-        halves = np.empty(has + 2 * n_int, dtype=np.uint64)
-        halves[:has] = buf
-        ints = words[int_pos]
-        halves[has::2] = ints & 0xFFFFFFFF
-        halves[has + 1::2] = ints >> 32
-        m = halves[:steps] * np.uint64(n)
-        if np.any((m & 0xFFFFFFFF) < (0x100000000 - n) % n):
-            bitgen.state = saved
-            return None
-        idx = (m >> 32).astype(np.int64)
-        words = np.delete(words, int_pos)
-        has_end = int(halves.size > steps)
-        if has or has_end:  # with both 0 the buffered half is never read
-            state = bitgen.state
-            state["has_uint32"] = has_end
-            state["uinteger"] = int(halves[-1])
-            bitgen.state = state
-    else:  # integers(1, 1) consumes nothing
-        idx = np.zeros(steps, dtype=np.int64)
-    noise = (words >> 11).astype(np.float64).reshape(steps, width)
-    noise *= 2.0 ** -52  # = 2 (w >> 11) 2^-53, exactly
-    noise -= 1.0
-    return idx, noise
+    steps, S = idx.shape
+    int_words = int(n > 1)  # integers(1, 1) consumes nothing
+    period = int_words + 2 * width  # words per pair of steps
+    n_int = int_words * ((steps + 1) // 2)
+    n_words = steps * width + n_int
+    words = np.empty((S, n_words), dtype=np.uint64)
+    slow, saved = [], {}
+    for s, gen in enumerate(gens):
+        bitgen = getattr(gen, "bit_generator", None)
+        if not isinstance(bitgen, np.random.Philox) or n > 0x100000000:
+            slow.append(s)
+            continue
+        state = bitgen.state
+        if int_words and state["has_uint32"]:
+            slow.append(s)
+            continue
+        saved[s] = state
+        words[s] = bitgen.random_raw(n_words)
+    if int_words:
+        # little-endian half-words of the int words: low, high, low, ...
+        halves = words[:, ::period].astype("<u8").view("<u4")
+        m = halves[:, :steps] * np.uint64(n)
+        np.right_shift(m.T, 32, out=idx, casting="unsafe")
+        threshold = (0x100000000 - n) % n
+        rejected = ((m & 0xFFFFFFFF) < threshold).any(axis=1) if threshold else ()
+        for s in map(int, np.flatnonzero(rejected)):
+            if s in saved:  # rewound, and replayed below
+                gens[s].bit_generator.state = saved.pop(s)
+                slow.append(s)
+        if steps % 2:  # the last high half stays buffered for the next draw
+            for s in saved:
+                bitgen = gens[s].bit_generator
+                state = bitgen.state
+                state["has_uint32"] = 1
+                state["uinteger"] = int(halves[s, steps])
+                bitgen.state = state
+    else:
+        idx[...] = 0
+    if width:
+        np.right_shift(words, 11, out=words)
+        pairs = steps // 2
+        even = words[:, :pairs * period].reshape(S, pairs, period)[:, :, int_words:]
+        noise[:2 * pairs].reshape(pairs, 2, S, width).transpose(2, 0, 1, 3)[...] = (
+            even.reshape(S, pairs, 2, width))
+        if steps % 2:
+            noise[-1] = words[:, n_words - width:]
+        noise *= 2.0 ** -52  # = 2 (w >> 11) 2^-53, exactly
+        noise -= 1.0
+    for s in slow:
+        idx[:, s], noise[:, s] = _steps_by_calls(gens[s], n, width, steps)
 
 
-def sample_steps(rng: RngStream, n: int, width: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of `steps` optimizer steps, decoded as one block.
+def sample_steps(
+    rngs: Sequence[RngStream],
+    n: int,
+    width: int,
+    steps: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of `steps` optimizer steps of every stream in rngs, decoded
+    as one block.
 
-    Step j draws `integers(1, n, endpoint=True)` and then, if width > 0,
-    `uniform(-1, 1, width)`. Returns the 0-based indices (steps,) and the
-    noise (steps, width), bit-identical to making those calls in that order,
-    and leaves the stream where the calls would. A Philox stream is decoded
-    from its raw words; any other generator (or a rejected Lemire draw, or
-    n > 2^32) goes through the calls themselves.
+    Step j of a stream draws `integers(1, n, endpoint=True)` and then, if
+    width > 0, `uniform(-1, 1, width)`. Returns the 0-based indices
+    (steps, S) and the noise (steps, S, width), column s bit-identical to
+    making those calls in that order on rngs[s], and leaves every stream
+    where the calls would. With `out`, a pair of arrays of those shapes and
+    at least `steps` rows, the draws fill its first `steps` rows.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = rng.generator
-    bitgen = getattr(gen, "bit_generator", None)
-    if isinstance(bitgen, np.random.Philox) and n <= 0x100000000:
-        _check_philox_decoder()
-        out = _steps_from_philox(bitgen, n, width, steps)
-        if out is not None:
-            return out
-    return _steps_by_calls(gen, n, width, steps)
+    if out is None:
+        out = np.empty((steps, len(rngs)), dtype=np.int64), np.empty((steps, len(rngs), width))
+    idx, noise = out[0][:steps], out[1][:steps]
+    _check_philox_decoder()
+    _decode_steps([rng.generator for rng in rngs], n, width, idx, noise)
+    return idx, noise
 
 
 @functools.cache
 def _check_philox_decoder() -> None:
     """Once per process, before the first decoded block: numpy promises no
     stable Generator streams across versions, and the decoder copies
-    Generator's internals, so confirm them on a short prefix."""
-    calls = np.random.Generator(np.random.Philox(key=20230522))
-    blocks = np.random.Generator(np.random.Philox(key=20230522))
+    Generator's internals, so confirm them on a short prefix of two
+    streams."""
+    keys = (20230522, 20230523)
+    calls = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+    blocks = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
     ok = True
-    for steps in (3, 4):  # the second block starts on a buffered half-word
-        want = _steps_by_calls(calls, 50, 3, steps)
-        got = _steps_from_philox(blocks.bit_generator, 50, 3, steps)
-        ok = ok and got is not None and all(np.array_equal(a, b) for a, b in zip(got, want))
-    ok = ok and calls.integers(1, 50, endpoint=True) == blocks.integers(1, 50, endpoint=True)
+    # an even block, an odd one that leaves a half-word buffered, and one
+    # that starts on it
+    for steps in (4, 3, 4):
+        idx, noise = np.empty((steps, 2), dtype=np.int64), np.empty((steps, 2, 3))
+        _decode_steps(blocks, 50, 3, idx, noise)
+        for s, gen in enumerate(calls):
+            want_idx, want_noise = _steps_by_calls(gen, 50, 3, steps)
+            ok = ok and np.array_equal(idx[:, s], want_idx) and np.array_equal(noise[:, s], want_noise)
+    for a, b in zip(calls, blocks):
+        ok = ok and a.integers(1, 50, endpoint=True) == b.integers(1, 50, endpoint=True)
     if not ok:
         raise RuntimeError(
             f"numpy {np.__version__}: Generator(Philox) draws differ from the block "

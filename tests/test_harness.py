@@ -94,6 +94,16 @@ def test_config_roundtrip():
         ({"algo": 5}, "algo"),
         ({"algo": ["signsvrg_v1"]}, "algo"),
         ({"schedule": 1}, "schedule"),
+        # finite numbers only: Python's JSON reader accepts NaN and Infinity
+        ({"g_inf": math.inf}, "g_inf"),
+        ({"P": math.inf}, "P"),
+        ({"gamma": math.nan}, "gamma"),
+        ({"x1": {"gaussian": math.nan}}, "x1"),
+        ({"x1": [0.0, -math.inf, 0, 0, 0, 0]}, "x1"),
+        ({"alpha": math.nan}, "alpha"),
+        ({"D": -math.inf}, "D"),
+        ({"problem": dict(BASE["problem"], lam=math.inf)}, "problem.lam"),
+        ({"P": 10**400}, "P"),  # an int beyond the floats
     ],
 )
 def test_config_rejections_name_the_field(patch, field):
@@ -121,6 +131,15 @@ def test_integer_fields_accept_ints_and_keep_them(field, value):
     assert valid
     got = cfg.seeds[0] if key == "seeds" else getattr(cfg.problem if group else cfg, key)
     assert type(got) is int and got == value
+
+
+def test_load_config_rejects_the_json_nan_and_infinity_tokens(tmp_path):
+    path = tmp_path / "config.json"
+    for token, field in (("Infinity", "g_inf"), ("-Infinity", "g_inf"), ("NaN", "g_inf")):
+        path.write_text(json.dumps(BASE)[:-1] + f', "g_inf": {token}}}')
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field == field
 
 
 def test_manual_schedule_requires_gamma_and_d():

@@ -210,14 +210,13 @@ def test_seed_batch_matches_steppers_and_single_runs(algo, q, kind):
 
 
 def test_seed_batch_raises_first_failing_seed_in_seed_order():
-    # an unstable unsigned step (with an infinite radius for svrg) overflows,
-    # each seed at its own iteration; seed 3 runs twice, so two seeds fail at
-    # one step and the loop must stop at the first of them
+    # an unstable unsigned step overflows, each seed at its own iteration;
+    # seed 3 runs twice, so two seeds fail at one step and the loop must stop
+    # at the first of them
     prob = _ls(d=5, n=7, seed=3)
     T, seeds = 1090, (0, 2, 3, 3, 6)
-    for algo in ("svrg", "sgd"):
-        spec = RunSpec(algo=algo, gamma=6.0, x1=0.5 * np.ones(5), q=1.0, D=math.inf,
-                       L=prob.lipschitz_constant(1.0))
+    for algo in ("sgd",):
+        spec = RunSpec(algo=algo, gamma=6.0, x1=0.5 * np.ones(5))
         outcome = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for seed in seeds:
@@ -234,6 +233,19 @@ def test_seed_batch_raises_first_failing_seed_in_seed_order():
             with pytest.raises(NonFiniteIterateError) as caught:
                 run_seeds(spec, prob, T, seeds)
         assert caught.value.iteration == outcome[first], algo
+
+
+def test_a_finite_radius_keeps_svrg_iterates_finite():
+    # the same unstable step as above: a candidate that overflows has no
+    # finite distance to its reference, so it is rejected and never becomes
+    # the iterate (which is why RunSpec wants a finite D)
+    prob = _ls(d=5, n=7, seed=3)
+    spec = RunSpec(algo="svrg", gamma=6.0, x1=0.5 * np.ones(5), q=1.0, D=1e300,
+                   L=prob.lipschitz_constant(1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = run_seeds(spec, prob, 1090, (0, 2, 3, 6))
+    assert all(np.isfinite(tr.x_final).all() for tr in traces)
+    assert [tr.k[-1] > 1 for tr in traces] == [False, True, True, True]  # seed 0 never overflows
 
 
 def test_seed_batch_premise_violation_mid_batch():
@@ -487,6 +499,14 @@ def test_runspec_validation():
         RunSpec(algo="svrg", gamma=0.1, x1=x1, D=0.0, L=1.0)
     with pytest.raises(ValueError, match="smoothness"):
         RunSpec(algo="signsvrg_v2", gamma=0.1, x1=x1, D=0.5, L=-1.0)
+    # a NaN passes every "<= 0" test, and an infinite D or L no radius check
+    for bad in ({"gamma": math.nan}, {"gamma": math.inf}, {"D": math.nan}, {"D": math.inf},
+                {"L": math.nan}, {"L": math.inf}, {"g_inf": math.nan}):
+        kw = dict({"gamma": 0.1, "D": 0.5, "L": 1.0, "g_inf": 1.0}, **bad)
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be finite"):
+            RunSpec(algo="signsvrg_v1", x1=x1, **kw)
+    with pytest.raises(ValueError, match="g_inf must be finite"):
+        RunSpec(algo="signsgd_plus", gamma=0.1, x1=x1, g_inf=math.inf)
     # every algorithm records q in its trace meta, so every one validates it
     for algo, extra in (("signsgd", {}), ("signgd", {}), ("signsgd_plus", {"g_inf": 1.0}),
                         ("signsvrg_v1", {"D": 0.5, "L": 1.0})):

@@ -354,6 +354,13 @@ def test_component_gradient_batch_is_rowwise_bitwise(spec):
     got = prob.component_gradient_batch(idx, xs)
     want = np.array([prob.component_gradient(int(i), x) for i, x in zip(idx, xs)])
     np.testing.assert_array_equal(got, want)
+    # a stack (2, S, d) against the same idx (S,), as the variance-reduced
+    # loop evaluates its iterates and references in one call
+    stacked = np.stack([xs, gen.standard_normal((40, prob.d))])
+    got = prob.component_gradient_batch(idx, stacked)
+    assert got.shape == stacked.shape
+    for xm, gm in zip(stacked, got):
+        np.testing.assert_array_equal(gm, [prob.component_gradient(int(i), x) for i, x in zip(idx, xm)])
 
 
 def test_abs_regression_batch_subgradient_takes_sign_zero_as_plus():

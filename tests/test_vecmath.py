@@ -30,7 +30,7 @@ vectors = st.lists(finite_floats, min_size=1, max_size=12).map(np.asarray)
 
 def _cube(rng, d):
     """One step's noise, uniform(-1, 1, d); with n = 1 no index is drawn."""
-    return sample_steps(rng, 1, d, 1)[1][0]
+    return sample_steps([rng], 1, d, 1)[1][0, 0]
 
 
 # ---------------------------------------------------------------- pairs
@@ -74,7 +74,7 @@ def test_uniform_cube_frozen_sequence_seed0():
 
 
 def test_sample_steps_index_frozen_sequence():
-    got = sample_steps(RngStream(123), 7, 0, 8)[0] + 1
+    got = sample_steps([RngStream(123)], 7, 0, 8)[0][:, 0] + 1
     assert got.tolist() == [2, 4, 3, 2, 2, 2, 1, 2]
 
 
@@ -107,7 +107,7 @@ def test_children_are_decorrelated():
 
 
 def test_sample_steps_index_range_and_coverage():
-    draws = sample_steps(RngStream(7), 5, 0, 20_000)[0] + 1
+    draws = sample_steps([RngStream(7)], 5, 0, 20_000)[0][:, 0] + 1
     assert draws.min() == 1 and draws.max() == 5
     freqs = np.bincount(draws, minlength=6)[1:] / len(draws)
     # uniform to within ~5 sigma of the binomial stderr
@@ -220,11 +220,11 @@ BLOCKS = (1, 2, 3, 5, 4, 7, 1, 6, 2, 8)
 def test_sample_steps_matches_generator_calls(n, width):
     blocks, calls = RngStream(99), RngStream(99)
     for steps in BLOCKS:
-        idx, noise = sample_steps(blocks, n, width, steps)
+        idx, noise = sample_steps([blocks], n, width, steps)
         want_idx, want_noise = _draws_by_calls(calls.generator, n, width, steps)
-        np.testing.assert_array_equal(idx, want_idx)
-        np.testing.assert_array_equal(noise, want_noise)
-        assert noise.shape == (steps, width)
+        np.testing.assert_array_equal(idx[:, 0], want_idx)
+        np.testing.assert_array_equal(noise[:, 0], want_noise)
+        assert idx.shape == (steps, 1) and noise.shape == (steps, 1, width)
     # the stream continues where the calls leave it, buffered half included
     assert blocks.generator.integers(1, 9, endpoint=True) == calls.generator.integers(1, 9, endpoint=True)
     assert blocks.generator.random() == calls.generator.random()
@@ -237,46 +237,87 @@ def test_sample_steps_exact_under_lemire_rejection():
     blocks = RngStream(key)
     calls = np.random.Generator(np.random.Philox(key=key))
     for steps in BLOCKS + BLOCKS:
-        idx, noise = sample_steps(blocks, n, width, steps)
+        idx, noise = sample_steps([blocks], n, width, steps)
         want_idx, want_noise = _draws_by_calls(calls, n, width, steps)
-        np.testing.assert_array_equal(idx, want_idx)
-        np.testing.assert_array_equal(noise, want_noise)
+        np.testing.assert_array_equal(idx[:, 0], want_idx)
+        np.testing.assert_array_equal(noise[:, 0], want_noise)
     assert blocks.generator.integers(1, n, endpoint=True) == calls.integers(1, n, endpoint=True)
     draws = 2 * sum(BLOCKS) + 1
     no_rejection_words = (draws - 1) * width + (draws + 1) // 2
     assert _words_consumed(calls, key) > no_rejection_words  # rejections did occur
 
 
+class _ProxyGenerator:
+    """Exposes only the two calls and no bit generator, as a tracing
+    wrapper would."""
+
+    def __init__(self, seed):
+        gen = RngStream(seed).generator
+        self.integers, self.uniform = gen.integers, gen.uniform
+
+
+class _ProxyStream:
+    def __init__(self, seed):
+        self.generator = _ProxyGenerator(seed)
+
+
 def test_sample_steps_goes_through_calls_without_a_philox_generator():
-    class Proxy:  # exposes only the two calls, as a tracing wrapper would
-        def __init__(self, seed):
-            gen = RngStream(seed).generator
-            self.integers, self.uniform = gen.integers, gen.uniform
-
-    class Stream:
-        def __init__(self, seed):
-            self.generator = Proxy(seed)
-
-    idx, noise = sample_steps(Stream(5), 50, 4, 9)
+    idx, noise = sample_steps([_ProxyStream(5)], 50, 4, 9)
     want_idx, want_noise = _draws_by_calls(RngStream(5).generator, 50, 4, 9)
-    np.testing.assert_array_equal(idx, want_idx)
-    np.testing.assert_array_equal(noise, want_noise)
+    np.testing.assert_array_equal(idx[:, 0], want_idx)
+    np.testing.assert_array_equal(noise[:, 0], want_noise)
+
+
+def test_sample_steps_decodes_a_mixed_batch_like_the_calls(monkeypatch):
+    # range 2^31: a half-word is rejected with probability about 1/2. Seeds
+    # 22 and 155 draw no rejected half-word in their first 7 draws, seed 0
+    # draws one in its first 4.
+    n, width = 2**31 + 1, 3
+    buffered = RngStream(5)
+    sample_steps([buffered], n, width, 1)  # an odd block leaves a half-word buffered
+    streams = [RngStream(22), buffered, RngStream(0), _ProxyStream(6), RngStream(155)]
+    calls = [RngStream(22).generator, RngStream(5).generator, RngStream(0).generator,
+             RngStream(6).generator, RngStream(155).generator]
+    _draws_by_calls(calls[1], n, width, 1)
+
+    by_calls = []
+    real = vecmath._steps_by_calls
+
+    def spy(gen, *args):
+        by_calls.append(next(s for s, st in enumerate(streams) if st.generator is gen))
+        return real(gen, *args)
+
+    monkeypatch.setattr(vecmath, "_steps_by_calls", spy)
+    # through the calls: the buffered stream (which 4 steps leave buffered
+    # again), the rejecting one in its first block, and the proxy. The odd
+    # second block leaves the decoded streams on a buffered half-word.
+    for steps, want_by_calls in ((4, [1, 2, 3]), (3, [1, 3])):
+        by_calls.clear()
+        idx, noise = sample_steps(streams, n, width, steps)
+        for s, gen in enumerate(calls):
+            want_idx, want_noise = _draws_by_calls(gen, n, width, steps)
+            np.testing.assert_array_equal(idx[:, s], want_idx)
+            np.testing.assert_array_equal(noise[:, s], want_noise)
+        assert sorted(by_calls) == want_by_calls
+    for stream, gen in zip(streams, calls):
+        assert stream.generator.integers(1, n, endpoint=True) == gen.integers(1, n, endpoint=True)
+        assert np.array_equal(stream.generator.uniform(-1.0, 1.0, 2), gen.uniform(-1.0, 1.0, 2))
 
 
 def test_sample_steps_rejects_empty_range():
     with pytest.raises(ValueError):
-        sample_steps(RngStream(0), 0, 3, 4)
+        sample_steps([RngStream(0)], 0, 3, 4)
 
 
 def test_decoder_self_check(monkeypatch):
     check = vecmath._check_philox_decoder.__wrapped__
     check()  # the installed numpy decodes exactly
 
-    def off_by_one_ulp(bitgen, n, width, steps):
-        idx, noise = real(bitgen, n, width, steps)
-        return idx, np.nextafter(noise, 2.0)
+    def off_by_one_ulp(gens, n, width, idx, noise):
+        real(gens, n, width, idx, noise)
+        noise[:] = np.nextafter(noise, 2.0)
 
-    real = vecmath._steps_from_philox
-    monkeypatch.setattr(vecmath, "_steps_from_philox", off_by_one_ulp)
+    real = vecmath._decode_steps
+    monkeypatch.setattr(vecmath, "_decode_steps", off_by_one_ulp)
     with pytest.raises(RuntimeError, match="Philox"):
         check()
