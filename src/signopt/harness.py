@@ -148,6 +148,15 @@ class ExperimentConfig:
             raise ConfigError("seeds", "seeds must be distinct")
         if self.F < 1:
             raise ConfigError("F", f"F must be >= 1, got {self.F}")
+        # config_from_dict checks these too, but a config built in Python skips it
+        for name in ("P", "alpha", "gamma", "D", "g_inf"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(name, f"must be a finite number, got {value!r}")
+        if isinstance(self.x1, (dict, tuple)):
+            scales = self.x1.values() if isinstance(self.x1, dict) else self.x1
+            if not all(math.isfinite(v) for v in scales):
+                raise ConfigError("x1", f"must hold finite numbers only, got {self.x1!r}")
         if self.P is not None and self.P < 1:
             raise ConfigError("P", f"P must be >= 1, got {self.P}")
         if self.schedule == "manual" and (self.gamma is None or self.gamma <= 0):

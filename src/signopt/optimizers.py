@@ -33,8 +33,11 @@ steps at a time, one vecmath.sample_steps call decodes the draws of every
 seed at once from the raw Philox words of its own stream, bit for bit the
 same as those calls; a seed's trace never depends on the other seeds of the
 batch. A variance-reduced step takes the component gradients at the iterates
-and at the references in one call. oracles.reference_run steps one seed at a
-time with the calls themselves, and tests hold the two to the bit.
+and at the references in one call. The signed variance-reduced methods check
+the amplitude premise and flag degenerate steps once per block of draws, for
+every step of the block, not inside the step; a violation raises
+AssertionError, also under python -O. oracles.reference_run steps one seed at
+a time with the calls themselves, and tests hold the two to the bit.
 
 Communication accounting (bits): a sign step uploads d bits; an unsigned
 stochastic gradient uploads d * float_bits; a reference refresh (and the
@@ -206,7 +209,8 @@ class _Columns:
 
 
 # float64 elements per buffer of the step loops: the noise drawn for one
-# block of steps, and one seed's iterates of one snapshot chunk
+# block of steps, and one seed's iterates of one snapshot chunk (or the
+# premise tolerances of a few steps of a block)
 _DRAW_ELEMENTS = 1 << 14
 _SNAPSHOT_ELEMENTS = 1 << 12
 
@@ -255,19 +259,12 @@ class _Chunks:
         self.flush(self.T, len(x))
 
 
-def _first_failure(t: int, x: np.ndarray, premise: np.ndarray | None = None) -> tuple[int, Exception]:
-    """The first seed whose step t broke its amplitude premise or left the
-    finite floats, and its error; the loops call it only when one did. The
-    seeds before it step on and finish before the loop raises the error, as
-    running the seeds one after another would; seed 0's is raised at once."""
-    failed = ~np.isfinite(x).all(axis=1)
-    if premise is not None:
-        failed |= ~premise
+def _first_failure(failed: np.ndarray, error: Exception) -> tuple[int, Exception]:
+    """The first seed in seed order that `failed` marks, and its error; the
+    loops call it only when some seed failed. The seeds before it step on
+    and finish before the loop raises the error, as running the seeds one
+    after another would; seed 0's is raised at once."""
     s = int(np.argmax(failed))
-    if premise is not None and not premise[s]:
-        error: Exception = AssertionError("noise amplitude violated")
-    else:
-        error = NonFiniteIterateError(t + 1)
     if s == 0:
         raise error
     return s, error
@@ -284,18 +281,28 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     one (2, S, d) buffer, so a step takes both component gradients in one
     component_gradient_batch call. ||x - ref||_q is carried across
     iterations: the accepted candidate's radius check IS the next step's
-    distance. k, bits_cum and grad_evals_cum follow from the refresh steps
+    distance. A sign step keeps its noise amplitude in a block buffer and
+    its estimate v in the noise slot it has just used; after each block of
+    draws, one pass over them sets FLAG_DEGENERATE where some coordinate's
+    amplitude is 0 and checks the amplitude premise of every step of every
+    seed still running. An iterate stays finite without a check: a
+    candidate with a non-finite coordinate has a non-finite radius, so it is
+    rejected. k, bits_cum and grad_evals_cum follow from the refresh steps
     after the loop.
     """
     S = len(rngs)
     n, d = prob.n, prob.d
     gamma, D, L = spec.gamma, spec.D, spec.L
-    signed = spec.algo != "svrg"
-    variant = 2 if spec.algo == "signsvrg_v2" else 1
+    variant = {"signsvrg_v1": 1, "signsvrg_v2": 2}.get(spec.algo, 0)  # 0: svrg
     pair = ConjugatePair(spec.q)
     comp_grads = prob.component_gradient_batch
-    move_bits = d if signed else d * spec.float_bits
+    move_bits = d * spec.float_bits if variant == 0 else d
     sync_bits = n * d * spec.float_bits
+
+    def amp_floor(grad: np.ndarray) -> np.ndarray | float:
+        """What the amplitude adds to L ||x - ref||_q at a reference with
+        full gradient grad."""
+        return np.abs(grad) if variant == 2 else norm(grad, pair.p)
 
     x1 = np.array(spec.x1, dtype=np.float64)
     x = np.tile(x1, (S, 1))
@@ -304,17 +311,16 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     ref = xr[1]
     g = prob.full_gradient(x1)
     ref_grad = np.tile(g, (S, 1))
-    abs_ref_grad = np.abs(ref_grad)
-    ref_grad_p = np.full(S, norm(g, pair.p))
-    ref_grad_zero = np.full(S, bool(np.any(g == 0.0)))
+    floor = np.array([amp_floor(g)] * S)  # (S,) for variant 1, (S, d) for 2
     dist = np.zeros(S)
     x_sum = np.zeros((S, d))
     chunks = _Chunks(prob, T, cols)
     chunk_x, chunk_dist, chunk_size = chunks.x, chunks.dist, chunks.size
 
     failure: Exception | None = None
-    premise = None
-    for t0, idx, noise in _draw_blocks(rngs, n, d if signed else 0, T, d):
+    for t0, idx, noise in _draw_blocks(rngs, n, d if variant else 0, T, d):
+        if t0 == 0 and variant:  # the first block is the longest
+            amps = np.empty(noise.shape if variant == 2 else idx.shape)
         for j in range(len(idx)):
             t = t0 + j
             c = t % chunk_size
@@ -325,25 +331,20 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
             x_sum += x
             xr[0] = x
             g = comp_grads(idx[j, :S], xr)
-            v = g[0] - g[1] + ref_grad
-            if signed:
+            if variant:
+                u = noise[j, :S]
                 drift = L * dist
                 if variant == 1:
-                    amp = drift + ref_grad_p
-                    degenerate = amp == 0.0
-                    premise = np.abs(v).max(axis=1) <= amp + 1e-9 * (1.0 + amp)
-                    arg = v + amp[:, None] * noise[j, :S]
+                    amp = np.add(drift, floor, out=amps[j, :S])[:, None]
                 else:
-                    amp = drift[:, None] + abs_ref_grad
-                    degenerate = (drift == 0.0) & ref_grad_zero
-                    premise = np.all(np.abs(v) <= amp + 1e-9 * (1.0 + amp), axis=1)
-                    arg = v + amp * noise[j, :S]
-                if degenerate.any():
-                    for s in np.flatnonzero(degenerate):
-                        cols[s].flags[t] = FLAG_DEGENERATE
+                    amp = np.add(drift[:, None], floor, out=amps[j, :S])
+                arg = amp * u
+                v = np.subtract(g[0], g[1], out=u)  # into the used-up noise slot
+                v += ref_grad
+                arg = np.add(v, arg, out=arg)
                 cand = x - np.where(arg >= 0.0, gamma, -gamma)
             else:
-                cand = x - gamma * v
+                cand = x - gamma * (g[0] - g[1] + ref_grad)
             rad = norm_rows(cand - ref, pair.q)
             accept = rad <= D
             if accept.all():
@@ -356,15 +357,33 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                     g = prob.full_gradient(xs)
                     ref[s] = xs
                     ref_grad[s] = g
-                    abs_ref_grad[s] = np.abs(g)
-                    ref_grad_p[s] = norm(g, pair.p)
-                    ref_grad_zero[s] = np.any(g == 0.0)
+                    if variant:
+                        floor[s] = amp_floor(g)
                     cols[s].k[t + 1] = 1  # summed into k below
-            if not (np.isfinite(x).all() and (premise is None or premise.all())):
-                S, failure = _first_failure(t, x, premise)
-                x, xr, ref_grad, abs_ref_grad = x[:S], xr[:, :S], ref_grad[:S], abs_ref_grad[:S]
-                ref_grad_p, ref_grad_zero, dist = ref_grad_p[:S], ref_grad_zero[:S], dist[:S]
-                x_sum, ref = x_sum[:S], xr[1]
+        if variant:
+            steps = len(idx)
+            amp, v = amps[:steps, :S], noise[:steps, :S]
+            zero = amp == 0.0
+            degenerate = zero if variant == 1 else zero.any(axis=2)
+            for s in np.flatnonzero(degenerate.any(axis=0)):
+                cols[s].flags[t0:t0 + steps][degenerate[:, s]] = FLAG_DEGENERATE
+            # the premise |v| <= amp + 1e-9 (1 + amp), coordinatewise, as an
+            # explicit test, so that it also runs under python -O; a few
+            # rows at a time, so that the tolerance stays a small temporary
+            held = np.empty((steps, S), dtype=bool)
+            rows = max(1, _SNAPSHOT_ELEMENTS // amp[0].size)
+            for r in range(0, steps, rows):
+                a, w = amp[r:r + rows], v[r:r + rows]
+                tol = a + 1.0
+                tol *= 1e-9
+                tol += a
+                w = np.abs(w, out=w)
+                held[r:r + rows] = w.max(axis=2) <= tol if variant == 1 else (w <= tol).all(axis=2)
+            failed = ~held.all(axis=0)
+            if failed.any():
+                S, failure = _first_failure(failed, AssertionError("noise amplitude violated"))
+                x, xr, ref_grad, floor = x[:S], xr[:, :S], ref_grad[:S], floor[:S]
+                dist, x_sum, ref = dist[:S], x_sum[:S], xr[1]
     if failure is not None:
         raise failure
 
@@ -420,7 +439,7 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
                     g = g + g_inf * noise[j, :S]
                 x = x - np.where(g >= 0.0, gamma, -gamma)
             if not np.isfinite(x).all():
-                S, failure = _first_failure(t, x)
+                S, failure = _first_failure(~np.isfinite(x).all(axis=1), NonFiniteIterateError(t + 1))
                 x, x_sum = x[:S], x_sum[:S]
     if failure is not None:
         raise failure
@@ -437,8 +456,10 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
     """Execute T iterations for every seed, all seeds stepped as one batch,
     and record one trace per seed (see the trace module for the row
     conventions); a seed's trace does not depend on the other seeds. Aborts
-    with NonFiniteIterateError if an iterate leaves the finite floats,
-    raising the error of the first failing seed in seed order."""
+    with AssertionError if a signed variance-reduced step breaks its
+    amplitude premise, and with NonFiniteIterateError if an iterate of a
+    reference-free method leaves the finite floats, raising the error of the
+    first failing seed in seed order."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if len(seeds) < 1:

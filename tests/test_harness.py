@@ -1,4 +1,5 @@
 """Config validation, experiment execution, artifact formats, exit codes."""
+import dataclasses
 import json
 import math
 import re
@@ -32,6 +33,10 @@ BASE = {
     "x1": {"gaussian": 1.0},
     "checks": ["svrg_grad_bound_v1", "update_count_bound", "comm_bits_bound"],
 }
+
+
+class _Replace(dict):
+    """Fields to set with dataclasses.replace on a valid config."""
 
 
 def _cfg(**over):
@@ -104,11 +109,23 @@ def test_config_roundtrip():
         ({"D": -math.inf}, "D"),
         ({"problem": dict(BASE["problem"], lam=math.inf)}, "problem.lam"),
         ({"P": 10**400}, "P"),  # an int beyond the floats
+        # a config built in Python never passes through config_from_dict
+        (_Replace(P=math.inf), "P"),
+        (_Replace(alpha=math.nan), "alpha"),
+        (_Replace(gamma=-math.inf), "gamma"),
+        (_Replace(D=math.inf), "D"),
+        (_Replace(g_inf=math.nan), "g_inf"),
+        (_Replace(x1=(0.0, math.inf, 0.0, 0.0, 0.0, 0.0)), "x1"),
+        (_Replace(x1={"gaussian": math.nan}), "x1"),
     ],
 )
 def test_config_rejections_name_the_field(patch, field):
+    valid = config_from_dict(_cfg())
     with pytest.raises(ConfigError) as err:
-        config_from_dict(_cfg(**patch))
+        if isinstance(patch, _Replace):
+            dataclasses.replace(valid, **patch)
+        else:
+            config_from_dict(_cfg(**patch))
     assert err.value.field == field
     assert field in str(err.value)
 

@@ -247,6 +247,22 @@ def test_a_finite_radius_keeps_svrg_iterates_finite():
     assert all(np.isfinite(tr.x_final).all() for tr in traces)
     assert [tr.k[-1] > 1 for tr in traces] == [False, True, True, True]  # seed 0 never overflows
 
+    # a sign step of 1e307 walks the iterates to within one step of the
+    # largest float, where a candidate that moves outward overflows; the
+    # subgradients of absolute-loss regression stay finite there, so the
+    # amplitude premise holds throughout
+    prob = make_problem(ProblemSpec(kind="abs_regression", d=5, n=7, seed=3))
+    gamma, edge = 1e307, np.finfo(np.float64).max - 1e307
+    for algo in ("signsvrg_v1", "signsvrg_v2"):
+        spec = RunSpec(algo=algo, gamma=gamma, x1=0.5 * np.ones(5), q=1.0, D=1e308, L=1.0,
+                       keep_iterates=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = run_seeds(spec, prob, 2000, (0, 3))
+            for seed, tr in zip((0, 3), traces):
+                assert np.isfinite(tr.iterates).all() and np.isfinite(tr.x_final).all(), algo
+                assert (np.abs(tr.iterates) > edge).any(), algo
+                _assert_matches_reference(tr, spec, prob, seed)
+
 
 def test_seed_batch_premise_violation_mid_batch():
     # L far below the true smoothness constant lets |v| outgrow the noise
@@ -268,6 +284,45 @@ def test_seed_batch_premise_violation_mid_batch():
     assert len(run_seeds(spec, prob, T, good)) == len(good)
     with pytest.raises(AssertionError, match="noise amplitude"):
         run_seeds(spec, prob, T, good[:2] + bad[:1] + good[2:])
+
+
+def _breaks_premise(call, *args) -> bool:
+    try:
+        call(*args)
+    except AssertionError as exc:
+        assert "noise amplitude" in str(exc)
+        return True
+    return False
+
+
+def test_block_premise_check_raises_exactly_when_a_seed_does():
+    # the batch checks the premise once per block of draws: for every
+    # horizon, odd ones ending on a one-step block, it must raise exactly
+    # when some seed's step-by-step reference run does, and a single seed
+    # exactly when its own does. Seeds 6, 7 and 3 first break the premise
+    # at steps 14, 36 and 59 (seed 3's falls in the one-step block of T = 59)
+    prob = _ls(d=5, n=7, seed=3)
+    spec = RunSpec(algo="signsvrg_v1", gamma=0.03, x1=0.5 * np.ones(5), q=1.0, D=0.6,
+                   L=0.2 * prob.lipschitz_constant(1.0))
+    seeds = (7, 0, 6, 1, 3, 2)
+    outcomes = set()
+    for T in range(1, 61):
+        violates = [_breaks_premise(reference_run, spec, prob, T, seed) for seed in seeds]
+        assert [_breaks_premise(run, spec, prob, T, seed) for seed in seeds] == violates, T
+        assert _breaks_premise(run_seeds, spec, prob, T, seeds) == any(violates), T
+        outcomes.add((violates[0], any(violates)))
+    # horizons with no violation, with a violation of a later seed only (the
+    # first seed runs on), and with the first seed's, which is raised at once
+    assert outcomes == {(False, False), (False, True), (True, True)}
+
+    # variant 2 at half the smoothness constant: seed 1 first breaks the
+    # premise at step 228, late in one long block
+    spec = dataclasses.replace(spec, algo="signsvrg_v2", L=0.5 * prob.lipschitz_constant(1.0))
+    seeds = (0, 4, 1, 9)
+    for T in (227, 228, 400):
+        violates = [_breaks_premise(reference_run, spec, prob, T, seed) for seed in seeds]
+        assert violates == [False, False, T >= 228, False], T
+        assert _breaks_premise(run_seeds, spec, prob, T, seeds) == (T >= 228), T
 
 
 def test_amplitude_premise_is_checked_under_python_O():
@@ -481,6 +536,30 @@ def test_degenerate_flag_on_stationary_reference():
         prob, 5, 0,
     )
     assert tr.flags[0] & FLAG_DEGENERATE
+
+
+def test_v2_degenerate_flags_across_mid_block_refreshes():
+    # a zero column of A zeroes that coordinate of every gradient, so the
+    # variant-2 amplitude of that coordinate is exactly 0 on every step that
+    # starts at its reference: row 1 and each row after a refresh; T spans
+    # three blocks of draws
+    from signopt.problems import LeastSquaresProblem
+
+    gen = np.random.default_rng(5)
+    a = gen.standard_normal((6, 4))
+    a[:, 2] = 0.0
+    prob = LeastSquaresProblem(a, gen.standard_normal(6))
+    spec = RunSpec(algo="signsvrg_v2", gamma=0.01, x1=np.ones(4), q=1.0, D=0.1,
+                   L=prob.lipschitz_constant(1.0))
+    T, seeds = 3000, (0, 1, 2)
+    for seed, tr in zip(seeds, run_seeds(spec, prob, T, seeds)):
+        ref = reference_run(spec, prob, T, seed)
+        np.testing.assert_array_equal(tr.flags, ref["flags"])
+        np.testing.assert_array_equal(tr.k, ref["k"])
+        flagged = np.flatnonzero(tr.flags & FLAG_DEGENERATE)
+        # blocks have an even length, so an odd row never starts one
+        assert (flagged % 2 == 1).any() and flagged.max() > 2 * T // 3, seed
+        assert 0 < len(flagged) < T, seed
 
 
 def test_runspec_validation():
