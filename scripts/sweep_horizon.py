@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from signopt.optimizers import RunSpec, run, schedule_cor1  # noqa: E402
+from signopt.optimizers import RunSpec, run_seeds, schedule_cor1  # noqa: E402
 from signopt.problems import ProblemSpec, make_problem  # noqa: E402
 from signopt.vecmath import RngStream  # noqa: E402
 
@@ -45,8 +45,8 @@ def main(argv=None) -> int:
         gamma, d_of_p = schedule_cor1(args.d, 1.0, L, T)
         spec = RunSpec(algo="signsvrg_v1", gamma=gamma, x1=x1, q=1.0,
                        D=d_of_p(args.P), L=L)
-        vals = [run(spec, prob, T, s).gnorm_inf[:T].mean()
-                for s in range(1, args.seeds + 1)]
+        seeds = range(1, args.seeds + 1)
+        vals = [tr.gnorm_inf[:T].mean() for tr in run_seeds(spec, prob, T, seeds)]
         mean = float(np.mean(vals))
         print(f"{T},{mean:.6f},{mean * np.sqrt(T):.4f}")
     return 0

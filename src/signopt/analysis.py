@@ -23,7 +23,6 @@ from .vecmath import ConjugatePair, RngStream, norm, sample_unit_sphere
 
 __all__ = [
     "BoundReport",
-    "RateMetricsReport",
     "Example1Stats",
     "svrg_grad_bound_v1",
     "svrg_grad_bound_v2",
@@ -34,9 +33,6 @@ __all__ = [
     "rate_metrics",
     "update_count_bound",
     "comm_bits_bound",
-    "opnorm_1_to_inf",
-    "opnorm_2_to_2",
-    "opnorm_inf_to_1",
     "example1_stats",
     "linf_constant_expected",
 ]
@@ -232,38 +228,6 @@ def signgd_bound(
     return BoundReport("signgd_bound", lhs, float(rhs), tol, lhs <= rhs + tol, 1)
 
 
-@dataclass(frozen=True)
-class RateMetricsReport:
-    """Scheduled-rate metrics of the variance-reduced sign methods.
-
-    Gradient norms are seed-averages of time-averages, i.e. Monte Carlo
-    estimates of E||grad f(x_out)|| at a uniformly selected iterate. The
-    ratio bound uses a ratio of Monte Carlo means (not debiased); its tol is
-    3 standard errors of the per-seed ratios.
-    """
-
-    grad_p_mean: float
-    grad_2_mean: float
-    grad_1_mean: float
-    radius_bound: BoundReport  # E||grad f||_p <= 2 P sqrt(2L/T)  (= 2 L D)
-    ratio_bound: BoundReport  # (E||g||_2)^2/E||g||_p <= d^{1/q}(f(x_1)-f*+1) sqrt(2L/T)
-    v1_holds: bool
-    v1_branch: str
-    max_bound: BoundReport  # E||g||_1 <= sqrt(2L/T) max(d^{1/q}(f(x_1)-f*+1), 2 d P)
-
-    def as_dict(self) -> dict:
-        return {
-            "grad_p_mean": self.grad_p_mean,
-            "grad_2_mean": self.grad_2_mean,
-            "grad_1_mean": self.grad_1_mean,
-            "radius_bound": self.radius_bound.as_dict(),
-            "ratio_bound": self.ratio_bound.as_dict(),
-            "v1_holds": self.v1_holds,
-            "v1_branch": self.v1_branch,
-            "max_bound": self.max_bound.as_dict(),
-        }
-
-
 def rate_metrics(
     traces: list[Trace],
     pair: ConjugatePair,
@@ -272,10 +236,24 @@ def rate_metrics(
     d: int,
     T: int,
     f_star: float,
-) -> RateMetricsReport:
+) -> tuple[BoundReport, BoundReport]:
     """Rate bounds under the smoothness-scaled schedule, where the radius
-    satisfies D = P sqrt(2/(L T)) for reference period P."""
-    T_tr, d_tr = _check_traces(traces, D=D, L=L, q=pair.q, d=d, T=T)
+    satisfies D = P sqrt(2/(L T)) for reference period P.
+
+    Returns (rate_v1_either_bound, rate_max_bound). Gradient norms are
+    per-seed time-averages, i.e. Monte Carlo estimates of E||grad f(x_out)||
+    at a uniformly selected iterate. Variant 1's rate holds when either
+    branch does:
+
+        radius: E||g||_p <= 2 P sqrt(2L/T)  (= 2 L D)
+        ratio:  (E||g||_2)^2 / E||g||_p <= d^{1/q} (f(x_1) - f* + 1) sqrt(2L/T)
+
+    where the ratio is taken per seed (not debiased). Its report carries the
+    radius branch's sides unless only the ratio branch holds. Variant 2's:
+
+        E||g||_1 <= sqrt(2L/T) max(d^{1/q} (f(x_1) - f* + 1), 2 d P).
+    """
+    _check_traces(traces, D=D, L=L, q=pair.q, d=d, T=T)
     P = D * math.sqrt(L * T / 2.0)
     rate = math.sqrt(2.0 * L / T)
     per_p = np.array([float(np.mean(tr.gnorm(pair.p)[:T])) for tr in traces])
@@ -284,23 +262,12 @@ def rate_metrics(
     f_x1 = float(np.mean([tr.f[0] for tr in traces]))
     descent_rhs = pair.dim_root(d) * (f_x1 - f_star + 1.0) * rate
 
-    radius = _make_report("rate_radius_branch", per_p, np.full(len(traces), 2.0 * P * rate))
-    per_ratio = per_2**2 / per_p
-    ratio = _make_report("rate_ratio_branch", per_ratio, np.full(len(traces), descent_rhs))
-    v1_holds = radius.holds or ratio.holds
-    v1_branch = "radius" if radius.holds else ("ratio" if ratio.holds else "none")
+    n = len(traces)
+    radius = _make_report("rate_v1_either_bound", per_p, np.full(n, 2.0 * P * rate))
+    ratio = _make_report("rate_v1_either_bound", per_2**2 / per_p, np.full(n, descent_rhs))
+    v1 = ratio if ratio.holds and not radius.holds else radius
     v2_rhs = rate * max(pair.dim_root(d) * (f_x1 - f_star + 1.0), 2.0 * d * P)
-    max_b = _make_report("rate_max_bound", per_1, np.full(len(traces), v2_rhs))
-    return RateMetricsReport(
-        grad_p_mean=float(per_p.mean()),
-        grad_2_mean=float(per_2.mean()),
-        grad_1_mean=float(per_1.mean()),
-        radius_bound=radius,
-        ratio_bound=ratio,
-        v1_holds=v1_holds,
-        v1_branch=v1_branch,
-        max_bound=max_b,
-    )
+    return v1, _make_report("rate_max_bound", per_1, np.full(n, v2_rhs))
 
 
 def update_count_bound(trace: Trace, P: float) -> BoundReport:
@@ -327,83 +294,6 @@ def comm_bits_bound(trace: Trace, float_bits: int, n: int, d: int, P: float) -> 
     lhs = float(trace.bits_cum[T - 1])
     rhs = float(d * (float_bits * n + P - 1) * math.ceil(T / P))
     return BoundReport("comm_bits_bound", lhs, rhs, 0.0, lhs <= rhs, 1)
-
-
-def opnorm_1_to_inf(m: np.ndarray) -> float:
-    """||M||_{1->inf} = max_{j,k} |M_{jk}|."""
-    m = np.asarray(m, dtype=np.float64)
-    return float(np.abs(m).max())
-
-
-def opnorm_2_to_2(m: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Spectral norm via power iteration on M^T M with a deterministic start.
-
-    Exact in one pass on rank-one inputs (the Gram matrix maps every vector
-    into the top eigenspace). Raises ArithmeticError if the Rayleigh estimate
-    has not stabilized to relative tolerance within max_iter sweeps.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    gram = m.T @ m
-    d = gram.shape[0]
-    # generic start: strictly positive, non-constant, no special symmetry
-    v = 1.0 + np.arange(1, d + 1) / (2.0 * d)
-    v /= math.sqrt(v @ v)
-    sigma_prev = -1.0
-    for _ in range(max_iter):
-        w = gram @ v
-        wn = math.sqrt(w @ w)
-        if wn == 0.0:
-            return 0.0  # v in the kernel and Gram-invariant: the norm is 0
-        v = w / wn
-        sigma = math.sqrt(max(0.0, float(v @ (gram @ v))))
-        if abs(sigma - sigma_prev) <= tol * max(sigma, 1.0e-30):
-            return sigma
-        sigma_prev = sigma
-    raise ArithmeticError(
-        f"power iteration did not stabilize: last estimate {sigma_prev}, "
-        f"residual {abs(sigma - sigma_prev)}"
-    )
-
-
-def _rank_one_factor(m: np.ndarray, rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray] | None:
-    """Return (u, v) with M = u v^T if M is numerically rank one, else None."""
-    m = np.asarray(m, dtype=np.float64)
-    col_norms = np.abs(m).sum(axis=0)
-    j = int(np.argmax(col_norms))
-    if col_norms[j] == 0.0:
-        return np.zeros(m.shape[0]), np.zeros(m.shape[1])
-    u = m[:, j]
-    # coefficients of each column along u
-    coeff = (u @ m) / (u @ u)
-    if np.abs(m - np.outer(u, coeff)).max() > rtol * max(1.0, np.abs(m).max()):
-        return None
-    return u, coeff
-
-
-def opnorm_inf_to_1(m: np.ndarray, max_dim: int = 20) -> float | None:
-    """||M||_{inf->1} = max over sign vectors s of ||M s||_1.
-
-    Rank-one inputs use the closed form ||u||_1 ||v||_1 in any dimension;
-    otherwise the sign vertices are enumerated for d <= max_dim. Returns None
-    when neither route applies (the norm is NP-hard in general).
-    """
-    m = np.asarray(m, dtype=np.float64)
-    factor = _rank_one_factor(m)
-    if factor is not None:
-        u, v = factor
-        return float(np.abs(u).sum() * np.abs(v).sum())
-    d = m.shape[1]
-    if d > max_dim:
-        return None
-    best = 0.0
-    # enumerate half the hypercube; s and -s give the same value
-    for bits in range(1 << (d - 1)):
-        s = np.empty(d)
-        s[0] = 1.0
-        for j in range(1, d):
-            s[j] = 1.0 if (bits >> (j - 1)) & 1 else -1.0
-        best = max(best, float(np.abs(m @ s).sum()))
-    return best
 
 
 @dataclass(frozen=True)

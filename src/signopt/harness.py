@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -448,39 +448,16 @@ def _evaluate_check(
         return [signgd_bound(traces[0], derived.L, pair, derived.gamma, prob.d, f_star)]
     if name in ("rate_bounds_v1", "rate_bounds_v2"):
         f_star = _resolve_f_star(derived, prob)
-        rm = rate_metrics(traces, pair, derived.D, derived.L, prob.d, cfg.T, f_star)
-        if name == "rate_bounds_v1":
-            # either branch suffices; report the one that holds (radius if both/neither)
-            branch = rm.ratio_bound if (rm.ratio_bound.holds and not rm.radius_bound.holds) else rm.radius_bound
-            return [
-                BoundReport(
-                    name="rate_v1_either_bound",
-                    lhs=branch.lhs,
-                    rhs=branch.rhs,
-                    tol=branch.tol,
-                    holds=rm.v1_holds,
-                    n_seeds=len(traces),
-                )
-            ]
-        return [rm.max_bound]
-    if name == "update_count_bound":
-        reports = [update_count_bound(tr, derived.P) for tr in traces]
+        v1, v2 = rate_metrics(traces, pair, derived.D, derived.L, prob.d, cfg.T, f_star)
+        return [v1 if name == "rate_bounds_v1" else v2]
+    if name in ("update_count_bound", "comm_bits_bound"):
+        if name == "update_count_bound":
+            reports = [update_count_bound(tr, derived.P) for tr in traces]
+        else:
+            reports = [comm_bits_bound(tr, cfg.F, prob.n, prob.d, derived.P) for tr in traces]
+        # exact per-seed bounds: the worst seed's sides, holding iff every seed's do
         worst = max(reports, key=lambda r: r.lhs)
-        return [
-            BoundReport(
-                "update_count_bound", worst.lhs, worst.rhs, 0.0,
-                all(r.holds for r in reports), len(traces),
-            )
-        ]
-    if name == "comm_bits_bound":
-        reports = [comm_bits_bound(tr, cfg.F, prob.n, prob.d, derived.P) for tr in traces]
-        worst = max(reports, key=lambda r: r.lhs)
-        return [
-            BoundReport(
-                "comm_bits_bound", worst.lhs, worst.rhs, 0.0,
-                all(r.holds for r in reports), len(traces),
-            )
-        ]
+        return [replace(worst, holds=all(r.holds for r in reports), n_seeds=len(traces))]
     raise ConfigError("checks", f"unknown check {name!r}")
 
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .trace import FLAG_DEGENERATE
-from .vecmath import ConjugatePair, RngStream, norm, sign_vec
+from .vecmath import ConjugatePair, RngStream, norm
 
 if TYPE_CHECKING:
     from .optimizers import RunSpec
@@ -30,6 +30,7 @@ __all__ = [
     "masked_sigmoid",
     "softplus_libm",
     "reference_run",
+    "sign_vec",
     "finite_diff_gradient",
     "estimate_lipschitz_empirical",
 ]
@@ -181,6 +182,11 @@ def softplus_libm(w: float) -> float:
     if w > 0.0:
         return w + math.log1p(math.exp(-w))
     return math.log1p(math.exp(w))
+
+
+def sign_vec(v: np.ndarray) -> np.ndarray:
+    """Elementwise sign with sign(0) = +1, so the output is always in {-1, +1}."""
+    return np.where(np.asarray(v) >= 0.0, 1.0, -1.0)
 
 
 def reference_run(spec: RunSpec, prob: FiniteSumProblem, T: int, seed: int) -> dict[str, np.ndarray]:

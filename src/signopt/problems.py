@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vecmath import ConjugatePair, RngStream, norm, row_dot
+from .vecmath import ConjugatePair, RngStream, norm, norm_rows, row_dot
 
 __all__ = [
     "FiniteSumProblem",
@@ -144,8 +144,7 @@ def _gaussian_rows(spec: ProblemSpec) -> np.ndarray:
 
 
 def _row_norm_sq_max(a: np.ndarray, q: float) -> float:
-    p = ConjugatePair(q).p
-    return max(norm(a[i], p) ** 2 for i in range(a.shape[0]))
+    return float(norm_rows(a, ConjugatePair(q).p).max()) ** 2
 
 
 class LeastSquaresProblem(FiniteSumProblem):

@@ -1,8 +1,8 @@
 """Dense vector primitives, Holder-conjugate exponents, and seeded RNG streams.
 
 Everything downstream (problems, optimizers, bound checks) goes through this
-module for elementwise sign, norms, and sampling, so the sign(0) = +1
-convention and the stream-splitting scheme are fixed here once.
+module for norms and sampling, so the stream-splitting scheme is fixed here
+once.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "ConjugatePair",
     "RngStream",
-    "sign_vec",
     "norm",
     "sample_steps",
     "sample_unit_sphere",
@@ -86,11 +85,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed})"
-
-
-def sign_vec(v: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) = +1, so the output is always in {-1, +1}."""
-    return np.where(np.asarray(v) >= 0.0, 1.0, -1.0)
 
 
 def norm(v: np.ndarray, p: float) -> float:

@@ -32,11 +32,11 @@ from signopt.optimizers import RunSpec, run, run_seeds, schedule_cor1, schedule_
 from signopt.oracles import (
     expected_sign_analytic,
     monte_carlo_expected_sign,
+    sign_vec,
     signgd_1d_closed_form,
 )
 from signopt.problems import LeastSquaresProblem, ProblemSpec, make_problem
-from signopt.trace import Trace
-from signopt.vecmath import ConjugatePair, RngStream, norm, sign_vec
+from signopt.vecmath import ConjugatePair, RngStream, norm
 
 SEEDS = tuple(range(1, 21))
 QS = (1.0, 2.0, math.inf)

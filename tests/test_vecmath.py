@@ -1,4 +1,4 @@
-"""Norm/sign primitives and the seeded RNG streams.
+"""Norm primitives, the oracles' sign convention, and the seeded RNG streams.
 
 The frozen sequences below pin the exact random draws: the counter-based
 generator plus the hash-derived child seeding must keep producing these
@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from signopt import vecmath
+from signopt.oracles import sign_vec
 from signopt.vecmath import (
     ConjugatePair,
     RngStream,
@@ -21,7 +22,6 @@ from signopt.vecmath import (
     row_dot,
     sample_steps,
     sample_unit_sphere,
-    sign_vec,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
