@@ -223,9 +223,9 @@ def signgd_bound(
     """
     T, d_tr = _check_traces([trace], gamma=gamma, L=L, q=pair.q, d=d)
     lhs = float(np.mean(trace.gnorm1[:T]))
-    rhs = (trace.f[0] - f_star) / (T * gamma) + L * gamma * pair.dim_root(d_tr) ** 2 / 2.0
+    rhs = float((trace.f[0] - f_star) / (T * gamma) + L * gamma * pair.dim_root(d_tr) ** 2 / 2.0)
     tol = 1e-8 * abs(rhs)
-    return BoundReport("signgd_bound", lhs, float(rhs), tol, lhs <= rhs + tol, 1)
+    return BoundReport("signgd_bound", lhs, rhs, tol, lhs <= rhs + tol, 1)
 
 
 def rate_metrics(

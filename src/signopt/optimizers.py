@@ -36,8 +36,14 @@ batch. A variance-reduced step takes the component gradients at the iterates
 and at the references in one call. The signed variance-reduced methods check
 the amplitude premise and flag degenerate steps once per block of draws, for
 every step of the block, not inside the step; a violation raises
-AssertionError, also under python -O. oracles.reference_run steps one seed at
-a time with the calls themselves, and tests hold the two to the bit.
+AssertionError, also under python -O. The iterates live in the rows of a
+per-seed snapshot chunk: each step computes its seeds' new iterates (and a
+variance-reduced step their distances to the references) straight into the
+chunk's next row. Once per chunk of rows, not per step, the loops test the
+rows of the reference-free methods for finiteness, snapshot f and the
+gradient norms of every row, and add the rows to the iterate sums, in the
+order of one row after another. oracles.reference_run steps one seed at a
+time with the calls themselves, and tests hold the two to the bit.
 
 Communication accounting (bits): a sign step uploads d bits; an unsigned
 stochastic gradient uploads d * float_bits; a reference refresh (and the
@@ -230,33 +236,46 @@ def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, d: int):
 
 
 class _Chunks:
-    """Each seed's iterates (and distances) of the current chunk of rows,
-    snapshotted per seed when the chunk fills and at row T + 1. The step
-    loops write row t of seed s to x[s, t % size] and dist[s, t % size]
-    themselves and call flush on the chunk's last row. Chunk bounds
-    depend on n and d alone, so a seed's f and gradient norms never depend
-    on the other seeds of the call."""
+    """Where the step loops keep every seed's iterates (and distances): the
+    rows of the current chunk. Row t of seed s lives in x[s, 1 + t % size]
+    and dist[s, 1 + t % size], and the step from row t computes row t + 1
+    straight into its slot. On a chunk's last row, before the step from it,
+    and at row T + 1, flush snapshots the chunk's rows per seed and adds
+    them to the iterate sums. Chunk bounds depend on n and d alone, so a
+    seed's f and gradient norms never depend on the other seeds of the
+    call."""
 
-    def __init__(self, prob: FiniteSumProblem, T: int, cols: list[_Columns]):
+    def __init__(self, prob: FiniteSumProblem, T: int, cols: list[_Columns], x1: np.ndarray):
         self.prob, self.T, self.cols = prob, T, cols
         self.size = max(1, _SNAPSHOT_ELEMENTS // max(prob.n, prob.d))
-        self.x = np.empty((len(cols), self.size, prob.d))
-        self.dist = np.zeros((len(cols), self.size))
+        # slot 0 is spare: flush puts the iterate sums there (dist's is unused)
+        self.x = np.empty((len(cols), self.size + 1, prob.d))
+        self.x[:, 1] = x1
+        self.dist = np.zeros((len(cols), self.size + 1))
+        self.x_sum = np.zeros((len(cols), prob.d))  # of rows 1..T
 
     def flush(self, t: int, S: int) -> None:
         """Snapshot the chunk's rows up to row t (0-based) of the first S
-        seeds, the ones still running."""
+        seeds, the ones still running, and add those before row T + 1 to
+        their iterate sums."""
         c = t % self.size
+        x = self.x[:S]
         for s in range(S):
-            self.cols[s].snapshot_rows(self.prob, t - c, self.x[s, :c + 1])
-            self.cols[s].dist[t - c:t + 1] = self.dist[s, :c + 1]
+            self.cols[s].snapshot_rows(self.prob, t - c, x[s, 1:c + 2])
+            self.cols[s].dist[t - c:t + 1] = self.dist[s, 1:c + 2]
+        # the sums of [sum; rows] accumulated in place are those of sum += row,
+        # row after row (np.add.reduce sums pairwise where the rows are its
+        # inner loop, as at d = 1); this overwrites every row but the last
+        # one added, which the step from row t still reads
+        k = c + 1 if t < self.T else c
+        if k:
+            x[:, 0] = self.x_sum[:S]
+            np.add.accumulate(x[:, :k], axis=1, out=x[:, :k])
+            np.add(x[:, k - 1], x[:, k], out=self.x_sum[:S])
 
-    def record_last(self, x: np.ndarray, dist: np.ndarray | float = 0.0) -> None:
-        """Row T + 1 of the first len(x) seeds, and the chunk it closes."""
-        c = self.T % self.size
-        self.x[:len(x), c] = x
-        self.dist[:len(x), c] = dist
-        self.flush(self.T, len(x))
+    def last(self) -> np.ndarray:
+        """Row T + 1 of every seed."""
+        return self.x[:, 1 + self.T % self.size]
 
 
 def _first_failure(failed: np.ndarray, error: Exception) -> tuple[int, Exception]:
@@ -268,6 +287,22 @@ def _first_failure(failed: np.ndarray, error: Exception) -> tuple[int, Exception
     if s == 0:
         raise error
     return s, error
+
+
+def _check_finite(chunks: _Chunks, t: int, S: int, failure: Exception | None) -> tuple[int, Exception | None]:
+    """Test the chunk's rows up to row t of the first S seeds before they
+    are flushed, and drop the failing seeds as _first_failure does. A
+    non-finite coordinate never becomes finite again under a reference-free
+    step, so the first non-finite row of the first failing seed is the
+    iteration at which stepping that seed alone fails."""
+    c = t % chunks.size
+    finite = np.isfinite(chunks.x[:S, 1:c + 2])
+    if finite.all():  # a whole-array test is far cheaper than one per row
+        return S, failure
+    bad = ~finite.all(axis=2)
+    failed = bad.any(axis=1)
+    first = int(np.argmax(bad[int(np.argmax(failed))]))
+    return _first_failure(failed, NonFiniteIterateError(t - c + first))
 
 
 def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], cols: list[_Columns]) -> tuple[np.ndarray, np.ndarray]:
@@ -305,16 +340,13 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
         return np.abs(grad) if variant == 2 else norm(grad, pair.p)
 
     x1 = np.array(spec.x1, dtype=np.float64)
-    x = np.tile(x1, (S, 1))
     xr = np.empty((2, S, d))  # row 0: this step's iterates, row 1: the references
     xr[1] = x1
     ref = xr[1]
     g = prob.full_gradient(x1)
     ref_grad = np.tile(g, (S, 1))
     floor = np.array([amp_floor(g)] * S)  # (S,) for variant 1, (S, d) for 2
-    dist = np.zeros(S)
-    x_sum = np.zeros((S, d))
-    chunks = _Chunks(prob, T, cols)
+    chunks = _Chunks(prob, T, cols, x1)
     chunk_x, chunk_dist, chunk_size = chunks.x, chunks.dist, chunks.size
 
     failure: Exception | None = None
@@ -323,17 +355,16 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
             amps = np.empty(noise.shape if variant == 2 else idx.shape)
         for j in range(len(idx)):
             t = t0 + j
-            c = t % chunk_size
-            chunk_x[:S, c] = x
-            chunk_dist[:S, c] = dist
-            if c == chunk_size - 1:
+            slot = 1 + t % chunk_size
+            if slot == chunk_size:
                 chunks.flush(t, S)
-            x_sum += x
-            xr[0] = x
+            nxt = slot % chunk_size + 1
+            xr[0] = chunk_x[:S, slot]
+            x = xr[0]
             g = comp_grads(idx[j, :S], xr)
             if variant:
                 u = noise[j, :S]
-                drift = L * dist
+                drift = L * chunk_dist[:S, slot]
                 if variant == 1:
                     amp = np.add(drift, floor, out=amps[j, :S])[:, None]
                 else:
@@ -342,20 +373,15 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                 v = np.subtract(g[0], g[1], out=u)  # into the used-up noise slot
                 v += ref_grad
                 arg = np.add(v, arg, out=arg)
-                cand = x - np.where(arg >= 0.0, gamma, -gamma)
+                cand = np.subtract(x, np.where(arg >= 0.0, gamma, -gamma), out=chunk_x[:S, nxt])
             else:
-                cand = x - gamma * (g[0] - g[1] + ref_grad)
-            rad = norm_rows(cand - ref, pair.q)
-            accept = rad <= D
-            if accept.all():
-                x, dist = cand, rad
-            else:
-                x = np.where(accept[:, None], cand, x)
-                dist = np.where(accept, rad, 0.0)
-                for s in np.flatnonzero(~accept):
-                    xs = x[s].copy()
-                    g = prob.full_gradient(xs)
-                    ref[s] = xs
+                cand = np.subtract(x, gamma * (g[0] - g[1] + ref_grad), out=chunk_x[:S, nxt])
+            rad = norm_rows(cand - ref, pair.q, out=chunk_dist[:S, nxt])
+            if not np.maximum.reduce(rad) <= D:  # also when a radius is NaN
+                for s in np.flatnonzero(~(rad <= D)):
+                    ref[s] = cand[s] = x[s]
+                    rad[s] = 0.0
+                    g = prob.full_gradient(ref[s])
                     ref_grad[s] = g
                     if variant:
                         floor[s] = amp_floor(g)
@@ -382,19 +408,19 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
             failed = ~held.all(axis=0)
             if failed.any():
                 S, failure = _first_failure(failed, AssertionError("noise amplitude violated"))
-                x, xr, ref_grad, floor = x[:S], xr[:, :S], ref_grad[:S], floor[:S]
-                dist, x_sum, ref = dist[:S], x_sum[:S], xr[1]
+                xr, ref_grad, floor = xr[:, :S], ref_grad[:S], floor[:S]
+                ref = xr[1]
     if failure is not None:
         raise failure
 
-    chunks.record_last(x, dist)
+    chunks.flush(T, S)
     steps_done = np.arange(T + 1)
     for col in cols:
         refreshes = np.cumsum(col.k, out=col.k)
         col.bits[:] = sync_bits + steps_done * move_bits + refreshes * (sync_bits - move_bits)
         col.evals[:] = n + 2 * steps_done + refreshes * n
         refreshes += 1
-    return x, x_sum
+    return chunks.last(), chunks.x_sum
 
 
 def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], cols: list[_Columns]) -> tuple[np.ndarray, np.ndarray]:
@@ -404,7 +430,9 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     oracles.reference_run on seed s alone, bit for bit: component gradients
     come from component_gradient_batch, and signgd, whose rows all start at
     x1 and draw nothing, takes the one-vector full_gradient of row 0 and
-    broadcasts its step over the rows. bits_cum and grad_evals_cum are the
+    broadcasts its step over the rows. signsgd_plus scales a block's noise
+    by g_inf in one multiply, and the iterates are tested for finiteness
+    once per chunk (_check_finite). bits_cum and grad_evals_cum are the
     steps done times the per-step costs.
     """
     S = len(rngs)
@@ -413,43 +441,42 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     step_bits = {"signgd": n * d * spec.float_bits, "sgd": d * spec.float_bits}.get(algo, d)
     step_evals = n if algo == "signgd" else 1
 
-    x = np.tile(np.array(spec.x1, dtype=np.float64), (S, 1))
-    x_sum = np.zeros((S, d))
-    chunks = _Chunks(prob, T, cols)
+    chunks = _Chunks(prob, T, cols, spec.x1)
     chunk_x, chunk_size = chunks.x, chunks.size
 
     failure: Exception | None = None
     draws = () if algo == "signgd" else rngs
     for t0, idx, noise in _draw_blocks(draws, n, d if algo == "signsgd_plus" else 0, T, d):
+        if algo == "signsgd_plus":
+            noise *= g_inf
         for j in range(len(idx)):
             t = t0 + j
-            c = t % chunk_size
-            chunk_x[:S, c] = x
-            if c == chunk_size - 1:
+            slot = 1 + t % chunk_size
+            if slot == chunk_size:
+                S, failure = _check_finite(chunks, t, S, failure)
                 chunks.flush(t, S)
-            x_sum += x
+            x, nxt = chunk_x[:S, slot], chunk_x[:S, slot % chunk_size + 1]
             if algo == "signgd":
                 g = prob.full_gradient(x[0])  # every row equals row 0
             else:
                 g = prob.component_gradient_batch(idx[j, :S], x)
             if algo == "sgd":
-                x = x - gamma * g
+                g *= gamma
+                np.subtract(x, g, out=nxt)
             else:
                 if algo == "signsgd_plus":
-                    g = g + g_inf * noise[j, :S]
-                x = x - np.where(g >= 0.0, gamma, -gamma)
-            if not np.isfinite(x).all():
-                S, failure = _first_failure(~np.isfinite(x).all(axis=1), NonFiniteIterateError(t + 1))
-                x, x_sum = x[:S], x_sum[:S]
+                    g += noise[j, :S]
+                np.subtract(x, np.where(g >= 0.0, gamma, -gamma), out=nxt)
+    S, failure = _check_finite(chunks, T, S, failure)
     if failure is not None:
         raise failure
 
-    chunks.record_last(x)
+    chunks.flush(T, S)
     steps_done = np.arange(T + 1)
     for col in cols:
         col.bits[:] = steps_done * step_bits
         col.evals[:] = steps_done * step_evals
-    return x, x_sum
+    return chunks.last(), chunks.x_sum
 
 
 def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int]) -> list[Trace]:

@@ -4,7 +4,9 @@ Nothing here shares code with the optimizers or analysis: norms are
 re-derived by brute force, expectations by direct integration or Monte Carlo,
 dynamics by closed-form recursions or by stepping one seed a step at a time
 from the problems' one-vector kernels (reference_run), gradients by finite
-differences. Tests compare the two routes.
+differences. Tests compare the two routes, and the CLI's
+verify-key-identity compares expected_sign_analytic with
+monte_carlo_expected_sign.
 """
 from __future__ import annotations
 

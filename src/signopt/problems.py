@@ -175,8 +175,8 @@ class LeastSquaresProblem(FiniteSumProblem):
         return 0.5 * float(r @ r) / self.n, self.a.T @ r / self.n
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        rows = self.a[idx]
-        return (row_dot(rows, xs) - self.b[idx])[..., None] * rows
+        rows = self.a.take(idx, axis=0)
+        return (row_dot(rows, xs) - self.b.take(idx))[..., None] * rows
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = xs @ self.a.T - self.b
@@ -239,8 +239,8 @@ class LogisticProblem(FiniteSumProblem):
         return float(np.add.reduce(np.logaddexp(0.0, w)) / self.n), -(self.a.T @ (self.y * self._sigmoid(w))) / self.n
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        rows = self.a[idx]
-        y = self.y[idx]
+        rows = self.a.take(idx, axis=0)
+        y = self.y.take(idx)
         z = y * row_dot(rows, xs)
         return (-y * self._sigmoid(-z))[..., None] * rows
 
@@ -301,7 +301,7 @@ class TrigProblem(FiniteSumProblem):
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
         # the one-vector method takes math.sin; np.sin agrees bit for bit,
         # which the batch-vs-single tests pin
-        rows = self.a[idx]
+        rows = self.a.take(idx, axis=0)
         return -np.sin(row_dot(rows, xs))[..., None] * rows + self.lam * xs
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,8 +352,8 @@ class AbsRegressionProblem(FiniteSumProblem):
         return self.a.T @ np.where(r >= 0.0, 1.0, -1.0) / self.n
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        rows = self.a[idx]
-        r = row_dot(rows, xs) - self.b[idx]
+        rows = self.a.take(idx, axis=0)
+        r = row_dot(rows, xs) - self.b.take(idx)
         return np.where((r >= 0.0)[..., None], rows, -rows)
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

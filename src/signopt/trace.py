@@ -21,6 +21,8 @@ byte-identical files in either. `read_trace` reads both.
 """
 from __future__ import annotations
 
+import functools
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -39,6 +41,15 @@ _TRACE_DTYPE = np.dtype([
     (name, "<i8" if name in _INT_COLUMNS else "<f8") for name in CSV_HEADER.split(",")
 ])
 _CSV_ROW = (",".join("{}" if name in _INT_COLUMNS else "{!r}" for name in _TRACE_DTYPE.names) + "\n").format
+
+
+@functools.cache
+def _npy_header(rows: int) -> bytes:
+    """The header np.save writes before `rows` trace records."""
+    fmt = np.lib.format
+    buf = io.BytesIO()
+    fmt.write_array_header_1_0(buf, fmt.header_data_from_array_1_0(np.empty(rows, dtype=_TRACE_DTYPE)))
+    return buf.getvalue()
 
 
 @dataclass
@@ -87,8 +98,9 @@ class Trace:
         records = np.empty(len(self.t), dtype=_TRACE_DTYPE)
         for name, col in zip(_TRACE_DTYPE.names, self._columns()):
             records[name] = col
-        with open(path, "wb") as fh:  # np.save on a name would append ".npy"
-            np.save(fh, records, allow_pickle=False)
+        with open(path, "wb") as fh:  # the bytes of np.save, which would append ".npy" to a name
+            fh.write(_npy_header(len(records)))
+            fh.write(records.view(np.uint8))
 
     def to_csv(self, path: str) -> None:
         cols = self._columns()

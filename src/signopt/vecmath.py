@@ -108,14 +108,15 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def norm_rows(v: np.ndarray, p: float) -> np.ndarray:
-    """`norm(row, p)` of every row of an (S, d) stack, bit for bit."""
+def norm_rows(v: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """`norm(row, p)` of every row of an (S, d) stack, bit for bit; with
+    `out`, an (S,) array, written into it."""
     if p == 1:
-        return np.abs(v).sum(axis=1)
+        return np.abs(v).sum(axis=1, out=out)
     if p == 2:
-        return np.sqrt(row_dot(v, v))
+        return np.sqrt(row_dot(v, v), out=out)
     if p == math.inf:
-        return np.abs(v).max(axis=1)
+        return np.abs(v).max(axis=1, out=out)
     raise ValueError(f"p must be one of {{1, 2, inf}}, got {p!r}")
 
 

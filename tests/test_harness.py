@@ -288,6 +288,24 @@ def test_trace_npy_edge_values_round_trip_by_bits(tmp_path):
     assert raw.endswith(np.load(tmp_path / "t.npy").tobytes())
 
 
+@pytest.mark.parametrize("rows", [1, 2, 10, 1001, 123457])
+def test_trace_npy_bytes_are_those_of_np_save(tmp_path, rows):
+    # to_npy writes a cached header and the raw records; np.save of the same
+    # records must give the same file, header included, at every row count
+    base = _edge_trace()
+    columns = {name: np.resize(getattr(base, name), rows) for name in
+               ("t", "f", "gnorm1", "gnorm2", "gnorm_inf", "k", "dist_to_ref", "bits_cum",
+                "grad_evals_cum", "flags")}
+    tr = Trace(**columns, x1=np.empty(0), x_mean=np.empty(0), x_final=np.empty(0))
+    tr.to_npy(tmp_path / "t.npy")
+    records = np.empty(rows, dtype=_TRACE_DTYPE)
+    for name, col in zip(CSV_HEADER.split(","), columns.values()):
+        records[name] = col
+    with open(tmp_path / "want.npy", "wb") as fh:
+        np.save(fh, records, allow_pickle=False)
+    assert (tmp_path / "t.npy").read_bytes() == (tmp_path / "want.npy").read_bytes()
+
+
 @pytest.mark.parametrize("bad", ["wrong_dtype", "big_endian", "pickled", "two_d", "empty", "text"])
 def test_read_trace_rejects_a_malformed_npy(tmp_path, bad):
     good = np.zeros(3, dtype=_TRACE_DTYPE)
@@ -357,6 +375,18 @@ def test_rate_v1_reported_as_single_disjunction():
     result = execute_experiment(config_from_dict(doc))
     assert len(result.reports) == 1
     assert result.reports[0].name == "rate_v1_either_bound"
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "scripts" / "configs").glob("*.json"))
+
+
+def test_shipped_configs_report_plain_bools():
+    assert len(SHIPPED_CONFIGS) == 5
+    for path in SHIPPED_CONFIGS:
+        result = execute_experiment(load_config(path))
+        assert result.reports, path.name
+        for rep in result.reports:
+            assert type(rep.holds) is bool, (path.name, rep.name)
 
 
 def test_sec2_regret_pipeline():

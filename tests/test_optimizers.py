@@ -6,6 +6,7 @@ loops inside run_seeds() are bit-for-bit the same dynamics as
 oracles.reference_run, which steps one seed at a time.
 """
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -177,6 +178,12 @@ def _assert_matches_reference(tr, spec, prob, seed):
     ref = reference_run(spec, prob, tr.T, seed)
     for col in ORACLE_COLUMNS:
         np.testing.assert_array_equal(getattr(tr, col), ref[col], err_msg=f"{seed} {col}")
+    # the batch sums a chunk of iterates at a time; x_mean must still be the
+    # sum of rows 1..T taken one row after another, over T
+    x_sum = np.zeros(prob.d)
+    for x in ref["iterates"]:
+        x_sum += x
+    np.testing.assert_array_equal(tr.x_mean, x_sum / tr.T, err_msg=f"{seed} x_mean")
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "trig_nonconvex", "logistic"])
@@ -210,13 +217,28 @@ def test_seed_batch_matches_steppers_and_single_runs(algo, q, kind):
 
 
 def test_seed_batch_raises_first_failing_seed_in_seed_order():
-    # an unstable unsigned step overflows, each seed at its own iteration;
-    # seed 3 runs twice, so two seeds fail at one step and the loop must stop
-    # at the first of them
-    prob = _ls(d=5, n=7, seed=3)
-    T, seeds = 1090, (0, 2, 3, 3, 6)
-    for algo in ("sgd",):
-        spec = RunSpec(algo=algo, gamma=6.0, x1=0.5 * np.ones(5))
+    # the batch tests its iterates for finiteness once per snapshot chunk
+    # and must raise what running the seeds one after another raises: the
+    # iteration of the first failing seed in seed order, although a later
+    # seed fails sooner
+    # - sgd: an unstable unsigned step overflows, each seed at its own
+    #   iteration; seed 3 runs twice, so two seeds fail at one step
+    # - signsgd, signsgd_plus: sign steps of 1e307 on the cosine family
+    #   without its ridge walk the iterates off the floats. At n = 178 a
+    #   chunk holds 4096 // 178 = 23 rows, so seed 2's row 68 is the last
+    #   row of a chunk, and seed 6 (signsgd) or 7 (signsgd_plus) fails
+    #   earlier in the same chunk; all of it falls inside one block of
+    #   draws, the whole horizon of 80 steps
+    ls = _ls(d=5, n=7, seed=3)
+    trig = make_problem(ProblemSpec(kind="trig_nonconvex", d=5, n=178, seed=3))
+    cases = (
+        (RunSpec(algo="sgd", gamma=6.0, x1=0.5 * np.ones(5)), ls, 1090, (0, 2, 3, 3, 6)),
+        (RunSpec(algo="signsgd", gamma=1e307, x1=0.5 * np.ones(5)), trig, 80, (0, 2, 6, 7)),
+        (RunSpec(algo="signsgd_plus", gamma=1e307, x1=0.5 * np.ones(5), g_inf=10.0), trig, 80,
+         (0, 2, 6, 7)),
+    )
+    for spec, prob, T, seeds in cases:
+        algo = spec.algo
         outcome = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for seed in seeds:
@@ -230,6 +252,9 @@ def test_seed_batch_raises_first_failing_seed_in_seed_order():
             # the setup must tell seed order from time order: a seed before
             # the first failure finishes, and a later seed fails sooner
             assert seeds.index(first) > 0 and later and min(later) < outcome[first], algo
+            if algo != "sgd":
+                assert first == 2 and outcome[first] == 68 and 68 % (4096 // prob.n) == 22, algo
+                assert 46 <= min(later) < 68, algo  # rows 46..68 are one chunk
             with pytest.raises(NonFiniteIterateError) as caught:
                 run_seeds(spec, prob, T, seeds)
         assert caught.value.iteration == outcome[first], algo
@@ -361,19 +386,21 @@ def test_run_seeds_rejects_an_empty_batch():
 
 @pytest.mark.parametrize("algo", ["signsgd", "signsgd_plus", "sgd", "signgd"])
 def test_fused_simple_loop_matches_reference_run(algo):
-    T = 150
     kw = dict(algo=algo, gamma=0.02, x1=0.5 * np.ones(5), keep_iterates=True)
     if algo == "signsgd_plus":
         kw["g_inf"] = 9.0
     spec = RunSpec(**kw)
-    for kind in ("least_squares", "abs_regression"):
-        prob = make_problem(ProblemSpec(kind=kind, d=5, n=7, seed=3))
+    # at n = 7 the horizon lies inside one snapshot chunk of 585 rows; at
+    # n = 300 chunks hold 13 rows, and 150 is no multiple of 13 while 130 is
+    for kind, (n, T) in itertools.product(("least_squares", "abs_regression"),
+                                          ((7, 150), (300, 150), (300, 130))):
+        prob = make_problem(ProblemSpec(kind=kind, d=5, n=n, seed=3))
         for seeds in ((13,), BATCH_SEEDS):
             for seed, tr in zip(seeds, run_seeds(spec, prob, T, seeds)):
                 single = run(spec, prob, T, seed)
                 for col in TRACE_COLUMNS:
                     np.testing.assert_array_equal(getattr(tr, col), getattr(single, col),
-                                                  err_msg=f"{kind} {seed} {col}")
+                                                  err_msg=f"{kind} {n} {T} {seed} {col}")
                 _assert_matches_reference(tr, spec, prob, seed)
 
 
