@@ -42,8 +42,13 @@ variance-reduced step their distances to the references) straight into the
 chunk's next row. Once per chunk of rows, not per step, the loops test the
 rows of the reference-free methods for finiteness, snapshot f and the
 gradient norms of every row, and add the rows to the iterate sums, in the
-order of one row after another. oracles.reference_run steps one seed at a
-time with the calls themselves, and tests hold the two to the bit.
+order of one row after another. When a problem's component subgradients
+are +-a_i (FiniteSumProblem.subgradient_rows), signsgd, signsgd_plus and
+sgd compute both steps that each draw of a block can give before the
+iterates are known, and a step only picks one of them by the sign of
+a_i^T x - b_i. A sign step picks +-gamma from a [-gamma, gamma] pair.
+oracles.reference_run steps one seed at a time with the calls themselves,
+and tests hold the two to the bit.
 
 Communication accounting (bits): a sign step uploads d bits; an unsigned
 stochastic gradient uploads d * float_bits; a reference refresh (and the
@@ -203,12 +208,12 @@ class _Columns:
         """f and the gradient norms of rows t0, t0 + 1, ... from their
         iterates xs, in one batched call."""
         fval, grad = prob.value_and_full_gradient_batch(xs)
-        ag = np.abs(grad)
         rows = slice(t0, t0 + len(xs))
         self.f[rows] = fval
-        self.g1[rows] = ag.sum(axis=1)
-        self.g2[rows] = np.sqrt(row_dot(grad, grad))
-        self.gi[rows] = ag.max(axis=1)
+        np.sqrt(row_dot(grad, grad), out=self.g2[rows])
+        ag = np.abs(grad, out=grad)
+        np.add.reduce(ag, axis=1, out=self.g1[rows])
+        np.maximum.reduce(ag, axis=1, out=self.gi[rows])
         if self.iterates is not None:
             end = min(rows.stop, len(self.iterates))  # row T+1 is no iterate
             self.iterates[t0:end] = xs[: end - t0]
@@ -219,6 +224,11 @@ class _Columns:
 # premise tolerances of a few steps of a block)
 _DRAW_ELEMENTS = 1 << 14
 _SNAPSHOT_ELEMENTS = 1 << 12
+
+
+def _sign_steps(gamma: float) -> np.ndarray:
+    """[-gamma, gamma]: its take(g >= 0) is where(g >= 0, gamma, -gamma)."""
+    return np.array([-gamma, gamma])
 
 
 def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, d: int):
@@ -348,6 +358,8 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     floor = np.array([amp_floor(g)] * S)  # (S,) for variant 1, (S, d) for 2
     chunks = _Chunks(prob, T, cols, x1)
     chunk_x, chunk_dist, chunk_size = chunks.x, chunks.dist, chunks.size
+    sign_steps = _sign_steps(gamma)
+    diff = np.empty((S, d))  # candidate minus reference
 
     failure: Exception | None = None
     for t0, idx, noise in _draw_blocks(rngs, n, d if variant else 0, T, d):
@@ -373,10 +385,10 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                 v = np.subtract(g[0], g[1], out=u)  # into the used-up noise slot
                 v += ref_grad
                 arg = np.add(v, arg, out=arg)
-                cand = np.subtract(x, np.where(arg >= 0.0, gamma, -gamma), out=chunk_x[:S, nxt])
+                cand = np.subtract(x, sign_steps.take(arg >= 0.0), out=chunk_x[:S, nxt])
             else:
                 cand = np.subtract(x, gamma * (g[0] - g[1] + ref_grad), out=chunk_x[:S, nxt])
-            rad = norm_rows(cand - ref, pair.q, out=chunk_dist[:S, nxt])
+            rad = norm_rows(np.subtract(cand, ref, out=diff[:S]), pair.q, out=chunk_dist[:S, nxt])
             if not np.maximum.reduce(rad) <= D:  # also when a radius is NaN
                 for s in np.flatnonzero(~(rad <= D)):
                     ref[s] = cand[s] = x[s]
@@ -404,7 +416,7 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                 tol *= 1e-9
                 tol += a
                 w = np.abs(w, out=w)
-                held[r:r + rows] = w.max(axis=2) <= tol if variant == 1 else (w <= tol).all(axis=2)
+                held[r:r + rows] = np.maximum.reduce(w, axis=2) <= tol if variant == 1 else (w <= tol).all(axis=2)
             failed = ~held.all(axis=0)
             if failed.any():
                 S, failure = _first_failure(failed, AssertionError("noise amplitude violated"))
@@ -423,6 +435,35 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     return chunks.last(), chunks.x_sum
 
 
+def _both_steps(a: np.ndarray, b: np.ndarray, algo: str, gamma: float, idx: np.ndarray, noise: np.ndarray,
+                bufs: tuple[np.ndarray | None, ...]) -> tuple[np.ndarray, ...]:
+    """The rows a_i, the targets b_i and the two steps (up, down) that a
+    block of draws idx can give, (steps, S[, d]) each, for a problem whose
+    subgradients are +-a_i (FiniteSumProblem.subgradient_rows): up is the
+    step from +a_i, down the one from -a_i, each with the float operations
+    of the step from component_gradient_batch's +a_i or -a_i. bufs holds
+    rows, targets, down and up, at least `steps` long; signsgd_plus has no
+    up buffer and computes up in the noise, which is then used up."""
+    rows, targets, down, up = (None if buf is None else buf[:len(idx)] for buf in bufs)
+    # the draws are valid indices, and clip takes no buffered copy
+    a.take(idx, axis=0, out=rows, mode="clip")
+    b.take(idx, out=targets, mode="clip")
+    np.negative(rows, out=down)
+    if algo == "sgd":
+        np.multiply(rows, gamma, out=up)
+        down *= gamma
+        return rows, targets, up, down
+    if algo == "signsgd_plus":
+        down += noise
+        up = np.add(noise, rows, out=noise)
+    else:
+        np.copyto(up, rows)
+    sign_steps = _sign_steps(gamma)
+    for g in (up, down):
+        sign_steps.take(g >= 0.0, out=g, mode="clip")
+    return rows, targets, up, down
+
+
 def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], cols: list[_Columns]) -> tuple[np.ndarray, np.ndarray]:
     """Inner loop of the reference-free methods, all seeds of a call at once.
 
@@ -431,15 +472,21 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     come from component_gradient_batch, and signgd, whose rows all start at
     x1 and draw nothing, takes the one-vector full_gradient of row 0 and
     broadcasts its step over the rows. signsgd_plus scales a block's noise
-    by g_inf in one multiply, and the iterates are tested for finiteness
-    once per chunk (_check_finite). bits_cum and grad_evals_cum are the
-    steps done times the per-step costs.
+    by g_inf in one multiply. When the problem's subgradients are +-a_i
+    (subgradient_rows), both steps of every draw are computed once per
+    block (_both_steps), and a step is one row dot, one a_i^T x >= b_i
+    (which is a_i^T x - b_i >= 0 bit for bit, NaN included, for finite
+    b_i), one select and one subtract. The iterates are tested for
+    finiteness once per chunk (_check_finite). bits_cum and grad_evals_cum
+    are the steps done times the per-step costs.
     """
     S = len(rngs)
     n, d = prob.n, prob.d
     algo, gamma, g_inf = spec.algo, spec.gamma, spec.g_inf
     step_bits = {"signgd": n * d * spec.float_bits, "sgd": d * spec.float_bits}.get(algo, d)
     step_evals = n if algo == "signgd" else 1
+    sign_steps = _sign_steps(gamma)
+    signed_rows = None if algo == "signgd" else prob.subgradient_rows()
 
     chunks = _Chunks(prob, T, cols, spec.x1)
     chunk_x, chunk_size = chunks.x, chunks.size
@@ -449,6 +496,12 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     for t0, idx, noise in _draw_blocks(draws, n, d if algo == "signsgd_plus" else 0, T, d):
         if algo == "signsgd_plus":
             noise *= g_inf
+        if signed_rows is not None:
+            if t0 == 0:  # the first block is the longest
+                shape = (*idx.shape, d)
+                bufs = (np.empty(shape), np.empty(idx.shape), np.empty(shape),
+                        None if algo == "signsgd_plus" else np.empty(shape))
+            rows, targets, up, down = _both_steps(*signed_rows, algo, gamma, idx, noise, bufs)
         for j in range(len(idx)):
             t = t0 + j
             slot = 1 + t % chunk_size
@@ -456,6 +509,10 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
                 S, failure = _check_finite(chunks, t, S, failure)
                 chunks.flush(t, S)
             x, nxt = chunk_x[:S, slot], chunk_x[:S, slot % chunk_size + 1]
+            if signed_rows is not None:
+                pick = row_dot(rows[j, :S], x) >= targets[j, :S]
+                np.subtract(x, np.where(pick[:, None], up[j, :S], down[j, :S]), out=nxt)
+                continue
             if algo == "signgd":
                 g = prob.full_gradient(x[0])  # every row equals row 0
             else:
@@ -466,7 +523,7 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
             else:
                 if algo == "signsgd_plus":
                     g += noise[j, :S]
-                np.subtract(x, np.where(g >= 0.0, gamma, -gamma), out=nxt)
+                np.subtract(x, sign_steps.take(g >= 0.0), out=nxt)
     S, failure = _check_finite(chunks, T, S, failure)
     if failure is not None:
         raise failure

@@ -88,6 +88,14 @@ class FiniteSumProblem(ABC):
             vals[r], grads[r] = self.value_and_full_gradient(x)
         return vals, grads
 
+    def subgradient_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(a, b), rows (n, d) and finite targets (n,), when the (sub)gradient
+        of component i is +a_i where a_i^T x - b_i >= 0 and -a_i otherwise
+        (NaN included), bit for bit as component_gradient returns it; else
+        None. With it, the reference-free run loops compute both possible
+        steps of a block of draws before its iterates are known."""
+        return None
+
     def lipschitz_constant(self, q: float) -> float | None:
         """Analytic L_q valid for every component (and hence for f), or None."""
         return None
@@ -285,7 +293,8 @@ class TrigProblem(FiniteSumProblem):
         return float(np.cos(self.a[i] @ x)) + 0.5 * self.lam * float(x @ x)
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return -math.sin(self.a[i] @ x) * self.a[i] + self.lam * x
+        # np.sin, not math.sin: an overflowed dot gives NaN, not a ValueError
+        return self.lam * x - np.sin(self.a[i] @ x) * self.a[i]
 
     def value(self, x: np.ndarray) -> float:
         return float(np.cos(self.a @ x).mean()) + 0.5 * self.lam * float(x @ x)
@@ -299,14 +308,12 @@ class TrigProblem(FiniteSumProblem):
         return val, -(self.a.T @ np.sin(z)) / self.n + self.lam * x
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        # the one-vector method takes math.sin; np.sin agrees bit for bit,
-        # which the batch-vs-single tests pin
         rows = self.a.take(idx, axis=0)
-        return -np.sin(row_dot(rows, xs))[..., None] * rows + self.lam * xs
+        return self.lam * xs - np.sin(row_dot(rows, xs))[..., None] * rows
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = xs @ self.a.T
-        vals = np.cos(z).mean(axis=1) + 0.5 * self.lam * row_dot(xs, xs)
+        vals = np.add.reduce(np.cos(z), axis=1) / self.n + 0.5 * self.lam * row_dot(xs, xs)
         return vals, -(np.sin(z) @ self.a) / self.n + self.lam * xs
 
     def lipschitz_constant(self, q: float) -> float:
@@ -322,8 +329,9 @@ class AbsRegressionProblem(FiniteSumProblem):
     """f_i(x) = |a_i^T x - b_i|: convex, nonsmooth, bounded subgradients.
 
     component_gradient returns the subgradient sign(a_i^T x - b_i) * a_i with
-    sign(0) = +1. When constructed with a planted point (b = A x0) the optimum
-    (x0, 0) is exposed.
+    sign(0) = +1 (and -a_i at NaN), which subgradient_rows exposes to the run
+    loops; the targets must be finite. When constructed with a planted point
+    (b = A x0) the optimum (x0, 0) is exposed.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, planted: np.ndarray | None = None):
@@ -332,6 +340,8 @@ class AbsRegressionProblem(FiniteSumProblem):
         if self.a.shape[0] != self.b.shape[0]:
             raise ValueError("row/target count mismatch")
         self.n, self.d = self.a.shape
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("targets must be finite")
         self._planted = None if planted is None else _frozen(planted)
         if self._planted is not None:
             if not np.allclose(self.a @ self._planted, self.b, atol=1e-12):
@@ -358,7 +368,11 @@ class AbsRegressionProblem(FiniteSumProblem):
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = xs @ self.a.T - self.b
-        return np.abs(r).mean(axis=1), np.where(r >= 0.0, 1.0, -1.0) @ self.a / self.n
+        grad = np.where(r >= 0.0, 1.0, -1.0) @ self.a / self.n
+        return np.add.reduce(np.abs(r, out=r), axis=1) / self.n, grad
+
+    def subgradient_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.a, self.b
 
     def grad_bound_inf(self) -> float:
         return float(np.abs(self.a).max())

@@ -91,32 +91,33 @@ def norm(v: np.ndarray, p: float) -> float:
     """l_p norm for p in {1, 2, inf}. Empty vectors are rejected upstream."""
     v = np.asarray(v, dtype=np.float64)
     if p == 1:
-        return float(np.abs(v).sum())
+        return float(np.add.reduce(np.abs(v)))
     if p == 2:
         return float(math.sqrt(v @ v))
     if p == math.inf:
-        return float(np.abs(v).max()) if v.size else 0.0
+        return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
     raise ValueError(f"p must be one of {{1, 2, inf}}, got {p!r}")
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (S, d) stacks.
+    """Row-wise dot products of two (S, d) stacks, or of stacks that
+    broadcast against each other over their leading axes.
 
-    Each entry is one BLAS dot, bit-identical to `a[s] @ b[s]`; einsum and
-    `(a * b).sum(1)` sum in other orders and are not.
+    Each entry is one BLAS dot (np.vecdot), bit-identical to `a[s] @ b[s]`;
+    einsum and `(a * b).sum(1)` sum in other orders and are not.
     """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def norm_rows(v: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
     """`norm(row, p)` of every row of an (S, d) stack, bit for bit; with
     `out`, an (S,) array, written into it."""
     if p == 1:
-        return np.abs(v).sum(axis=1, out=out)
+        return np.add.reduce(np.abs(v), axis=1, out=out)
     if p == 2:
         return np.sqrt(row_dot(v, v), out=out)
     if p == math.inf:
-        return np.abs(v).max(axis=1, out=out)
+        return np.maximum.reduce(np.abs(v), axis=1, out=out)
     raise ValueError(f"p must be one of {{1, 2, inf}}, got {p!r}")
 
 
@@ -130,6 +131,9 @@ def _steps_by_calls(gen, n: int, width: int, steps: int) -> tuple[np.ndarray, np
     return idx, noise
 
 
+_CAST_WORDS = 1 << 12
+
+
 def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np.ndarray) -> None:
     """Fill idx (steps, S) and noise (steps, S, width) with the draws of
     `steps` steps of every generator gens[s], decoded from raw Philox words.
@@ -139,10 +143,13 @@ def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np
     fresh 64-bit word first, the high half buffered in the bit generator for
     the next bounded integer); a uniform double is -1 + 2 (w >> 11) 2^-53 on
     one whole word. With no half-word buffered, the words of steps 2k and
-    2k + 1 are [int][noise 2k][noise 2k + 1], so every stream is decoded at
-    once from one (S, words) array, and an odd block leaves its last high
-    half buffered. A stream goes through the calls themselves when it has
-    no Philox bit generator (or n > 2^32), when it starts on a buffered
+    2k + 1 are [int][noise 2k][noise 2k + 1]: each stream's noise words go
+    from its random_raw output straight into its column of noise, viewed as
+    uint64, and are made doubles there for every stream at once; its int
+    words go into one small (S, ints) array whose indices are decoded for
+    every stream at once, and an odd block leaves its last high half
+    buffered. A stream goes through the calls themselves when it has no
+    Philox bit generator (or n > 2^32), when it starts on a buffered
     half-word, or, rewound, when one of its half-words falls in Lemire's
     rejection zone: that rare draw consumes extra half-words.
     """
@@ -151,7 +158,9 @@ def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np
     period = int_words + 2 * width  # words per pair of steps
     n_int = int_words * ((steps + 1) // 2)
     n_words = steps * width + n_int
-    words = np.empty((S, n_words), dtype=np.uint64)
+    pairs = steps // 2
+    ints = np.empty((S, n_int), dtype="<u8")
+    bits = noise.view(np.uint64)  # the noise words, before they become doubles
     slow, saved = [], {}
     for s, gen in enumerate(gens):
         bitgen = getattr(gen, "bit_generator", None)
@@ -163,10 +172,17 @@ def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np
             slow.append(s)
             continue
         saved[s] = state
-        words[s] = bitgen.random_raw(n_words)
+        words = bitgen.random_raw(n_words)
+        if int_words:
+            ints[s] = words[::period]
+        if width:
+            even = words[:pairs * period].reshape(pairs, period)[:, int_words:]
+            bits[:2 * pairs, s].reshape(pairs, 2, width)[...] = even.reshape(pairs, 2, width)
+            if steps % 2:
+                bits[-1, s] = words[n_words - width:]
     if int_words:
         # little-endian half-words of the int words: low, high, low, ...
-        halves = words[:, ::period].astype("<u8").view("<u4")
+        halves = ints.view("<u4")
         m = halves[:, :steps] * np.uint64(n)
         np.right_shift(m.T, 32, out=idx, casting="unsafe")
         threshold = (0x100000000 - n) % n
@@ -185,14 +201,12 @@ def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np
     else:
         idx[...] = 0
     if width:
-        np.right_shift(words, 11, out=words)
-        pairs = steps // 2
-        even = words[:, :pairs * period].reshape(S, pairs, period)[:, :, int_words:]
-        noise[:2 * pairs].reshape(pairs, 2, S, width).transpose(2, 0, 1, 3)[...] = (
-            even.reshape(S, pairs, 2, width))
-        if steps % 2:
-            noise[-1] = words[:, n_words - width:]
-        noise *= 2.0 ** -52  # = 2 (w >> 11) 2^-53, exactly
+        np.right_shift(bits, 11, out=bits)
+        # 2 (w >> 11) 2^-53 = (w >> 11) 2^-52 exactly. A cast in place copies
+        # its input first, so it goes a few thousand words at a time.
+        rows = max(1, _CAST_WORDS // (S * width))
+        for k in range(0, steps, rows):
+            np.multiply(bits[k:k + rows], 2.0 ** -52, out=noise[k:k + rows])
         noise -= 1.0
     for s in slow:
         idx[:, s], noise[:, s] = _steps_by_calls(gens[s], n, width, steps)

@@ -29,7 +29,7 @@ from signopt.optimizers import (
     schedule_sec2,
 )
 from signopt.oracles import reference_run
-from signopt.problems import ProblemSpec, make_problem
+from signopt.problems import AbsRegressionProblem, ProblemSpec, make_problem
 from signopt.trace import FLAG_DEGENERATE
 from signopt.vecmath import ConjugatePair
 
@@ -229,16 +229,21 @@ def test_seed_batch_raises_first_failing_seed_in_seed_order():
     #   row of a chunk, and seed 6 (signsgd) or 7 (signsgd_plus) fails
     #   earlier in the same chunk; all of it falls inside one block of
     #   draws, the whole horizon of 80 steps
+    # - signsgd_plus on abs_regression, whose +-a_i subgradients take the
+    #   per-block candidate steps: seed 7 fails at row 60, inside the chunk
+    #   of rows 46..68, and seed 8 earlier in it, at row 50
     ls = _ls(d=5, n=7, seed=3)
     trig = make_problem(ProblemSpec(kind="trig_nonconvex", d=5, n=178, seed=3))
+    absr = make_problem(ProblemSpec(kind="abs_regression", d=5, n=178, seed=3))
+    huge = dict(gamma=1e307, x1=0.5 * np.ones(5))
     cases = (
-        (RunSpec(algo="sgd", gamma=6.0, x1=0.5 * np.ones(5)), ls, 1090, (0, 2, 3, 3, 6)),
-        (RunSpec(algo="signsgd", gamma=1e307, x1=0.5 * np.ones(5)), trig, 80, (0, 2, 6, 7)),
-        (RunSpec(algo="signsgd_plus", gamma=1e307, x1=0.5 * np.ones(5), g_inf=10.0), trig, 80,
-         (0, 2, 6, 7)),
+        (RunSpec(algo="sgd", gamma=6.0, x1=0.5 * np.ones(5)), ls, 1090, (0, 2, 3, 3, 6), None),
+        (RunSpec(algo="signsgd", **huge), trig, 80, (0, 2, 6, 7), (2, 68)),
+        (RunSpec(algo="signsgd_plus", g_inf=10.0, **huge), trig, 80, (0, 2, 6, 7), (2, 68)),
+        (RunSpec(algo="signsgd_plus", g_inf=10.0, **huge), absr, 80, (0, 2, 7, 8), (7, 60)),
     )
-    for spec, prob, T, seeds in cases:
-        algo = spec.algo
+    for spec, prob, T, seeds, expected in cases:
+        case = f"{spec.algo} {type(prob).__name__}"
         outcome = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for seed in seeds:
@@ -251,13 +256,30 @@ def test_seed_batch_raises_first_failing_seed_in_seed_order():
             later = [outcome[s] for s in seeds[seeds.index(first) + 1:] if outcome[s] is not None]
             # the setup must tell seed order from time order: a seed before
             # the first failure finishes, and a later seed fails sooner
-            assert seeds.index(first) > 0 and later and min(later) < outcome[first], algo
-            if algo != "sgd":
-                assert first == 2 and outcome[first] == 68 and 68 % (4096 // prob.n) == 22, algo
-                assert 46 <= min(later) < 68, algo  # rows 46..68 are one chunk
+            assert seeds.index(first) > 0 and later and min(later) < outcome[first], case
+            if expected is not None:
+                assert (first, outcome[first]) == expected, case
+                chunk_start = outcome[first] - outcome[first] % (4096 // prob.n)
+                assert chunk_start <= min(later), case  # both in one chunk
             with pytest.raises(NonFiniteIterateError) as caught:
                 run_seeds(spec, prob, T, seeds)
-        assert caught.value.iteration == outcome[first], algo
+        assert caught.value.iteration == outcome[first], case
+
+
+def test_reference_run_steps_on_past_a_non_finite_iterate():
+    # the one-vector cosine gradient takes np.sin, which gives NaN on an
+    # overflowed dot where math.sin raised: the oracle steps seed 2 of the
+    # first-failure case to the end, and its first non-finite iterate is the
+    # row at which run_seeds stops
+    trig = make_problem(ProblemSpec(kind="trig_nonconvex", d=5, n=178, seed=3))
+    spec = RunSpec(algo="signsgd", gamma=1e307, x1=0.5 * np.ones(5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference_run(spec, trig, 80, 2)
+        with pytest.raises(NonFiniteIterateError) as caught:
+            run_seeds(spec, trig, 80, (2,))
+    finite = np.isfinite(ref["iterates"]).all(axis=1)
+    assert finite[0] and not finite.all()
+    assert int(np.argmin(finite)) == caught.value.iteration == 68
 
 
 def test_a_finite_radius_keeps_svrg_iterates_finite():
@@ -402,6 +424,19 @@ def test_fused_simple_loop_matches_reference_run(algo):
                     np.testing.assert_array_equal(getattr(tr, col), getattr(single, col),
                                                   err_msg=f"{kind} {n} {T} {seed} {col}")
                 _assert_matches_reference(tr, spec, prob, seed)
+
+
+def test_candidate_steps_take_a_zero_residual_as_plus():
+    # |x - 0| from x1 = +-0.0 with steps of 0.5: the residual is exactly 0
+    # on every other step, where the +a_i subgradient must be the one taken
+    prob = AbsRegressionProblem(np.array([[1.0]]), np.array([0.0]))
+    assert prob.subgradient_rows() is not None
+    for algo, x1 in itertools.product(("signsgd", "signsgd_plus", "sgd"), (0.0, -0.0)):
+        spec = RunSpec(algo=algo, gamma=0.5, x1=np.array([x1]), g_inf=0.25, keep_iterates=True)
+        tr = run(spec, prob, 6, 4)
+        if algo != "signsgd_plus":
+            assert tr.x_final[0] == 0.0 and tr.iterates[1, 0] == -0.5, algo
+        _assert_matches_reference(tr, spec, prob, 4)
 
 
 # ---------------------------------------------------------------- invariants

@@ -19,7 +19,7 @@ from signopt.problems import (
     make_problem,
     numeric_f_star,
 )
-from signopt.vecmath import ConjugatePair, RngStream, norm
+from signopt.vecmath import ConjugatePair, RngStream, norm, row_dot
 
 QS = (1.0, 2.0, math.inf)
 
@@ -369,6 +369,42 @@ def test_abs_regression_batch_subgradient_takes_sign_zero_as_plus():
     idx = np.array([0, 1, 0, 1])
     np.testing.assert_array_equal(prob.component_gradient_batch(idx, xs),
                                   [[1.0, 2.0], [3.0, -1.0], [-1.0, -2.0], [-3.0, 1.0]])
+
+
+def test_subgradient_rows_match_component_gradient_bitwise():
+    # subgradient_rows() promises that component i's gradient is +a_i where
+    # a_i^T x - b_i >= 0 and -a_i otherwise, bit for bit; the run loops test
+    # a_i^T x >= b_i, which must choose alike. Checked at residuals of
+    # exactly 0, at -0.0 iterates, and at NaN and infinite ones
+    probs = [make_problem(spec) for spec in ALL_SPECS]
+    assert [type(p).__name__ for p in probs if p.subgradient_rows() is not None] == ["AbsRegressionProblem"]
+    probs.append(AbsRegressionProblem(np.array([[1.0, 2.0], [3.0, -1.0], [-0.5, 0.25]]),
+                                      np.array([3.0, 0.0, -0.0])))
+    gen = RngStream(29).generator
+    for prob in probs:
+        rows = prob.subgradient_rows()
+        if rows is None:
+            continue
+        a, b = rows
+        assert a.shape == (prob.n, prob.d) and b.shape == (prob.n,) and np.isfinite(b).all()
+        xs = [gen.standard_normal(prob.d), np.ones(prob.d), np.zeros(prob.d), np.full(prob.d, -0.0),
+              np.full(prob.d, np.nan), np.full(prob.d, np.inf), np.full(prob.d, -np.inf)]
+        if prob.optimum() is not None:
+            xs.append(prob.optimum()[0])
+        idx = np.arange(prob.n)
+        zero_residuals = 0
+        with np.errstate(invalid="ignore"):
+            for x in xs:
+                stack = np.tile(x, (prob.n, 1))
+                residual = np.array([a[i] @ x - b[i] for i in idx])
+                zero_residuals += int(np.sum(residual == 0.0))
+                want = np.where((residual >= 0.0)[:, None], a, -a)
+                np.testing.assert_array_equal(row_dot(a, stack) >= b, residual >= 0.0)
+                np.testing.assert_array_equal([prob.component_gradient(int(i), x) for i in idx], want)
+                np.testing.assert_array_equal(prob.component_gradient_batch(idx, stack), want)
+        assert zero_residuals > 0
+    with pytest.raises(ValueError, match="targets"):
+        AbsRegressionProblem(np.ones((2, 2)), np.array([1.0, np.inf]))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
