@@ -20,7 +20,6 @@ import numpy as np
 from .analysis import example1_stats, linf_constant_expected
 from .harness import ConfigError, execute_experiment, load_config
 from .optimizers import RunSpec, run
-from .oracles import expected_sign_analytic, monte_carlo_expected_sign
 from .problems import ProblemSpec, make_problem
 from .vecmath import RngStream
 
@@ -56,6 +55,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_key_identity(args: argparse.Namespace) -> int:
+    from .oracles import expected_sign_analytic, monte_carlo_expected_sign
+
     if args.N < 2:
         print("error: --N must be at least 2", file=sys.stderr)
         return 1

@@ -37,11 +37,12 @@ and at the references in one call. The signed variance-reduced methods check
 the amplitude premise and flag degenerate steps once per block of draws, for
 every step of the block, not inside the step; a violation raises
 AssertionError, also under python -O. The iterates live in the rows of a
-per-seed snapshot chunk: each step computes its seeds' new iterates (and a
-variance-reduced step their distances to the references) straight into the
-chunk's next row. Once per chunk of rows, not per step, the loops test the
-rows of the reference-free methods for finiteness, snapshot f and the
-gradient norms of every row, and add the rows to the iterate sums, in the
+step-major snapshot chunk, one contiguous (S, d) block per row: each step
+computes its seeds' new iterates (and a variance-reduced step their
+distances to the references) straight into the chunk's next row. Once per
+chunk of rows, not per step, the loops test the rows of the reference-free
+methods for finiteness, snapshot f and the gradient norms of each seed's
+rows, copied out contiguous, and add the rows to the iterate sums, in the
 order of one row after another. When a problem's component subgradients
 are +-a_i (FiniteSumProblem.subgradient_rows), signsgd, signsgd_plus and
 sgd compute both steps that each draw of a block can give before the
@@ -247,21 +248,22 @@ def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, d: int):
 
 class _Chunks:
     """Where the step loops keep every seed's iterates (and distances): the
-    rows of the current chunk. Row t of seed s lives in x[s, 1 + t % size]
-    and dist[s, 1 + t % size], and the step from row t computes row t + 1
-    straight into its slot. On a chunk's last row, before the step from it,
-    and at row T + 1, flush snapshots the chunk's rows per seed and adds
-    them to the iterate sums. Chunk bounds depend on n and d alone, so a
-    seed's f and gradient norms never depend on the other seeds of the
-    call."""
+    rows of the current chunk, step-major. Row t of all S seeds is the
+    contiguous (S, d) block x[1 + t % size] (and dist[1 + t % size]), and
+    the step from row t computes row t + 1 straight into its slot. On a
+    chunk's last row, before the step from it, and at row T + 1, flush
+    snapshots the chunk's rows per seed, copied contiguous so that the
+    snapshot's BLAS calls see lda = d for every S, and adds them to the
+    iterate sums. Chunk bounds depend on n and d alone, so a seed's f and
+    gradient norms never depend on the other seeds of the call."""
 
     def __init__(self, prob: FiniteSumProblem, T: int, cols: list[_Columns], x1: np.ndarray):
         self.prob, self.T, self.cols = prob, T, cols
         self.size = max(1, _SNAPSHOT_ELEMENTS // max(prob.n, prob.d))
         # slot 0 is spare: flush puts the iterate sums there (dist's is unused)
-        self.x = np.empty((len(cols), self.size + 1, prob.d))
-        self.x[:, 1] = x1
-        self.dist = np.zeros((len(cols), self.size + 1))
+        self.x = np.empty((self.size + 1, len(cols), prob.d))
+        self.x[1] = x1
+        self.dist = np.zeros((self.size + 1, len(cols)))
         self.x_sum = np.zeros((len(cols), prob.d))  # of rows 1..T
 
     def flush(self, t: int, S: int) -> None:
@@ -269,23 +271,23 @@ class _Chunks:
         seeds, the ones still running, and add those before row T + 1 to
         their iterate sums."""
         c = t % self.size
-        x = self.x[:S]
+        x = self.x[:, :S]
         for s in range(S):
-            self.cols[s].snapshot_rows(self.prob, t - c, x[s, 1:c + 2])
-            self.cols[s].dist[t - c:t + 1] = self.dist[s, 1:c + 2]
+            self.cols[s].snapshot_rows(self.prob, t - c, np.ascontiguousarray(x[1:c + 2, s]))
+            self.cols[s].dist[t - c:t + 1] = self.dist[1:c + 2, s]
         # the sums of [sum; rows] accumulated in place are those of sum += row,
         # row after row (np.add.reduce sums pairwise where the rows are its
-        # inner loop, as at d = 1); this overwrites every row but the last
+        # inner loop, as at S = d = 1); this overwrites every row but the last
         # one added, which the step from row t still reads
         k = c + 1 if t < self.T else c
         if k:
-            x[:, 0] = self.x_sum[:S]
-            np.add.accumulate(x[:, :k], axis=1, out=x[:, :k])
-            np.add(x[:, k - 1], x[:, k], out=self.x_sum[:S])
+            x[0] = self.x_sum[:S]
+            np.add.accumulate(x[:k], axis=0, out=x[:k])
+            np.add(x[k - 1], x[k], out=self.x_sum[:S])
 
     def last(self) -> np.ndarray:
         """Row T + 1 of every seed."""
-        return self.x[:, 1 + self.T % self.size]
+        return self.x[1 + self.T % self.size]
 
 
 def _first_failure(failed: np.ndarray, error: Exception) -> tuple[int, Exception]:
@@ -306,12 +308,12 @@ def _check_finite(chunks: _Chunks, t: int, S: int, failure: Exception | None) ->
     step, so the first non-finite row of the first failing seed is the
     iteration at which stepping that seed alone fails."""
     c = t % chunks.size
-    finite = np.isfinite(chunks.x[:S, 1:c + 2])
+    finite = np.isfinite(chunks.x[1:c + 2, :S])
     if finite.all():  # a whole-array test is far cheaper than one per row
         return S, failure
-    bad = ~finite.all(axis=2)
-    failed = bad.any(axis=1)
-    first = int(np.argmax(bad[int(np.argmax(failed))]))
+    bad = ~finite.all(axis=2)  # (rows, S)
+    failed = bad.any(axis=0)
+    first = int(np.argmax(bad[:, int(np.argmax(failed))]))
     return _first_failure(failed, NonFiniteIterateError(t - c + first))
 
 
@@ -371,12 +373,12 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
             if slot == chunk_size:
                 chunks.flush(t, S)
             nxt = slot % chunk_size + 1
-            xr[0] = chunk_x[:S, slot]
+            xr[0] = chunk_x[slot, :S]
             x = xr[0]
             g = comp_grads(idx[j, :S], xr)
             if variant:
                 u = noise[j, :S]
-                drift = L * chunk_dist[:S, slot]
+                drift = L * chunk_dist[slot, :S]
                 if variant == 1:
                     amp = np.add(drift, floor, out=amps[j, :S])[:, None]
                 else:
@@ -385,10 +387,10 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                 v = np.subtract(g[0], g[1], out=u)  # into the used-up noise slot
                 v += ref_grad
                 arg = np.add(v, arg, out=arg)
-                cand = np.subtract(x, sign_steps.take(arg >= 0.0), out=chunk_x[:S, nxt])
+                cand = np.subtract(x, sign_steps.take(arg >= 0.0), out=chunk_x[nxt, :S])
             else:
-                cand = np.subtract(x, gamma * (g[0] - g[1] + ref_grad), out=chunk_x[:S, nxt])
-            rad = norm_rows(np.subtract(cand, ref, out=diff[:S]), pair.q, out=chunk_dist[:S, nxt])
+                cand = np.subtract(x, gamma * (g[0] - g[1] + ref_grad), out=chunk_x[nxt, :S])
+            rad = norm_rows(np.subtract(cand, ref, out=diff[:S]), pair.q, out=chunk_dist[nxt, :S])
             if not np.maximum.reduce(rad) <= D:  # also when a radius is NaN
                 for s in np.flatnonzero(~(rad <= D)):
                     ref[s] = cand[s] = x[s]
@@ -476,9 +478,10 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     (subgradient_rows), both steps of every draw are computed once per
     block (_both_steps), and a step is one row dot, one a_i^T x >= b_i
     (which is a_i^T x - b_i >= 0 bit for bit, NaN included, for finite
-    b_i), one select and one subtract. The iterates are tested for
-    finiteness once per chunk (_check_finite). bits_cum and grad_evals_cum
-    are the steps done times the per-step costs.
+    b_i), one select and one subtract, on views cut to the running seeds
+    once per block and after a flush that drops seeds. The iterates are
+    tested for finiteness once per chunk (_check_finite). bits_cum and
+    grad_evals_cum are the steps done times the per-step costs.
     """
     S = len(rngs)
     n, d = prob.n, prob.d
@@ -489,7 +492,8 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     signed_rows = None if algo == "signgd" else prob.subgradient_rows()
 
     chunks = _Chunks(prob, T, cols, spec.x1)
-    chunk_x, chunk_size = chunks.x, chunks.size
+    chunk_size = chunks.size
+    slots = list(chunks.x)  # the (S, d) row of every slot
 
     failure: Exception | None = None
     draws = () if algo == "signgd" else rngs
@@ -501,17 +505,22 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
                 shape = (*idx.shape, d)
                 bufs = (np.empty(shape), np.empty(idx.shape), np.empty(shape),
                         None if algo == "signsgd_plus" else np.empty(shape))
-            rows, targets, up, down = _both_steps(*signed_rows, algo, gamma, idx, noise, bufs)
+            block = _both_steps(*signed_rows, algo, gamma, idx, noise, bufs)
+            rows, targets, up, down = (buf[:, :S] for buf in block)
         for j in range(len(idx)):
             t = t0 + j
             slot = 1 + t % chunk_size
             if slot == chunk_size:
                 S, failure = _check_finite(chunks, t, S, failure)
                 chunks.flush(t, S)
-            x, nxt = chunk_x[:S, slot], chunk_x[:S, slot % chunk_size + 1]
+                if len(slots[0]) > S:  # seeds dropped
+                    slots = list(chunks.x[:, :S])
+                    if signed_rows is not None:
+                        rows, targets, up, down = (buf[:, :S] for buf in block)
+            x, nxt = slots[slot], slots[slot % chunk_size + 1]
             if signed_rows is not None:
-                pick = row_dot(rows[j, :S], x) >= targets[j, :S]
-                np.subtract(x, np.where(pick[:, None], up[j, :S], down[j, :S]), out=nxt)
+                pick = row_dot(rows[j], x) >= targets[j]
+                np.subtract(x, np.where(pick[:, None], up[j], down[j]), out=nxt)
                 continue
             if algo == "signgd":
                 g = prob.full_gradient(x[0])  # every row equals row 0

@@ -190,29 +190,33 @@ def _assert_matches_reference(tr, spec, prob, seed):
 @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
 @pytest.mark.parametrize("algo", ["signsvrg_v1", "signsvrg_v2", "svrg"])
 def test_seed_batch_matches_steppers_and_single_runs(algo, q, kind):
-    prob = make_problem(ProblemSpec(kind=kind, d=5, n=7, seed=3, lam=0.1 if kind == "trig_nonconvex" else 0.0))
-    L = prob.lipschitz_constant(q)
-    # the unsigned steps need a longer stride to refresh as often
-    gamma = 0.3 if algo == "svrg" else 0.03
     x1 = 0.5 * np.ones(5)
     T = 120
-    for radius, steps in RADII.items():
+    # at n = 7 the horizon lies inside one snapshot chunk of 585 rows; at
+    # n = 300 chunks hold 13 rows, and 120 is no multiple of 13, so chunks
+    # are flushed mid-horizon and the last one is partial
+    for n, (radius, steps) in itertools.product((7, 300), RADII.items()):
+        # the unsigned steps need a longer stride to refresh as often, and a
+        # longer one still at n = 300, whose full gradients are smaller
+        gamma = {7: 0.3, 300: 0.5}[n] if algo == "svrg" else 0.03
+        prob = make_problem(ProblemSpec(kind=kind, d=5, n=n, seed=3, lam=0.1 if kind == "trig_nonconvex" else 0.0))
+        L = prob.lipschitz_constant(q)
         D = steps * 0.03 * ConjugatePair(q).dim_root(prob.d)
         spec = RunSpec(algo=algo, gamma=gamma, x1=x1, q=q, D=D, L=L, keep_iterates=True)
         batch = run_seeds(spec, prob, T, BATCH_SEEDS)
         refreshes = [int(tr.k[-1]) - 1 for tr in batch]
         if radius == "reject_heavy":
-            assert min(refreshes) > T // 2, radius
+            assert min(refreshes) > T // 2, (n, radius)
         elif radius == "mixed":
             # every seed refreshes, not all at the same steps
-            assert min(refreshes) > 0 and len({tuple(tr.k) for tr in batch}) > 1, radius
+            assert min(refreshes) > 0 and len({tuple(tr.k) for tr in batch}) > 1, (n, radius)
         else:
-            assert max(refreshes) == 0, radius
+            assert max(refreshes) == 0, (n, radius)
         for seed, tr in zip(BATCH_SEEDS, batch):
             assert tr.meta["seed"] == seed
             single = run(spec, prob, T, seed)
             for col in TRACE_COLUMNS:
-                np.testing.assert_array_equal(getattr(tr, col), getattr(single, col), err_msg=col)
+                np.testing.assert_array_equal(getattr(tr, col), getattr(single, col), err_msg=f"{n} {col}")
             _assert_matches_reference(tr, spec, prob, seed)
 
 
@@ -414,9 +418,9 @@ def test_fused_simple_loop_matches_reference_run(algo):
     spec = RunSpec(**kw)
     # at n = 7 the horizon lies inside one snapshot chunk of 585 rows; at
     # n = 300 chunks hold 13 rows, and 150 is no multiple of 13 while 130 is
-    for kind, (n, T) in itertools.product(("least_squares", "abs_regression"),
-                                          ((7, 150), (300, 150), (300, 130))):
-        prob = make_problem(ProblemSpec(kind=kind, d=5, n=n, seed=3))
+    kinds = ("least_squares", "abs_regression", "trig_nonconvex", "logistic")
+    for kind, (n, T) in itertools.product(kinds, ((7, 150), (300, 150), (300, 130))):
+        prob = make_problem(ProblemSpec(kind=kind, d=5, n=n, seed=3, lam=0.1 if kind == "trig_nonconvex" else 0.0))
         for seeds in ((13,), BATCH_SEEDS):
             for seed, tr in zip(seeds, run_seeds(spec, prob, T, seeds)):
                 single = run(spec, prob, T, seed)

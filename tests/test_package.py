@@ -1,6 +1,10 @@
 """The package's public surface: what `from signopt.<module> import *` gets."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import signopt
 
@@ -17,3 +21,14 @@ def test_every_all_name_exists_in_its_module():
                 missing.append(f"signopt.{info.name}.{name}")
     assert declared > 0
     assert missing == []
+
+
+def test_cli_import_leaves_the_oracles_unloaded():
+    # only verify-key-identity uses signopt.oracles; every other command
+    # should not pay for compiling and running it
+    src = str(Path(signopt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys, signopt.cli; print('signopt.oracles' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.split() == ["False"]

@@ -186,18 +186,25 @@ def test_row_dot_and_norm_rows_match_one_row_ops_bitwise(d):
     b = gen.standard_normal((300, d))
     np.testing.assert_array_equal(row_dot(a, b), [u @ v for u, v in zip(a, b)])
     # the run loops' shapes: rows against an (S, d) stack and a (2, S, d)
-    # one, and the strided rows of a snapshot chunk (S, size + 1, d)
+    # one, and the rows of a step-major snapshot chunk (size + 1, S, d): a
+    # whole row chunk[slot] and the prefix chunk[slot, :S'] left after seeds
+    # drop out
     stack = gen.standard_normal((2, 300, d))
     np.testing.assert_array_equal(row_dot(a, stack), [[u @ v for u, v in zip(a, m)] for m in stack])
-    chunk = gen.standard_normal((300, 7, d))
-    for rows in (chunk[:, 3], chunk[:200, 6]):
+    chunk = gen.standard_normal((7, 300, d))
+    dist = np.zeros((7, 300))  # the chunk's distances, (size + 1, S)
+    for rows in (chunk[3], chunk[6, :200]):
         np.testing.assert_array_equal(row_dot(a[:len(rows)], rows), [u @ v for u, v in zip(a, rows)])
         np.testing.assert_array_equal(row_dot(rows, rows), [v @ v for v in rows])
+        for p in (1.0, 2.0, math.inf):
+            out = norm_rows(rows, p, out=dist[5, :len(rows)])
+            assert out.base is dist
+            np.testing.assert_array_equal(dist[5, :len(rows)], [norm(u, p) for u in rows])
     for p in (1.0, 2.0, math.inf):
         np.testing.assert_array_equal(norm_rows(a, p), [norm(u, p) for u in a])
         out = np.empty(7)[::2][:3]  # a strided destination, as a trace column slice may be
-        norm_rows(chunk[:3, 5], p, out=out)
-        np.testing.assert_array_equal(out, [norm(u, p) for u in chunk[:3, 5]])
+        norm_rows(chunk[5, :3], p, out=out)
+        np.testing.assert_array_equal(out, [norm(u, p) for u in chunk[5, :3]])
     with pytest.raises(ValueError):
         norm_rows(a, 3.0)
 
