@@ -7,7 +7,8 @@ Subcommands:
   nonconvergence-demo   plain sign steps stall on a crafted instance; noisy ones don't
 
 Exit codes: 0 success / all checks hold, 2 a check failed (or an iterate left
-the declared box in the demo), 1 bad configuration or arguments.
+the declared box in the demo), 1 bad configuration or arguments, or a run
+whose iterates left the finite floats.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .analysis import example1_stats, linf_constant_expected
 from .harness import ConfigError, execute_experiment, load_config
-from .optimizers import RunSpec, run
+from .optimizers import NonFiniteIterateError, RunSpec, run
 from .problems import ProblemSpec, make_problem
 from .vecmath import RngStream
 
@@ -33,7 +34,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, NonFiniteIterateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for rep in result.reports:

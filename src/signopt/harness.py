@@ -146,6 +146,11 @@ class ExperimentConfig:
             raise ConfigError("seeds", "need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds", "seeds must be distinct")
+        # RngStream keys on a seed mod 2**64, so seeds outside the range alias
+        if not all(0 <= s < 1 << 64 for s in self.seeds):
+            raise ConfigError("seeds", f"seeds must lie in [0, 2**64), got {list(self.seeds)}")
+        if not 0 <= self.problem.seed < 1 << 64:
+            raise ConfigError("problem", f"seed must lie in [0, 2**64), got {self.problem.seed}")
         if self.F < 1:
             raise ConfigError("F", f"F must be >= 1, got {self.F}")
         # config_from_dict checks these too, but a config built in Python skips it

@@ -28,28 +28,32 @@ Randomness is consumed in a fixed order inside each step: the component index
 (integers(1, n, endpoint=True)) first, then the noise cube (uniform(-1, 1, d);
 signsgd, sgd and svrg draw none, and signgd draws nothing at all). A rejected
 step still consumes its draws, so traces are bitwise reproducible from
-(config, seed). run_seeds steps all seeds of a call as one batch. A block of
-steps at a time, one vecmath.sample_steps call decodes the draws of every
-seed at once from the raw Philox words of its own stream, bit for bit the
-same as those calls; a seed's trace never depends on the other seeds of the
-batch. A variance-reduced step takes the component gradients at the iterates
-and at the references in one call. The signed variance-reduced methods check
-the amplitude premise and flag degenerate steps once per block of draws, for
-every step of the block, not inside the step; a violation raises
-AssertionError, also under python -O. The iterates live in the rows of a
-step-major snapshot chunk, one contiguous (S, d) block per row: each step
-computes its seeds' new iterates (and a variance-reduced step their
-distances to the references) straight into the chunk's next row. Once per
-chunk of rows, not per step, the loops test the rows of the reference-free
-methods for finiteness, snapshot f and the gradient norms of each seed's
-rows, copied out contiguous, and add the rows to the iterate sums, in the
-order of one row after another. When a problem's component subgradients
-are +-a_i (FiniteSumProblem.subgradient_rows), signsgd, signsgd_plus and
-sgd compute both steps that each draw of a block can give before the
-iterates are known, and a step only picks one of them by the sign of
-a_i^T x - b_i. A sign step picks +-gamma from a [-gamma, gamma] pair.
-oracles.reference_run steps one seed at a time with the calls themselves,
-and tests hold the two to the bit.
+(config, seed). run_seeds steps all S seeds of a call as one fixed batch, from
+the first step to the last. A block of steps at a time, one
+vecmath.sample_steps call decodes the draws of every seed at once from the raw
+Philox words of its own stream, bit for bit the same as those calls; a seed's
+trace never depends on the other seeds of the batch. A variance-reduced step
+takes the component gradients at the iterates and at the references in one
+call. The signed variance-reduced methods check the amplitude premise and flag
+degenerate steps once per block of draws, for every step of the block, not
+inside the step; a violation raises AssertionError, also under python -O. The
+iterates live in the rows of a step-major snapshot chunk, one contiguous
+(S, d) block per row: each step computes its seeds' new iterates (and a
+variance-reduced step their distances to the references) straight into the
+chunk's next row. Once per chunk of rows, not per step, the loops test the
+rows of the reference-free methods for finiteness, snapshot f and the gradient
+norms of each seed's rows, copied out contiguous, into its trace columns (one
+1-D array per seed and column, named as in Trace), and add the rows to the
+iterate sums, in the order of one row after another. A seed that fails (a
+non-finite iterate or a broken amplitude premise) steps on with the others;
+seed 0's error is raised at once, any other after the last step, that of the
+first failed seed in seed order, as running the seeds one after another would.
+When a problem's component subgradients are +-a_i
+(FiniteSumProblem.subgradient_rows), signsgd, signsgd_plus and sgd compute
+both steps that each draw of a block can give before the iterates are known,
+and a step only picks one of them by the sign of a_i^T x - b_i. A sign step
+picks +-gamma from a [-gamma, gamma] pair. oracles.reference_run steps one
+seed at a time with the calls themselves, and tests hold the two to the bit.
 
 Communication accounting (bits): a sign step uploads d bits; an unsigned
 stochastic gradient uploads d * float_bits; a reference refresh (and the
@@ -188,38 +192,6 @@ class RunSpec:
             raise ValueError(f"float_bits must be >= 1, got {self.float_bits}")
 
 
-class _Columns:
-    """Preallocated trace columns of one seed."""
-
-    def __init__(self, T: int, d: int, keep_iterates: bool):
-        size = T + 1
-        self.t = np.arange(1, size + 1, dtype=np.int64)
-        self.f = np.empty(size)
-        self.g1 = np.empty(size)
-        self.g2 = np.empty(size)
-        self.gi = np.empty(size)
-        self.k = np.zeros(size, dtype=np.int64)
-        self.dist = np.zeros(size)
-        self.bits = np.zeros(size, dtype=np.int64)
-        self.evals = np.zeros(size, dtype=np.int64)
-        self.flags = np.zeros(size, dtype=np.int64)
-        self.iterates = np.empty((T, d)) if keep_iterates else None
-
-    def snapshot_rows(self, prob: FiniteSumProblem, t0: int, xs: np.ndarray) -> None:
-        """f and the gradient norms of rows t0, t0 + 1, ... from their
-        iterates xs, in one batched call."""
-        fval, grad = prob.value_and_full_gradient_batch(xs)
-        rows = slice(t0, t0 + len(xs))
-        self.f[rows] = fval
-        np.sqrt(row_dot(grad, grad), out=self.g2[rows])
-        ag = np.abs(grad, out=grad)
-        np.add.reduce(ag, axis=1, out=self.g1[rows])
-        np.maximum.reduce(ag, axis=1, out=self.gi[rows])
-        if self.iterates is not None:
-            end = min(rows.stop, len(self.iterates))  # row T+1 is no iterate
-            self.iterates[t0:end] = xs[: end - t0]
-
-
 # float64 elements per buffer of the step loops: the noise drawn for one
 # block of steps, and one seed's iterates of one snapshot chunk (or the
 # premise tolerances of a few steps of a block)
@@ -247,77 +219,94 @@ def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, d: int):
 
 
 class _Chunks:
-    """Where the step loops keep every seed's iterates (and distances): the
-    rows of the current chunk, step-major. Row t of all S seeds is the
-    contiguous (S, d) block x[1 + t % size] (and dist[1 + t % size]), and
-    the step from row t computes row t + 1 straight into its slot. On a
-    chunk's last row, before the step from it, and at row T + 1, flush
-    snapshots the chunk's rows per seed, copied contiguous so that the
-    snapshot's BLAS calls see lda = d for every S, and adds them to the
-    iterate sums. Chunk bounds depend on n and d alone, so a seed's f and
-    gradient norms never depend on the other seeds of the call."""
+    """Every seed's trace columns, one 1-D array per seed and column named
+    as in Trace (COLUMNS), and the snapshot chunk where the step loops keep
+    the iterates (and distances) of all S seeds, step-major. Row t of all
+    seeds is the contiguous (S, d) block x[1 + t % size] (and
+    dist[1 + t % size]), and the step from row t computes row t + 1 straight
+    into its slot. On a chunk's last row, before the step from it, and at
+    row T + 1, flush snapshots the chunk's rows per seed, copied contiguous
+    so that the snapshot's BLAS calls see lda = d for every S, and adds them
+    to the iterate sums. Chunk bounds depend on n and d alone, so a seed's f
+    and gradient norms never depend on the other seeds of the call. The S
+    seeds are fixed for the whole run: a failed seed steps on, errors holds
+    each seed's first error (fail), and flush snapshots no failed seed."""
 
-    def __init__(self, prob: FiniteSumProblem, T: int, cols: list[_Columns], x1: np.ndarray):
-        self.prob, self.T, self.cols = prob, T, cols
+    COLUMNS = ("t", "f", "gnorm1", "gnorm2", "gnorm_inf", "k", "dist_to_ref",
+               "bits_cum", "grad_evals_cum", "flags", "iterates")
+
+    def __init__(self, prob: FiniteSumProblem, T: int, S: int, x1: np.ndarray, keep_iterates: bool):
+        self.prob, self.T = prob, T
+        size = T + 1
+        self.t = [np.arange(1, size + 1, dtype=np.int64) for _ in range(S)]
+        self.f, self.gnorm1, self.gnorm2, self.gnorm_inf = ([np.empty(size) for _ in range(S)] for _ in range(4))
+        self.dist_to_ref = [np.zeros(size) for _ in range(S)]
+        self.k, self.bits_cum, self.grad_evals_cum, self.flags = (
+            [np.zeros(size, dtype=np.int64) for _ in range(S)] for _ in range(4))
+        self.iterates = [np.empty((T, prob.d)) if keep_iterates else None for _ in range(S)]
+        self.errors: list[Exception | None] = [None] * S
         self.size = max(1, _SNAPSHOT_ELEMENTS // max(prob.n, prob.d))
         # slot 0 is spare: flush puts the iterate sums there (dist's is unused)
-        self.x = np.empty((self.size + 1, len(cols), prob.d))
+        self.x = np.empty((self.size + 1, S, prob.d))
         self.x[1] = x1
-        self.dist = np.zeros((self.size + 1, len(cols)))
-        self.x_sum = np.zeros((len(cols), prob.d))  # of rows 1..T
+        self.dist = np.zeros((self.size + 1, S))
+        self.x_sum = np.zeros((S, prob.d))  # of rows 1..T
 
-    def flush(self, t: int, S: int) -> None:
-        """Snapshot the chunk's rows up to row t (0-based) of the first S
-        seeds, the ones still running, and add those before row T + 1 to
-        their iterate sums."""
+    def fail(self, s: int, error: Exception) -> None:
+        """Record error as seed s's unless it has failed before; seed 0's
+        is raised at once."""
+        if s == 0:
+            raise error
+        if self.errors[s] is None:
+            self.errors[s] = error
+
+    def check_finite(self, t: int) -> None:
+        """Test the chunk's rows up to row t (0-based) before they are
+        flushed, and fail every seed with a non-finite one. A non-finite
+        coordinate never becomes finite again under a reference-free step,
+        so a seed's first non-finite row is the iteration at which stepping
+        that seed alone fails."""
         c = t % self.size
-        x = self.x[:, :S]
-        for s in range(S):
-            self.cols[s].snapshot_rows(self.prob, t - c, np.ascontiguousarray(x[1:c + 2, s]))
-            self.cols[s].dist[t - c:t + 1] = self.dist[1:c + 2, s]
+        finite = np.isfinite(self.x[1:c + 2])
+        if finite.all():  # a whole-array test is far cheaper than one per row
+            return
+        bad = ~finite.all(axis=2)  # (rows, S)
+        for s in np.flatnonzero(bad.any(axis=0)):
+            self.fail(s, NonFiniteIterateError(t - c + int(np.argmax(bad[:, s]))))
+
+    def flush(self, t: int) -> None:
+        """Snapshot the chunk's rows up to row t (0-based) of every seed
+        that has not failed, and add the rows before row T + 1 to the
+        iterate sums."""
+        c = t % self.size
+        rows = slice(t - c, t + 1)
+        for s, error in enumerate(self.errors):
+            self.dist_to_ref[s][rows] = self.dist[1:c + 2, s]
+            if error is not None:
+                continue
+            xs = np.ascontiguousarray(self.x[1:c + 2, s])
+            fval, grad = self.prob.value_and_full_gradient_batch(xs)
+            self.f[s][rows] = fval
+            np.sqrt(row_dot(grad, grad), out=self.gnorm2[s][rows])
+            ag = np.abs(grad, out=grad)
+            np.add.reduce(ag, axis=1, out=self.gnorm1[s][rows])
+            np.maximum.reduce(ag, axis=1, out=self.gnorm_inf[s][rows])
+            if self.iterates[s] is not None:
+                end = min(t + 1, self.T)  # row T+1 is no iterate
+                self.iterates[s][t - c:end] = xs[:end - t + c]
         # the sums of [sum; rows] accumulated in place are those of sum += row,
         # row after row (np.add.reduce sums pairwise where the rows are its
         # inner loop, as at S = d = 1); this overwrites every row but the last
         # one added, which the step from row t still reads
         k = c + 1 if t < self.T else c
         if k:
-            x[0] = self.x_sum[:S]
+            x = self.x
+            x[0] = self.x_sum
             np.add.accumulate(x[:k], axis=0, out=x[:k])
-            np.add(x[k - 1], x[k], out=self.x_sum[:S])
-
-    def last(self) -> np.ndarray:
-        """Row T + 1 of every seed."""
-        return self.x[1 + self.T % self.size]
+            np.add(x[k - 1], x[k], out=self.x_sum)
 
 
-def _first_failure(failed: np.ndarray, error: Exception) -> tuple[int, Exception]:
-    """The first seed in seed order that `failed` marks, and its error; the
-    loops call it only when some seed failed. The seeds before it step on
-    and finish before the loop raises the error, as running the seeds one
-    after another would; seed 0's is raised at once."""
-    s = int(np.argmax(failed))
-    if s == 0:
-        raise error
-    return s, error
-
-
-def _check_finite(chunks: _Chunks, t: int, S: int, failure: Exception | None) -> tuple[int, Exception | None]:
-    """Test the chunk's rows up to row t of the first S seeds before they
-    are flushed, and drop the failing seeds as _first_failure does. A
-    non-finite coordinate never becomes finite again under a reference-free
-    step, so the first non-finite row of the first failing seed is the
-    iteration at which stepping that seed alone fails."""
-    c = t % chunks.size
-    finite = np.isfinite(chunks.x[1:c + 2, :S])
-    if finite.all():  # a whole-array test is far cheaper than one per row
-        return S, failure
-    bad = ~finite.all(axis=2)  # (rows, S)
-    failed = bad.any(axis=0)
-    first = int(np.argmax(bad[:, int(np.argmax(failed))]))
-    return _first_failure(failed, NonFiniteIterateError(t - c + first))
-
-
-def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], cols: list[_Columns]) -> tuple[np.ndarray, np.ndarray]:
+def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], chunks: _Chunks) -> None:
     """Inner loop of the reference-point methods, all seeds of a call at once.
 
     Row s of every (S, d) state array is seed s, and its arithmetic is that of
@@ -332,7 +321,7 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     its estimate v in the noise slot it has just used; after each block of
     draws, one pass over them sets FLAG_DEGENERATE where some coordinate's
     amplitude is 0 and checks the amplitude premise of every step of every
-    seed still running. An iterate stays finite without a check: a
+    seed (_Chunks.fail). An iterate stays finite without a check: a
     candidate with a non-finite coordinate has a non-finite radius, so it is
     rejected. k, bits_cum and grad_evals_cum follow from the refresh steps
     after the loop.
@@ -358,12 +347,10 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
     g = prob.full_gradient(x1)
     ref_grad = np.tile(g, (S, 1))
     floor = np.array([amp_floor(g)] * S)  # (S,) for variant 1, (S, d) for 2
-    chunks = _Chunks(prob, T, cols, x1)
     chunk_x, chunk_dist, chunk_size = chunks.x, chunks.dist, chunks.size
     sign_steps = _sign_steps(gamma)
     diff = np.empty((S, d))  # candidate minus reference
 
-    failure: Exception | None = None
     for t0, idx, noise in _draw_blocks(rngs, n, d if variant else 0, T, d):
         if t0 == 0 and variant:  # the first block is the longest
             amps = np.empty(noise.shape if variant == 2 else idx.shape)
@@ -371,26 +358,26 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
             t = t0 + j
             slot = 1 + t % chunk_size
             if slot == chunk_size:
-                chunks.flush(t, S)
+                chunks.flush(t)
             nxt = slot % chunk_size + 1
-            xr[0] = chunk_x[slot, :S]
+            xr[0] = chunk_x[slot]
             x = xr[0]
-            g = comp_grads(idx[j, :S], xr)
+            g = comp_grads(idx[j], xr)
             if variant:
-                u = noise[j, :S]
-                drift = L * chunk_dist[slot, :S]
+                u = noise[j]
+                drift = L * chunk_dist[slot]
                 if variant == 1:
-                    amp = np.add(drift, floor, out=amps[j, :S])[:, None]
+                    amp = np.add(drift, floor, out=amps[j])[:, None]
                 else:
-                    amp = np.add(drift[:, None], floor, out=amps[j, :S])
+                    amp = np.add(drift[:, None], floor, out=amps[j])
                 arg = amp * u
                 v = np.subtract(g[0], g[1], out=u)  # into the used-up noise slot
                 v += ref_grad
                 arg = np.add(v, arg, out=arg)
-                cand = np.subtract(x, sign_steps.take(arg >= 0.0), out=chunk_x[nxt, :S])
+                cand = np.subtract(x, sign_steps.take(arg >= 0.0), out=chunk_x[nxt])
             else:
-                cand = np.subtract(x, gamma * (g[0] - g[1] + ref_grad), out=chunk_x[nxt, :S])
-            rad = norm_rows(np.subtract(cand, ref, out=diff[:S]), pair.q, out=chunk_dist[nxt, :S])
+                cand = np.subtract(x, gamma * (g[0] - g[1] + ref_grad), out=chunk_x[nxt])
+            rad = norm_rows(np.subtract(cand, ref, out=diff), pair.q, out=chunk_dist[nxt])
             if not np.maximum.reduce(rad) <= D:  # also when a radius is NaN
                 for s in np.flatnonzero(~(rad <= D)):
                     ref[s] = cand[s] = x[s]
@@ -399,14 +386,14 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                     ref_grad[s] = g
                     if variant:
                         floor[s] = amp_floor(g)
-                    cols[s].k[t + 1] = 1  # summed into k below
+                    chunks.k[s][t + 1] = 1  # summed into k below
         if variant:
             steps = len(idx)
-            amp, v = amps[:steps, :S], noise[:steps, :S]
+            amp, v = amps[:steps], noise[:steps]
             zero = amp == 0.0
             degenerate = zero if variant == 1 else zero.any(axis=2)
             for s in np.flatnonzero(degenerate.any(axis=0)):
-                cols[s].flags[t0:t0 + steps][degenerate[:, s]] = FLAG_DEGENERATE
+                chunks.flags[s][t0:t0 + steps][degenerate[:, s]] = FLAG_DEGENERATE
             # the premise |v| <= amp + 1e-9 (1 + amp), coordinatewise, as an
             # explicit test, so that it also runs under python -O; a few
             # rows at a time, so that the tolerance stays a small temporary
@@ -419,22 +406,14 @@ def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream]
                 tol += a
                 w = np.abs(w, out=w)
                 held[r:r + rows] = np.maximum.reduce(w, axis=2) <= tol if variant == 1 else (w <= tol).all(axis=2)
-            failed = ~held.all(axis=0)
-            if failed.any():
-                S, failure = _first_failure(failed, AssertionError("noise amplitude violated"))
-                xr, ref_grad, floor = xr[:, :S], ref_grad[:S], floor[:S]
-                ref = xr[1]
-    if failure is not None:
-        raise failure
-
-    chunks.flush(T, S)
+            for s in np.flatnonzero(~held.all(axis=0)):
+                chunks.fail(s, AssertionError("noise amplitude violated"))
     steps_done = np.arange(T + 1)
-    for col in cols:
-        refreshes = np.cumsum(col.k, out=col.k)
-        col.bits[:] = sync_bits + steps_done * move_bits + refreshes * (sync_bits - move_bits)
-        col.evals[:] = n + 2 * steps_done + refreshes * n
+    for k, bits, evals in zip(chunks.k, chunks.bits_cum, chunks.grad_evals_cum):
+        refreshes = np.cumsum(k, out=k)
+        bits[:] = sync_bits + steps_done * move_bits + refreshes * (sync_bits - move_bits)
+        evals[:] = n + 2 * steps_done + refreshes * n
         refreshes += 1
-    return chunks.last(), chunks.x_sum
 
 
 def _both_steps(a: np.ndarray, b: np.ndarray, algo: str, gamma: float, idx: np.ndarray, noise: np.ndarray,
@@ -466,7 +445,7 @@ def _both_steps(a: np.ndarray, b: np.ndarray, algo: str, gamma: float, idx: np.n
     return rows, targets, up, down
 
 
-def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], cols: list[_Columns]) -> tuple[np.ndarray, np.ndarray]:
+def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], chunks: _Chunks) -> None:
     """Inner loop of the reference-free methods, all seeds of a call at once.
 
     Row s of the (S, d) iterate is seed s, and its arithmetic is that of
@@ -478,12 +457,10 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     (subgradient_rows), both steps of every draw are computed once per
     block (_both_steps), and a step is one row dot, one a_i^T x >= b_i
     (which is a_i^T x - b_i >= 0 bit for bit, NaN included, for finite
-    b_i), one select and one subtract, on views cut to the running seeds
-    once per block and after a flush that drops seeds. The iterates are
-    tested for finiteness once per chunk (_check_finite). bits_cum and
+    b_i), one select and one subtract. The iterates are tested for
+    finiteness once per chunk (_Chunks.check_finite). bits_cum and
     grad_evals_cum are the steps done times the per-step costs.
     """
-    S = len(rngs)
     n, d = prob.n, prob.d
     algo, gamma, g_inf = spec.algo, spec.gamma, spec.g_inf
     step_bits = {"signgd": n * d * spec.float_bits, "sgd": d * spec.float_bits}.get(algo, d)
@@ -491,11 +468,8 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
     sign_steps = _sign_steps(gamma)
     signed_rows = None if algo == "signgd" else prob.subgradient_rows()
 
-    chunks = _Chunks(prob, T, cols, spec.x1)
     chunk_size = chunks.size
     slots = list(chunks.x)  # the (S, d) row of every slot
-
-    failure: Exception | None = None
     draws = () if algo == "signgd" else rngs
     for t0, idx, noise in _draw_blocks(draws, n, d if algo == "signsgd_plus" else 0, T, d):
         if algo == "signsgd_plus":
@@ -505,18 +479,13 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
                 shape = (*idx.shape, d)
                 bufs = (np.empty(shape), np.empty(idx.shape), np.empty(shape),
                         None if algo == "signsgd_plus" else np.empty(shape))
-            block = _both_steps(*signed_rows, algo, gamma, idx, noise, bufs)
-            rows, targets, up, down = (buf[:, :S] for buf in block)
+            rows, targets, up, down = _both_steps(*signed_rows, algo, gamma, idx, noise, bufs)
         for j in range(len(idx)):
             t = t0 + j
             slot = 1 + t % chunk_size
             if slot == chunk_size:
-                S, failure = _check_finite(chunks, t, S, failure)
-                chunks.flush(t, S)
-                if len(slots[0]) > S:  # seeds dropped
-                    slots = list(chunks.x[:, :S])
-                    if signed_rows is not None:
-                        rows, targets, up, down = (buf[:, :S] for buf in block)
+                chunks.check_finite(t)
+                chunks.flush(t)
             x, nxt = slots[slot], slots[slot % chunk_size + 1]
             if signed_rows is not None:
                 pick = row_dot(rows[j], x) >= targets[j]
@@ -525,34 +494,30 @@ def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngS
             if algo == "signgd":
                 g = prob.full_gradient(x[0])  # every row equals row 0
             else:
-                g = prob.component_gradient_batch(idx[j, :S], x)
+                g = prob.component_gradient_batch(idx[j], x)
             if algo == "sgd":
                 g *= gamma
                 np.subtract(x, g, out=nxt)
             else:
                 if algo == "signsgd_plus":
-                    g += noise[j, :S]
+                    g += noise[j]
                 np.subtract(x, sign_steps.take(g >= 0.0), out=nxt)
-    S, failure = _check_finite(chunks, T, S, failure)
-    if failure is not None:
-        raise failure
-
-    chunks.flush(T, S)
+    chunks.check_finite(T)
     steps_done = np.arange(T + 1)
-    for col in cols:
-        col.bits[:] = steps_done * step_bits
-        col.evals[:] = steps_done * step_evals
-    return chunks.last(), chunks.x_sum
+    for bits, evals in zip(chunks.bits_cum, chunks.grad_evals_cum):
+        bits[:] = steps_done * step_bits
+        evals[:] = steps_done * step_evals
 
 
 def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int]) -> list[Trace]:
-    """Execute T iterations for every seed, all seeds stepped as one batch,
-    and record one trace per seed (see the trace module for the row
+    """Execute T iterations for every seed, all seeds stepped as one fixed
+    batch, and record one trace per seed (see the trace module for the row
     conventions); a seed's trace does not depend on the other seeds. Aborts
     with AssertionError if a signed variance-reduced step breaks its
     amplitude premise, and with NonFiniteIterateError if an iterate of a
-    reference-free method leaves the finite floats, raising the error of the
-    first failing seed in seed order."""
+    reference-free method leaves the finite floats. A failed seed steps on
+    with the others; the error raised is that of the first failed seed in
+    seed order, as running the seeds one after another would raise."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if len(seeds) < 1:
@@ -564,13 +529,17 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
         raise ValueError("x1 must be finite")
 
     rngs = [RngStream(seed) for seed in seeds]
-    cols = [_Columns(T, prob.d, spec.keep_iterates) for _ in seeds]
-    # the final iterates and the sums of the iterates of rows 1..T, (S, d)
+    chunks = _Chunks(prob, T, len(seeds), x1, spec.keep_iterates)
     loop = _run_vr if spec.algo in VR_ALGORITHMS else _run_ref_free
-    x_final, x_sum = loop(spec, prob, T, rngs, cols)
+    loop(spec, prob, T, rngs, chunks)
+    for error in chunks.errors:  # the first failed seed's, in seed order
+        if error is not None:
+            raise error
+    chunks.flush(T)
 
+    x_final = chunks.x[1 + T % chunks.size]  # row T + 1 of every seed
     traces = []
-    for seed, col, xf, xs in zip(seeds, cols, x_final, x_sum):
+    for s, seed in enumerate(seeds):
         meta = {
             "algo": spec.algo,
             "gamma": spec.gamma,
@@ -585,20 +554,10 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
             "d": prob.d,
         }
         traces.append(Trace(
-            t=col.t,
-            f=col.f,
-            gnorm1=col.g1,
-            gnorm2=col.g2,
-            gnorm_inf=col.gi,
-            k=col.k,
-            dist_to_ref=col.dist,
-            bits_cum=col.bits,
-            grad_evals_cum=col.evals,
-            flags=col.flags,
+            **{name: getattr(chunks, name)[s] for name in chunks.COLUMNS},
             x1=x1.copy(),
-            x_mean=xs / T,
-            x_final=xf.copy(),
-            iterates=col.iterates,
+            x_mean=chunks.x_sum[s] / T,
+            x_final=x_final[s].copy(),
             meta=meta,
         ))
     return traces

@@ -117,6 +117,9 @@ def test_config_roundtrip():
         (_Replace(g_inf=math.nan), "g_inf"),
         (_Replace(x1=(0.0, math.inf, 0.0, 0.0, 0.0, 0.0)), "x1"),
         (_Replace(x1={"gaussian": math.nan}), "x1"),
+        # the random streams key on a seed mod 2**64, so these two would alias
+        ({"seeds": [-1, 2**64 - 1]}, "seeds"),
+        ({"problem": dict(BASE["problem"], seed=2**64)}, "problem"),
     ],
 )
 def test_config_rejections_name_the_field(patch, field):
@@ -139,7 +142,7 @@ def test_integer_fields_accept_ints_and_keep_them(field, value):
     doc = _cfg()
     group, _, key = field.rpartition(".")
     (doc[group] if group else doc)[key] = [value] if key == "seeds" else value
-    valid = type(value) is int and (value >= 1 or key in ("seeds", "seed"))
+    valid = type(value) is int and value >= (0 if key in ("seeds", "seed") else 1)
     try:
         cfg = config_from_dict(doc)
     except ConfigError as exc:
@@ -519,6 +522,20 @@ def test_cli_run_config_error_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "algo" in err
+
+
+def test_cli_run_non_finite_iterate_exits_one(tmp_path, capsys):
+    # an unsigned step of 1000 on least squares overflows within a few
+    # hundred steps: the run reports the error and writes no artifacts
+    doc = {"problem": {"kind": "least_squares", "d": 4, "n": 6, "seed": 42}, "algo": "sgd",
+           "schedule": "manual", "gamma": 1000, "q": 1, "T": 3000, "seeds": [0, 1], "x1": "zeros"}
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", _write(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: non-finite iterate produced at iteration 120\n"
+    assert not out.exists()
 
 
 def test_cli_run_missing_file_exits_one(tmp_path, capsys):
