@@ -531,11 +531,14 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
     rngs = [RngStream(seed) for seed in seeds]
     chunks = _Chunks(prob, T, len(seeds), x1, spec.keep_iterates)
     loop = _run_vr if spec.algo in VR_ALGORITHMS else _run_ref_free
-    loop(spec, prob, T, rngs, chunks)
-    for error in chunks.errors:  # the first failed seed's, in seed order
-        if error is not None:
-            raise error
-    chunks.flush(T)
+    # a diverging seed passes through inf and NaN before its row raises
+    # NonFiniteIterateError, which says all that numpy's warnings would
+    with np.errstate(over="ignore", invalid="ignore"):
+        loop(spec, prob, T, rngs, chunks)
+        for error in chunks.errors:  # the first failed seed's, in seed order
+            if error is not None:
+                raise error
+        chunks.flush(T)
 
     x_final = chunks.x[1 + T % chunks.size]  # row T + 1 of every seed
     traces = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -200,83 +201,83 @@ class LeastSquaresProblem(FiniteSumProblem):
 
 
 class LogisticProblem(FiniteSumProblem):
-    """f_i(x) = log(1 + exp(-y_i a_i^T x)) with labels y_i in {-1, +1}.
+    """f_i(x) = log(1 + exp(w_i)), margin w_i = -y_i a_i^T x, labels y_i = +-1.
 
-    When constructed with a separator (the planted direction the labels came
-    from) f_infimum certifies inf f = 0 while every margin is positive.
+    Holds the signed rows ya_i = -y_i a_i: w = ya x is the label form bit for
+    bit, as +-1 factors and negations commute with every product and BLAS sum
+    (rounding to nearest is sign-symmetric) but for a zero margin's sign, which
+    no kernel tells apart. a is derived from ya when first read. A separator
+    (the labels' planted direction) lets f_infimum certify inf f = 0.
     """
 
     def __init__(self, a: np.ndarray, y: np.ndarray, separator: np.ndarray | None = None):
-        self.a = _frozen(np.atleast_2d(a))
+        a = np.atleast_2d(a)
         self.y = _frozen(np.atleast_1d(y))
-        if self.a.shape[0] != self.y.shape[0]:
+        if a.shape[0] != self.y.shape[0]:
             raise ValueError("row/label count mismatch")
         if not np.all(np.abs(self.y) == 1.0):
             raise ValueError("labels must be +-1")
-        self.n, self.d = self.a.shape
+        self.ya = np.multiply(a, -self.y[:, None], dtype=np.float64, order="C")
+        self.ya.setflags(write=False)
+        self.n, self.d = self.ya.shape
         self.separator = None if separator is None else _frozen(separator)
         if self.separator is not None and self.separator.shape != (self.d,):
             raise ValueError(f"separator must have length d={self.d}")
 
+    @cached_property
+    def a(self) -> np.ndarray:
+        """The rows a_i = -y_i ya_i: the constructor's, bit for bit."""
+        return _frozen(-self.y[:, None] * self.ya)
+
     @staticmethod
-    def _sigmoid(z: np.ndarray) -> np.ndarray:
-        # stable on both tails: 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z)
-        # below, the same operands as a two-branch masked form and so the
-        # same bits (oracles.masked_sigmoid pins this)
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # 1/(1 + e) for z >= 0, else e/(1 + e), e = exp(-|z|): stable on both tails, the bits
+        # of two masked branches (oracles.masked_sigmoid); the mask is taken first, so out may be z
+        pos = z >= 0
+        e = np.exp(np.negative(np.abs(z, out=out), out=out), out=out)
+        return np.divide(np.where(pos, 1.0, e), np.add(e, 1.0, out=out), out=out)
 
     def component_value(self, i: int, x: np.ndarray) -> float:
-        return float(np.logaddexp(0.0, -self.y[i] * (self.a[i] @ x)))
+        return float(np.logaddexp(0.0, self.ya[i] @ x))
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        z = self.y[i] * (self.a[i] @ x)
-        return -self.y[i] * self._sigmoid(np.asarray(-z)) * self.a[i]
+        return self._sigmoid(self.ya[i] @ x) * self.ya[i]
 
     def value(self, x: np.ndarray) -> float:
-        z = self.y * (self.a @ x)
-        return float(np.logaddexp(0.0, -z).mean())
+        return float(np.logaddexp(0.0, self.ya @ x).mean())
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        z = self.y * (self.a @ x)
-        return -(self.a.T @ (self.y * self._sigmoid(-z))) / self.n
+        return self.ya.T @ self._sigmoid(self.ya @ x) / self.n
 
     def value_and_full_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        # one negated margin for both terms; add.reduce / n is mean's own sum
-        w = -(self.y * (self.a @ x))
-        return float(np.add.reduce(np.logaddexp(0.0, w)) / self.n), -(self.a.T @ (self.y * self._sigmoid(w))) / self.n
+        w = self.ya @ x  # read by the value before the sigmoid overwrites it
+        return float(np.add.reduce(np.logaddexp(0.0, w)) / self.n), self.ya.T @ self._sigmoid(w, out=w) / self.n
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        rows = self.a.take(idx, axis=0)
-        y = self.y.take(idx)
-        z = y * row_dot(rows, xs)
-        return (-y * self._sigmoid(-z))[..., None] * rows
+        rows = self.ya.take(idx, axis=0)
+        return self._sigmoid(row_dot(rows, xs))[..., None] * rows
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = -(self.y * (xs @ self.a.T))
-        vals = np.add.reduce(np.logaddexp(0.0, w), axis=1) / self.n
-        return vals, -((self.y * self._sigmoid(w)) @ self.a) / self.n
+        w = xs @ self.ya.T  # read by the values before the sigmoid overwrites it
+        return np.add.reduce(np.logaddexp(0.0, w), axis=1) / self.n, self._sigmoid(w, out=w) @ self.ya / self.n
 
     def lipschitz_constant(self, q: float) -> float:
-        # logistic curvature is at most 1/4
-        return 0.25 * _row_norm_sq_max(self.a, q)
+        return 0.25 * _row_norm_sq_max(self.ya, q)  # curvature <= 1/4; norms are sign-blind
 
     def f_infimum(self) -> float | None:
         """0.0 when the separator provably classifies every row, else None.
 
-        f > 0 everywhere, and with every margin m_i = y_i a_i^T s positive,
-        f(c s) -> 0 as c grows, so inf f = 0 (never attained). A computed
-        dot product of length d is off by at most d eps sum_k |a_ik s_k|
-        <= d eps ||a_i||_2 ||s||_2, so a margin must clear that allowance to
-        count: one positive only through rounding certifies nothing. One
-        O(nd) pass, with no (n, d) temporary.
+        f > 0, and with every margin m_i = y_i a_i^T s positive, f(c s) -> 0 as
+        c grows: inf f = 0, never attained. A computed dot of length d is off
+        by at most d eps sum_k |a_ik s_k| <= d eps ||a_i||_2 ||s||_2, so a margin
+        must clear that allowance to count: one positive only through rounding
+        certifies nothing. One O(nd) pass, m = -(ya s), with no (n, d) temporary.
         """
         if self.separator is None:
             return None
-        margins = self.y * (self.a @ self.separator)
         s_norm = float(norm(self.separator, 2))
-        allowance = self.d * np.finfo(np.float64).eps * s_norm * np.sqrt(row_dot(self.a, self.a))
-        return 0.0 if bool(np.all(margins > allowance)) else None
+        allowance = self.d * np.finfo(np.float64).eps * s_norm * np.sqrt(row_dot(self.ya, self.ya))
+        return 0.0 if bool(np.all(-(self.ya @ self.separator) > allowance)) else None
 
 
 class TrigProblem(FiniteSumProblem):

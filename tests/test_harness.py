@@ -2,7 +2,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -524,18 +527,34 @@ def test_cli_run_config_error_exits_one(tmp_path, capsys):
     assert "algo" in err
 
 
+# an unsigned step of 1000 on least squares overflows within a few hundred steps
+DIVERGING = {"problem": {"kind": "least_squares", "d": 4, "n": 6, "seed": 42}, "algo": "sgd",
+             "schedule": "manual", "gamma": 1000, "q": 1, "T": 3000, "seeds": [0, 1], "x1": "zeros"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_non_finite_iterate_exits_one(tmp_path, capsys):
-    # an unsigned step of 1000 on least squares overflows within a few
-    # hundred steps: the run reports the error and writes no artifacts
-    doc = {"problem": {"kind": "least_squares", "d": 4, "n": 6, "seed": 42}, "algo": "sgd",
-           "schedule": "manual", "gamma": 1000, "q": 1, "T": 3000, "seeds": [0, 1], "x1": "zeros"}
+    # the run reports the error and writes no artifacts; run_seeds silences
+    # the overflow on the way itself, with no errstate here
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", "--config", _write(tmp_path, doc), "--out", str(out)])
+    code = main(["run", "--config", _write(tmp_path, DIVERGING), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: non-finite iterate produced at iteration 120\n"
     assert not out.exists()
+
+
+def test_cli_run_non_finite_iterate_prints_only_the_error(tmp_path):
+    # from the command line, under numpy's default error state: no
+    # RuntimeWarning (with its source path) precedes the error line
+    src = str(Path(signopt.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    args = ["run", "--config", _write(tmp_path, DIVERGING), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "signopt", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: non-finite iterate produced at iteration 120\n"
 
 
 def test_cli_run_missing_file_exits_one(tmp_path, capsys):

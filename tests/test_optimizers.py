@@ -6,6 +6,7 @@ loops inside run_seeds() are bit-for-bit the same dynamics as
 oracles.reference_run, which steps one seed at a time.
 """
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -31,7 +32,7 @@ from signopt.optimizers import (
 from signopt.oracles import reference_run
 from signopt.problems import AbsRegressionProblem, ProblemSpec, make_problem
 from signopt.trace import FLAG_DEGENERATE
-from signopt.vecmath import ConjugatePair
+from signopt.vecmath import ConjugatePair, RngStream
 
 
 def _ls(d=4, n=6, seed=42):
@@ -116,6 +117,29 @@ def test_frozen_logistic_vr_run():
     ]
     for tr, (xf, k, f, g2) in zip(run_seeds(spec, prob, 60, (3, 4, 5)), expect):
         assert [float(v).hex() for v in tr.x_final] == xf
+        assert int(tr.k[-1]) == k
+        assert (float(tr.f[-1]).hex(), float(tr.gnorm2[-1]).hex()) == (f, g2)
+
+
+def test_frozen_logistic_vr_run_at_benchmark_shape():
+    # pinned before the logistic rows were stored signed: at vr_logistic_wide's
+    # d = 100, n = 500, P = 2 and cor1 schedule, BLAS takes other kernels for
+    # the snapshots' matrix products and the refreshes' (n, d) products than
+    # at the d = 6, n = 9 pin above; the run refreshes every few steps
+    prob = make_problem(ProblemSpec(kind="logistic", d=100, n=500, seed=101))
+    L = prob.lipschitz_constant(2.0)
+    gamma, d_of_p = schedule_cor1(100, 2.0, L, 800)
+    assert (L.hex(), gamma.hex()) == ("0x1.9ab4ba3498153p-2", "0x1.02b46ad87f8d9p-7")
+    spec = RunSpec(algo="signsvrg_v2", gamma=gamma, x1=RngStream(0).generator.standard_normal(100),
+                   q=2.0, D=d_of_p(2), L=L)
+    expect = [  # sha256 of x_final's bytes, k(T), f(T), ||grad f||^2(T)
+        ("c5f8c347336ce1d6b527b1704e1c842eaea975bc4ac029541c2e8d539895f064", 10,
+         "0x1.759af7fed152ep-1", "0x1.8df84998950bbp-5"),
+        ("bb8932fcff599eba8b9dc17d06b7d6cefdecbc0a6599070defa04959074d69e1", 10,
+         "0x1.7651828fecea3p-1", "0x1.8f1697cf68601p-5"),
+    ]
+    for tr, (xf, k, f, g2) in zip(run_seeds(spec, prob, 40, (1, 2)), expect):
+        assert hashlib.sha256(tr.x_final.tobytes()).hexdigest() == xf
         assert int(tr.k[-1]) == k
         assert (float(tr.f[-1]).hex(), float(tr.gnorm2[-1]).hex()) == (f, g2)
 

@@ -112,6 +112,15 @@ def test_sigmoid_matches_masked_oracle_bit_for_bit():
         want = masked_sigmoid(z)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), z
+        if np.ndim(z) == 0:
+            continue
+        # in place: into a separate buffer, and over z itself
+        buf = np.full_like(z, np.nan)
+        assert LogisticProblem._sigmoid(z, out=buf) is buf
+        assert buf.tobytes() == want.tobytes(), z
+        z = z.copy()
+        assert LogisticProblem._sigmoid(z, out=z) is z
+        assert z.tobytes() == want.tobytes()
 
 
 def test_logistic_values_match_libm_softplus_bit_for_bit():

@@ -10,7 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from signopt.oracles import brute_force_opnorm, estimate_lipschitz_empirical, finite_diff_gradient
+from signopt.oracles import (
+    brute_force_opnorm,
+    estimate_lipschitz_empirical,
+    finite_diff_gradient,
+    masked_sigmoid,
+)
 from signopt.problems import (
     AbsRegressionProblem,
     LeastSquaresProblem,
@@ -153,6 +158,84 @@ def test_logistic_value_falls_to_the_infimum_along_the_separator():
     vals = [prob.value(c * prob.separator) for c in (1.0, 10.0, 100.0, 1000.0)]
     assert all(later < earlier for earlier, later in zip(vals, vals[1:]))
     assert 0.0 < vals[-1] < 1e-8
+
+
+class _LabelForm:
+    """The logistic kernels on the rows a and labels y, with the margins
+    written -(y * (a @ x)): the form LogisticProblem's signed rows -y_i a_i
+    must reproduce bit for bit."""
+
+    def __init__(self, a, y):
+        self.a, self.y, self.n = a, y, len(y)
+
+    def component_value(self, i, x):
+        return float(np.logaddexp(0.0, -(self.y[i] * (self.a[i] @ x))))
+
+    def component_gradient(self, i, x):
+        return -self.y[i] * masked_sigmoid(-(self.y[i] * (self.a[i] @ x))) * self.a[i]
+
+    def value(self, x):
+        return float(np.logaddexp(0.0, -(self.y * (self.a @ x))).mean())
+
+    def full_gradient(self, x):
+        return -(self.a.T @ (self.y * masked_sigmoid(-(self.y * (self.a @ x))))) / self.n
+
+    def value_and_full_gradient(self, x):
+        w = -(self.y * (self.a @ x))
+        return float(np.add.reduce(np.logaddexp(0.0, w)) / self.n), -(self.a.T @ (self.y * masked_sigmoid(w))) / self.n
+
+    def component_gradient_batch(self, idx, xs):
+        rows, y = self.a.take(idx, axis=0), self.y.take(idx)
+        return (-y * masked_sigmoid(-(y * row_dot(rows, xs))))[..., None] * rows
+
+    def value_and_full_gradient_batch(self, xs):
+        w = -(self.y * (xs @ self.a.T))
+        return np.add.reduce(np.logaddexp(0.0, w), axis=1) / self.n, -((self.y * masked_sigmoid(w)) @ self.a) / self.n
+
+
+@pytest.mark.parametrize("d, n", [(7, 40), (100, 500)])
+def test_logistic_signed_rows_match_the_label_form_bit_for_bit(d, n):
+    # flipped labels give rows of both signs; the scales take the margins
+    # from 0 (x = 0) through both saturated tails of the sigmoid and the
+    # exp underflow of logaddexp. array_equal counts -0.0 as 0.0
+    prob = make_problem(ProblemSpec(kind="logistic", d=d, n=n, seed=d, label_noise=0.3))
+    ref = _LabelForm(prob.a, prob.y)
+    assert (prob.y < 0).any() and (prob.y > 0).any()
+    gen = RngStream(n).generator
+    xs = gen.standard_normal((5, d)) * np.array([0.0, 1.0, 30.0, 1e3, 1e6])[:, None]
+    idx = gen.integers(0, n, size=5)
+    assert np.abs(prob.a @ xs[-1]).min() > 800.0  # past exp's overflow either way
+    for x in xs:
+        for i in idx:
+            i = int(i)
+            assert prob.component_value(i, x).hex() == ref.component_value(i, x).hex()
+            assert np.array_equal(prob.component_gradient(i, x), ref.component_gradient(i, x))
+        assert prob.value(x).hex() == ref.value(x).hex()
+        assert np.array_equal(prob.full_gradient(x), ref.full_gradient(x))
+        (val, grad), (want_val, want_grad) = prob.value_and_full_gradient(x), ref.value_and_full_gradient(x)
+        assert val.hex() == want_val.hex() and np.array_equal(grad, want_grad)
+    for stack in (xs, np.stack([xs, xs[::-1]])):
+        assert np.array_equal(prob.component_gradient_batch(idx, stack), ref.component_gradient_batch(idx, stack))
+    for got, want in zip(prob.value_and_full_gradient_batch(xs), ref.value_and_full_gradient_batch(xs)):
+        assert np.array_equal(got, want)
+    for q in QS:
+        want = 0.25 * float(np.max([norm(row, ConjugatePair(q).p) for row in prob.a])) ** 2
+        assert prob.lipschitz_constant(q).hex() == want.hex()
+
+
+def test_logistic_rows_stay_the_constructors_and_read_only():
+    # a is derived from the stored signed rows, bit for bit, signed zeros
+    # under either label included, and computed once
+    gen = RngStream(8).generator
+    rows = gen.standard_normal((30, 6))
+    rows[:2, :2] = (0.0, -0.0)
+    y = np.where(gen.uniform(size=30) < 0.5, -1.0, 1.0)
+    y[:2] = (1.0, -1.0)
+    prob = LogisticProblem(rows, y)
+    assert prob.a.tobytes() == rows.tobytes() and prob.a is prob.a
+    assert prob.a.shape == (30, 6) and not prob.a.flags.writeable
+    with pytest.raises(ValueError):
+        prob.a[0, 0] = 1.0
 
 
 def test_least_squares_constants_are_tight():
