@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .analysis import example1_stats, linf_constant_expected
-from .harness import ConfigError, execute_experiment, load_config
+from .harness import execute_experiment, load_config
 from .optimizers import NonFiniteIterateError, RunSpec, run
 from .problems import ProblemSpec, make_problem
 from .vecmath import RngStream
@@ -31,10 +31,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
         result = execute_experiment(cfg, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, NonFiniteIterateError) as exc:
+    except (ValueError, ArithmeticError, NonFiniteIterateError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for rep in result.reports:

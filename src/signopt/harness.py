@@ -7,6 +7,13 @@ plus a summary.json whose bytes depend only on the config (wall-clock timing
 goes to a separate timing.json so the deterministic artifacts stay
 byte-identical across reruns).
 
+Each entry of CHECKS names the algorithms a check applies to, what it needs
+of the optimum and its evaluator. What the requested checks need is resolved
+once, before any step runs: x* only from a closed-form optimum, f* from the
+first of the optimum, an exact infimum, a lower bound and a numeric descent
+that the problem provides. A check that needs x* on a problem with no
+closed-form optimum is a ConfigError, raised before the run.
+
 Config schema (see README for the prose version):
 
     {
@@ -32,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -86,18 +93,40 @@ _SCHEDULE_ALGOS = {
     "manual": set(ALGORITHMS),
 }
 
-# check name -> algorithms it applies to (None = any)
+
+def _worst_seed(reports: list[BoundReport]) -> BoundReport:
+    """Exact per-seed bounds as one report: the worst seed's sides, holding
+    iff every seed's do."""
+    worst = max(reports, key=lambda r: r.lhs)
+    return replace(worst, holds=all(r.holds for r in reports), n_seeds=len(reports))
+
+
+# check name -> (algorithms it applies to, what it needs of the optimum,
+# evaluator(cfg, prob, derived, traces) -> BoundReport). The need is None,
+# "x_star" (a closed-form minimizer) or "f_star" (f* from any source). The
+# evaluators name the analysis functions at call time, so a wrapper set on
+# this module's attributes sees every call.
 CHECKS = {
-    "svrg_grad_bound_v1": {"signsvrg_v1"},
-    "svrg_grad_bound_v2": {"signsvrg_v2"},
-    "svrg_gap_bound": {"signsvrg_v1"},
-    "regret_bound": {"signsgd_plus"},
-    "final_gap_bound": {"signsgd_plus"},
-    "signgd_bound": {"signgd"},
-    "rate_bounds_v1": {"signsvrg_v1"},
-    "rate_bounds_v2": {"signsvrg_v2"},
-    "update_count_bound": VR_ALGORITHMS,
-    "comm_bits_bound": VR_ALGORITHMS,
+    "svrg_grad_bound_v1": ({"signsvrg_v1"}, None, lambda cfg, prob, dv, trs: svrg_grad_bound_v1(
+        trs, dv.L, dv.D, dv.pair, dv.gamma)),
+    "svrg_grad_bound_v2": ({"signsvrg_v2"}, None, lambda cfg, prob, dv, trs: svrg_grad_bound_v2(
+        trs, dv.L, dv.D, dv.pair, dv.gamma, prob.d)),
+    "svrg_gap_bound": ({"signsvrg_v1"}, "x_star", lambda cfg, prob, dv, trs: svrg_gap_bound(
+        trs, dv.L, dv.D, dv.pair, dv.gamma, prob.d, dv.f_star, dv.x_star)),
+    "regret_bound": ({"signsgd_plus"}, "x_star", lambda cfg, prob, dv, trs: regret_bound(
+        trs, dv.g_inf, dv.gamma, prob.d, dv.f_star, dv.x_star)),
+    "final_gap_bound": ({"signsgd_plus"}, "x_star", lambda cfg, prob, dv, trs: final_gap_bound(
+        trs, prob, dv.g_inf, dv.x_star, dv.f_star)),
+    "signgd_bound": ({"signgd"}, "f_star", lambda cfg, prob, dv, trs: signgd_bound(
+        trs[0], dv.L, dv.pair, dv.gamma, prob.d, dv.f_star)),
+    "rate_bounds_v1": ({"signsvrg_v1"}, "f_star", lambda cfg, prob, dv, trs: rate_metrics(
+        trs, dv.pair, dv.D, dv.L, prob.d, cfg.T, dv.f_star)[0]),
+    "rate_bounds_v2": ({"signsvrg_v2"}, "f_star", lambda cfg, prob, dv, trs: rate_metrics(
+        trs, dv.pair, dv.D, dv.L, prob.d, cfg.T, dv.f_star)[1]),
+    "update_count_bound": (VR_ALGORITHMS, None, lambda cfg, prob, dv, trs: _worst_seed(
+        [update_count_bound(tr, dv.P) for tr in trs])),
+    "comm_bits_bound": (VR_ALGORITHMS, None, lambda cfg, prob, dv, trs: _worst_seed(
+        [comm_bits_bound(tr, cfg.F, prob.n, prob.d, dv.P) for tr in trs])),
 }
 
 
@@ -171,8 +200,7 @@ class ExperimentConfig:
         for name in self.checks:
             if name not in CHECKS:
                 raise ConfigError("checks", f"unknown check {name!r}; known: {sorted(CHECKS)}")
-            allowed = CHECKS[name]
-            if allowed is not None and self.algo not in allowed:
+            if self.algo not in CHECKS[name][0]:
                 raise ConfigError(
                     "checks", f"check {name!r} does not apply to algorithm {self.algo!r}"
                 )
@@ -217,14 +245,11 @@ def _str(fld: str, raw: Any) -> str:
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a single JSON object")
-    known = {
-        "problem", "algo", "schedule", "q", "T", "seeds", "x1", "P",
-        "alpha", "gamma", "D", "g_inf", "F", "checks",
-    }
+    known = {f.name: f for f in fields(ExperimentConfig)}
     for key in doc:
         if key not in known:
             raise ConfigError(key, "unknown config field")
-    missing = [k for k in ("problem", "algo", "schedule", "q", "T", "seeds", "x1") if k not in doc]
+    missing = [k for k, f in known.items() if f.default is MISSING and k not in doc]
     if missing:
         raise ConfigError(missing[0], "required field missing")
     pdoc = doc["problem"]
@@ -295,8 +320,6 @@ class _Derived:
     f_star: float | None = None
     f_star_source: str | None = None
     x_star: np.ndarray | None = None
-    # seconds spent in numeric_f_star; timing.json only, not in as_dict
-    f_star_s: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -328,12 +351,11 @@ def _resolve_x1(cfg: ExperimentConfig, prob: FiniteSumProblem) -> np.ndarray:
     return x1
 
 
-def _resolve_alpha(cfg: ExperimentConfig, prob: FiniteSumProblem, x1: np.ndarray) -> float:
+def _resolve_alpha(cfg: ExperimentConfig, opt: tuple | None, x1: np.ndarray) -> float:
     if cfg.alpha is not None:
         if cfg.alpha <= 0:
             raise ConfigError("alpha", f"alpha must be positive, got {cfg.alpha}")
         return cfg.alpha
-    opt = prob.optimum()
     if opt is None:
         raise ConfigError(
             "alpha",
@@ -346,10 +368,16 @@ def _resolve_alpha(cfg: ExperimentConfig, prob: FiniteSumProblem, x1: np.ndarray
     return dist
 
 
-def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> _Derived:
+def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> tuple[_Derived, float]:
+    """The derived quantities, and the seconds numeric_f_star took (0 when
+    f* came from elsewhere). Raises every ConfigError that depends on the
+    problem, so none comes after a step has run."""
     x1 = _resolve_x1(cfg, prob)
     pair = ConjugatePair(cfg.q)
     P = float(cfg.P) if cfg.P is not None else float(cfg.F * prob.n)
+    needs = {CHECKS[name][1] for name in cfg.checks} - {None}
+    alpha_from_opt = cfg.schedule in ("cor2", "sec2") and cfg.alpha is None
+    opt = prob.optimum() if needs or alpha_from_opt else None
 
     needs_l = cfg.algo in VR_ALGORITHMS or cfg.algo == "signgd"
     L = prob.lipschitz_constant(cfg.q) if needs_l else None
@@ -364,11 +392,10 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> _Derived:
         gamma, d_factory = schedule_cor1(prob.d, cfg.q, L, cfg.T)
         D = d_factory(P) if cfg.algo in VR_ALGORITHMS else None
     elif cfg.schedule == "cor2":
-        alpha = _resolve_alpha(cfg, prob, x1)
-        gamma, d_factory = schedule_cor2(alpha, prob.d, cfg.T)
+        gamma, d_factory = schedule_cor2(_resolve_alpha(cfg, opt, x1), prob.d, cfg.T)
         D = d_factory(P)
     elif cfg.schedule == "sec2":
-        gamma = schedule_sec2(_resolve_alpha(cfg, prob, x1), prob.d, cfg.T)
+        gamma = schedule_sec2(_resolve_alpha(cfg, opt, x1), prob.d, cfg.T)
         D = None
     else:  # manual
         gamma = float(cfg.gamma)
@@ -383,87 +410,29 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> _Derived:
                 f"signsgd_plus needs a gradient bound; problem {cfg.problem.kind!r} "
                 "provides none, supply g_inf explicitly",
             )
-    return _Derived(x1=x1, gamma=gamma, D=D, L=L, P=P, g_inf=g_inf, pair=pair)
+    derived = _Derived(x1=x1, gamma=gamma, D=D, L=L, P=P, g_inf=g_inf, pair=pair)
 
-
-def _resolve_f_star(derived: _Derived, prob: FiniteSumProblem) -> float:
-    if derived.f_star is not None:
-        return derived.f_star
-    opt = prob.optimum()
-    if opt is not None:
-        derived.x_star = opt[0]
-        derived.f_star = float(opt[1])
-        derived.f_star_source = "optimum"
-        return derived.f_star
-    for source, resolve in (("infimum", prob.f_infimum), ("lower_bound", prob.f_lower_bound)):
-        value = resolve()
-        if value is not None:
-            derived.f_star = float(value)
-            derived.f_star_source = source
-            return derived.f_star
-    t0 = time.perf_counter()
-    derived.f_star = float(numeric_f_star(prob))
-    derived.f_star_s = time.perf_counter() - t0
-    derived.f_star_source = "numeric"
-    return derived.f_star
-
-
-def _require_x_star(derived: _Derived, prob: FiniteSumProblem, check: str) -> np.ndarray:
-    opt = prob.optimum()
-    if opt is None:
+    # f* sources in order: optimum, infimum, lower bound, numeric descent
+    f_star_s = 0.0
+    if needs and opt is not None:
+        derived.x_star, derived.f_star, derived.f_star_source = opt[0], float(opt[1]), "optimum"
+    elif "x_star" in needs:
+        name = next(c for c in cfg.checks if CHECKS[c][1] == "x_star")
         raise ConfigError(
-            "checks", f"check {check!r} needs a closed-form optimum; problem provides none"
+            "checks",
+            f"check {name!r} needs a closed-form optimum; problem {cfg.problem.kind!r} provides none",
         )
-    derived.x_star = opt[0]
-    derived.f_star = float(opt[1])
-    derived.f_star_source = "optimum"
-    return opt[0]
-
-
-def _evaluate_check(
-    name: str,
-    cfg: ExperimentConfig,
-    prob: FiniteSumProblem,
-    derived: _Derived,
-    traces: list[Trace],
-) -> list[BoundReport]:
-    pair = derived.pair
-    if name == "svrg_grad_bound_v1":
-        return [svrg_grad_bound_v1(traces, derived.L, derived.D, pair, derived.gamma)]
-    if name == "svrg_grad_bound_v2":
-        return [svrg_grad_bound_v2(traces, derived.L, derived.D, pair, derived.gamma, prob.d)]
-    if name == "svrg_gap_bound":
-        x_star = _require_x_star(derived, prob, name)
-        return [
-            svrg_gap_bound(
-                traces, derived.L, derived.D, pair, derived.gamma, prob.d,
-                derived.f_star, x_star,
-            )
-        ]
-    if name == "regret_bound":
-        x_star = _require_x_star(derived, prob, name)
-        return [
-            regret_bound(traces, derived.g_inf, derived.gamma, prob.d, derived.f_star, x_star)
-        ]
-    if name == "final_gap_bound":
-        x_star = _require_x_star(derived, prob, name)
-        return [final_gap_bound(traces, prob, derived.g_inf, x_star, derived.f_star)]
-    if name == "signgd_bound":
-        f_star = _resolve_f_star(derived, prob)
-        return [signgd_bound(traces[0], derived.L, pair, derived.gamma, prob.d, f_star)]
-    if name in ("rate_bounds_v1", "rate_bounds_v2"):
-        f_star = _resolve_f_star(derived, prob)
-        v1, v2 = rate_metrics(traces, pair, derived.D, derived.L, prob.d, cfg.T, f_star)
-        return [v1 if name == "rate_bounds_v1" else v2]
-    if name in ("update_count_bound", "comm_bits_bound"):
-        if name == "update_count_bound":
-            reports = [update_count_bound(tr, derived.P) for tr in traces]
+    elif needs:
+        for source, resolve in (("infimum", prob.f_infimum), ("lower_bound", prob.f_lower_bound)):
+            f_star = resolve()
+            if f_star is not None:
+                break
         else:
-            reports = [comm_bits_bound(tr, cfg.F, prob.n, prob.d, derived.P) for tr in traces]
-        # exact per-seed bounds: the worst seed's sides, holding iff every seed's do
-        worst = max(reports, key=lambda r: r.lhs)
-        return [replace(worst, holds=all(r.holds for r in reports), n_seeds=len(traces))]
-    raise ConfigError("checks", f"unknown check {name!r}")
+            t0 = time.perf_counter()
+            source, f_star = "numeric", numeric_f_star(prob)
+            f_star_s = time.perf_counter() - t0
+        derived.f_star, derived.f_star_source = float(f_star), source
+    return derived, f_star_s
 
 
 @dataclass
@@ -488,38 +457,12 @@ class ExperimentResult:
         }
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "problem": {
-            "kind": cfg.problem.kind,
-            "d": cfg.problem.d,
-            "n": cfg.problem.n,
-            "seed": cfg.problem.seed,
-            "lam": cfg.problem.lam,
-            "label_noise": cfg.problem.label_noise,
-        },
-        "algo": cfg.algo,
-        "schedule": cfg.schedule,
-        "q": "inf" if cfg.q == math.inf else int(cfg.q),
-        "T": cfg.T,
-        "seeds": list(cfg.seeds),
-        "x1": cfg.x1 if not isinstance(cfg.x1, tuple) else list(cfg.x1),
-        "P": cfg.P,
-        "alpha": cfg.alpha,
-        "gamma": cfg.gamma,
-        "D": cfg.D,
-        "g_inf": cfg.g_inf,
-        "F": cfg.F,
-        "checks": list(cfg.checks),
-    }
-
-
 def execute_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Run all seeds, evaluate all requested checks, optionally write
     trace_seed<s>.npy files, summary.json, and timing.json under out_dir."""
     t_start = time.perf_counter()
     prob = make_problem(cfg.problem)
-    derived = _resolve(cfg, prob)
+    derived, f_star_s = _resolve(cfg, prob)
     spec = RunSpec(
         algo=cfg.algo,
         gamma=derived.gamma,
@@ -534,22 +477,20 @@ def execute_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None)
     traces = run_seeds(spec, prob, cfg.T, cfg.seeds)
 
     t_checks = time.perf_counter()
-    reports: list[BoundReport] = []
-    for name in cfg.checks:
-        reports.extend(_evaluate_check(name, cfg, prob, derived, traces))
+    reports = [CHECKS[name][2](cfg, prob, derived, traces) for name in cfg.checks]
     all_hold = all(r.holds for r in reports)
     t_end = time.perf_counter()
     timing = {
-        "build_s": t_run - t_start,
+        "build_s": t_run - t_start - f_star_s,
         "run_seeds_s": t_checks - t_run,
-        "f_star_s": derived.f_star_s,
-        "checks_s": t_end - t_checks - derived.f_star_s,
+        "f_star_s": f_star_s,
+        "checks_s": t_end - t_checks,
         "wall_time_s": t_end - t_start,
     }
 
     trace_paths: list[str] = []
     result = ExperimentResult(
-        config_echo=_config_echo(cfg),
+        config_echo={**asdict(cfg), "q": "inf" if cfg.q == math.inf else int(cfg.q)},
         derived=derived,
         traces=traces,
         trace_paths=trace_paths,

@@ -114,9 +114,8 @@ class FiniteSumProblem(ABC):
         return None
 
     def f_lower_bound(self) -> float | None:
-        """A valid lower bound on f; defaults to f* when the optimum is known."""
-        opt = self.optimum()
-        return opt[1] if opt is not None else None
+        """A valid lower bound on f, or None; callers try optimum() first."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -178,10 +177,6 @@ class LeastSquaresProblem(FiniteSumProblem):
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.a.T @ (self.a @ x - self.b) / self.n
-
-    def value_and_full_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        r = self.a @ x - self.b
-        return 0.5 * float(r @ r) / self.n, self.a.T @ r / self.n
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
         rows = self.a.take(idx, axis=0)
@@ -302,11 +297,6 @@ class TrigProblem(FiniteSumProblem):
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         return -(self.a.T @ np.sin(self.a @ x)) / self.n + self.lam * x
-
-    def value_and_full_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        z = self.a @ x
-        val = float(np.cos(z).mean()) + 0.5 * self.lam * float(x @ x)
-        return val, -(self.a.T @ np.sin(z)) / self.n + self.lam * x
 
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
         rows = self.a.take(idx, axis=0)

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import signopt.cli
+from signopt import harness
 from signopt.cli import main
 from signopt.harness import (
     CHECKS,
@@ -22,7 +23,8 @@ from signopt.harness import (
     execute_experiment,
     load_config,
 )
-from signopt.problems import make_problem
+from signopt.optimizers import ALGORITHMS
+from signopt.problems import FiniteSumProblem, make_problem
 from signopt.trace import _TRACE_DTYPE, CSV_HEADER, Trace, read_trace
 
 BASE = {
@@ -357,16 +359,6 @@ def test_x1_shared_across_seeds():
     assert not np.array_equal(result.traces[0].x_final, result.traces[1].x_final)
 
 
-def test_every_check_has_an_owner():
-    # the registry must only name checks the evaluators implement; smoke-run
-    # one config per check family
-    assert set(CHECKS) == {
-        "svrg_grad_bound_v1", "svrg_grad_bound_v2", "svrg_gap_bound",
-        "regret_bound", "final_gap_bound", "signgd_bound",
-        "rate_bounds_v1", "rate_bounds_v2", "update_count_bound", "comm_bits_bound",
-    }
-
-
 def test_v2_and_rate_checks_run():
     doc = _cfg(algo="signsvrg_v2",
                checks=["svrg_grad_bound_v2", "rate_bounds_v2", "update_count_bound"])
@@ -384,6 +376,53 @@ def test_rate_v1_reported_as_single_disjunction():
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "scripts" / "configs").glob("*.json"))
+
+
+def test_every_check_has_an_owner():
+    # every entry names known algorithms and a known need, and some shipped
+    # config requests it, so test_shipped_configs_report_plain_bools runs
+    # every evaluator
+    assert set(CHECKS) == {
+        "svrg_grad_bound_v1", "svrg_grad_bound_v2", "svrg_gap_bound",
+        "regret_bound", "final_gap_bound", "signgd_bound",
+        "rate_bounds_v1", "rate_bounds_v2", "update_count_bound", "comm_bits_bound",
+    }
+    for name, (algos, need, _) in CHECKS.items():
+        assert set(algos) <= set(ALGORITHMS), name
+        assert need in (None, "x_star", "f_star"), name
+    shipped = {name for path in SHIPPED_CONFIGS for name in json.loads(path.read_text())["checks"]}
+    assert shipped == set(CHECKS)
+
+
+# what a check needs of the optimum is resolved before the run: an unmet
+# x* need stops the experiment before any step, and an optimum computed only
+# for the cor2 distance alpha is not reported as the checks' f* and x*
+NEED_CASES = {
+    "x_star_unmet": (
+        _cfg(problem={"kind": "trig_nonconvex", "d": 4, "n": 6, "seed": 1}, checks=["svrg_gap_bound"]),
+        "checks",
+    ),
+    "optimum_for_alpha_only": (_cfg(schedule="cor2", checks=["update_count_bound"]), None),
+}
+
+
+@pytest.mark.parametrize("doc, error_field", NEED_CASES.values(), ids=NEED_CASES)
+def test_check_needs_resolved_before_the_run(tmp_path, monkeypatch, doc, error_field):
+    cfg = config_from_dict(doc)
+    if error_field is not None:
+        def no_run(*args):
+            raise AssertionError("run_seeds ran before the config error")
+
+        monkeypatch.setattr(harness, "run_seeds", no_run)
+        with pytest.raises(ConfigError) as exc:
+            execute_experiment(cfg, tmp_path)
+        assert exc.value.field == error_field
+        return
+    execute_experiment(cfg, tmp_path)
+    derived = json.loads((tmp_path / "summary.json").read_text())["derived"]
+    assert derived["f_star"] is None
+    assert derived["x_star"] is None
+    assert derived["f_star_source"] is None
 
 
 def test_shipped_configs_report_plain_bools():
@@ -443,10 +482,13 @@ NOISY_SIGNGD = {
 }
 
 
-def test_signgd_f_star_numeric_fallback():
+def test_signgd_f_star_numeric_fallback(monkeypatch):
     cfg = config_from_dict(NOISY_SIGNGD)
     assert make_problem(cfg.problem).f_infimum() is None
+    calls = []
+    monkeypatch.setattr(FiniteSumProblem, "optimum", lambda self: calls.append(self))
     result = execute_experiment(cfg)
+    assert len(calls) == 1  # every f* source is tried once, before the run
     assert result.derived.f_star_source == "numeric"
     assert result.derived.f_star > 0.0
     assert result.all_hold
@@ -458,7 +500,7 @@ def test_signgd_f_star_infimum_on_separable_logistic():
     assert result.derived.f_star == 0.0
     assert result.derived.f_star_source == "infimum"
     assert result.derived.x_star is None  # an infimum has no minimizer
-    assert result.derived.f_star_s == 0.0
+    assert result.timing["f_star_s"] == 0.0
     assert result.all_hold
 
 
