@@ -6,20 +6,21 @@ with 1/sqrt(T)) and prints the mean trajectory gradient norm per horizon.
 With the period P fixed the mean max-norm should trend like 1/sqrt(T); with
 P = F*n the noise amplitude dominates and the curve flattens, which is the
 communication-optimal but statistically lazy regime. Useful for picking P.
+
+From a checkout, without installing:
+
+    PYTHONPATH=src python scripts/sweep_horizon.py --horizons 2500,10000
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from signopt.optimizers import RunSpec, run_seeds, schedule_cor1  # noqa: E402
-from signopt.problems import ProblemSpec, make_problem  # noqa: E402
-from signopt.vecmath import RngStream  # noqa: E402
+from signopt.optimizers import RunSpec, run_seeds, schedule_cor1
+from signopt.problems import ProblemSpec, make_problem
+from signopt.vecmath import RngStream
 
 
 def main(argv=None) -> int:

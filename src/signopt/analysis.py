@@ -7,8 +7,13 @@ where the claim is about expectations) and returns a BoundReport with
 
 where tol is 3 standard errors of the per-seed (lhs - rhs) gap for Monte
 Carlo checks (floored at 1e-12) and an explicit small tolerance for
-deterministic ones. Evaluators never mutate traces and raise on traces whose
-recorded hyperparameters disagree with the arguments.
+deterministic ones. Evaluators never mutate traces. They read the run's
+parameters (gamma, D, L, q, g_inf, float_bits, T, d, n) from the traces'
+meta, so a bound is only ever evaluated at the parameters the run used, and
+take as arguments only what a trace cannot hold: f*, x*, the reference
+period P and the problem. A batch that is empty, whose traces disagree on a
+recorded parameter, or that lacks one the bound needs (traces read back from
+a file carry no meta) raises a ValueError naming the cause.
 """
 from __future__ import annotations
 
@@ -37,6 +42,10 @@ __all__ = [
     "linf_constant_expected",
 ]
 
+# the parameters every trace of a batch must agree on
+_RECORDED = ("algo", "gamma", "D", "L", "q", "g_inf", "float_bits", "T", "d", "n")
+_TOL_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -59,7 +68,7 @@ class BoundReport:
         }
 
 
-def _make_report(name: str, lhs_per_seed, rhs_per_seed, floor: float = 1e-12) -> BoundReport:
+def _make_report(name: str, lhs_per_seed, rhs_per_seed) -> BoundReport:
     lhs_arr = np.asarray(lhs_per_seed, dtype=np.float64)
     rhs_arr = np.asarray(rhs_per_seed, dtype=np.float64)
     n = len(lhs_arr)
@@ -67,46 +76,38 @@ def _make_report(name: str, lhs_per_seed, rhs_per_seed, floor: float = 1e-12) ->
     rhs = float(rhs_arr.mean())
     if n > 1:
         gap = lhs_arr - rhs_arr
-        tol = max(floor, 3.0 * float(gap.std(ddof=1)) / math.sqrt(n))
+        tol = max(_TOL_FLOOR, 3.0 * float(gap.std(ddof=1)) / math.sqrt(n))
     else:
-        tol = floor
+        tol = _TOL_FLOOR
     return BoundReport(name, lhs, rhs, tol, lhs <= rhs + tol, n)
 
 
-def _check_traces(traces: list[Trace], **expected) -> tuple[int, int]:
-    """Validate a trace batch: nonempty, consistent meta, matching args.
+def _run_params(traces: list[Trace], *names: str) -> tuple:
+    """The recorded parameters `names` of the run that made a trace batch.
 
-    Returns (T, d). Raises ValueError on any mismatch."""
+    Raises ValueError on an empty batch, on traces that disagree on any
+    recorded parameter, and on a batch that does not record one of `names`."""
     if not traces:
         raise ValueError("need at least one trace")
-    ref_meta = traces[0].meta
-    for key in ("algo", "gamma", "D", "L", "q", "T", "d", "n"):
+    for key in _RECORDED:
         vals = {tr.meta.get(key) for tr in traces}
         if len(vals) != 1:
             raise ValueError(f"traces disagree on {key}: {sorted(map(str, vals))}")
-    for key, want in expected.items():
-        if want is None:
-            continue
-        got = ref_meta.get(key)
-        if got is None:
-            continue
-        if isinstance(want, float) or isinstance(got, float):
-            if not math.isclose(float(got), float(want), rel_tol=1e-12, abs_tol=0.0):
-                raise ValueError(f"traces were run with {key}={got}, evaluator got {want}")
-        elif got != want:
-            raise ValueError(f"traces were run with {key}={got}, evaluator got {want}")
-    return int(ref_meta["T"]), int(ref_meta["d"])
+    meta = traces[0].meta
+    for key in names:
+        if meta.get(key) is None:
+            raise ValueError(f"traces do not record the run's {key}; the bound needs it")
+    return tuple(meta[key] for key in names)
 
 
-def svrg_grad_bound_v1(
-    traces: list[Trace], L: float, D: float, pair: ConjugatePair, gamma: float
-) -> BoundReport:
+def svrg_grad_bound_v1(traces: list[Trace]) -> BoundReport:
     """Descent bound of the scalar-amplitude variance-reduced sign method:
 
     E[(1/T) sum_t ||grad f(x_t)||_2^2 / (2 L D + ||grad f(x_t)||_p)]
         <= E[f(x_1) - f(x_{T+1})]/(T gamma) + L gamma d^{2/q} / 2.
     """
-    T, d = _check_traces(traces, gamma=gamma, D=D, L=L, q=pair.q)
+    L, D, q, gamma, T, d = _run_params(traces, "L", "D", "q", "gamma", "T", "d")
+    pair = ConjugatePair(q)
     dim_sq = pair.dim_root(d) ** 2
     lhs, rhs = [], []
     for tr in traces:
@@ -117,37 +118,26 @@ def svrg_grad_bound_v1(
     return _make_report("svrg_grad_bound_v1", lhs, rhs)
 
 
-def svrg_grad_bound_v2(
-    traces: list[Trace], L: float, D: float, pair: ConjugatePair, gamma: float, d: int
-) -> BoundReport:
+def svrg_grad_bound_v2(traces: list[Trace]) -> BoundReport:
     """Same rhs as variant 1; lhs uses the l_1 gradient norm against the
     coordinatewise amplitude: ||g||_1^2 / (2 L d D + ||g||_1)."""
-    T, d_tr = _check_traces(traces, gamma=gamma, D=D, L=L, q=pair.q, d=d)
-    dim_sq = pair.dim_root(d_tr) ** 2
+    L, D, q, gamma, T, d = _run_params(traces, "L", "D", "q", "gamma", "T", "d")
+    dim_sq = ConjugatePair(q).dim_root(d) ** 2
     lhs, rhs = [], []
     for tr in traces:
         g1 = tr.gnorm1[:T]
-        lhs.append(np.mean(g1 * g1 / (2.0 * L * d_tr * D + g1)))
+        lhs.append(np.mean(g1 * g1 / (2.0 * L * d * D + g1)))
         rhs.append((tr.f[0] - tr.f[T]) / (T * gamma) + L * gamma * dim_sq / 2.0)
     return _make_report("svrg_grad_bound_v2", lhs, rhs)
 
 
-def svrg_gap_bound(
-    traces: list[Trace],
-    L: float,
-    D: float,
-    pair: ConjugatePair,
-    gamma: float,
-    d: int,
-    f_star: float,
-    x_star: np.ndarray,
-) -> BoundReport:
+def svrg_gap_bound(traces: list[Trace], f_star: float, x_star: np.ndarray) -> BoundReport:
     """Convex optimality-gap bound of the variance-reduced sign method:
 
     E[(1/T) sum_t (f(x_t) - f*) / (2 L D + sqrt(2 L (f(x_t) - f*)))]
         <= ||x_1 - x*||^2 / (2 T gamma) + gamma d / 2.
     """
-    T, d_tr = _check_traces(traces, gamma=gamma, D=D, L=L, q=pair.q, d=d)
+    L, D, gamma, T, d = _run_params(traces, "L", "D", "gamma", "T", "d")
     lhs, rhs = [], []
     for tr in traces:
         gap = tr.f[:T] - f_star
@@ -158,25 +148,16 @@ def svrg_gap_bound(
             )
         gap = np.maximum(gap, 0.0)
         lhs.append(np.mean(gap / (2.0 * L * D + np.sqrt(2.0 * L * gap))))
-        rhs.append(float(norm(tr.x1 - x_star, 2)) ** 2 / (2.0 * T * gamma) + gamma * d_tr / 2.0)
+        rhs.append(float(norm(tr.x1 - x_star, 2)) ** 2 / (2.0 * T * gamma) + gamma * d / 2.0)
     return _make_report("svrg_gap_bound", lhs, rhs)
 
 
-def regret_bound(
-    traces: list[Trace],
-    g_inf: float,
-    gamma: float,
-    d: int,
-    f_star: float,
-    x_star: np.ndarray,
-) -> BoundReport:
+def regret_bound(traces: list[Trace], f_star: float, x_star: np.ndarray) -> BoundReport:
     """Regret of the noise-corrupted sign method on convex Lipschitz problems:
 
     E[sum_t (f(x_t) - f*)] <= (G_inf / 2) (||x_1 - x*||^2 / gamma + gamma d T).
     """
-    if g_inf <= 0:
-        raise ValueError(f"g_inf must be positive, got {g_inf}")
-    T, d_tr = _check_traces(traces, gamma=gamma, d=d)
+    g_inf, gamma, T, d = _run_params(traces, "g_inf", "gamma", "T", "d")
     lhs, rhs = [], []
     for tr in traces:
         gap = tr.f[:T] - f_star
@@ -186,25 +167,19 @@ def regret_bound(
             )
         lhs.append(float(gap.sum()))
         rhs.append(
-            0.5 * g_inf * (float(norm(tr.x1 - x_star, 2)) ** 2 / gamma + gamma * d_tr * T)
+            0.5 * g_inf * (float(norm(tr.x1 - x_star, 2)) ** 2 / gamma + gamma * d * T)
         )
     return _make_report("regret_bound", lhs, rhs)
 
 
 def final_gap_bound(
-    traces: list[Trace],
-    prob: FiniteSumProblem,
-    g_inf: float,
-    x_star: np.ndarray,
-    f_star: float,
+    traces: list[Trace], prob: FiniteSumProblem, f_star: float, x_star: np.ndarray
 ) -> BoundReport:
     """Gap of the averaged iterate under the tuned step gamma = dist/sqrt(dT):
 
     E[f(xbar_T) - f*] <= G_inf ||x_1 - x*||_2 sqrt(d / T).
     """
-    if g_inf <= 0:
-        raise ValueError(f"g_inf must be positive, got {g_inf}")
-    T, d = _check_traces(traces)
+    g_inf, T, d = _run_params(traces, "g_inf", "T", "d")
     lhs, rhs = [], []
     for tr in traces:
         lhs.append(prob.value(tr.x_mean) - f_star)
@@ -212,31 +187,22 @@ def final_gap_bound(
     return _make_report("final_gap_bound", lhs, rhs)
 
 
-def signgd_bound(
-    trace: Trace, L: float, pair: ConjugatePair, gamma: float, d: int, f_star: float
-) -> BoundReport:
+def signgd_bound(trace: Trace, f_star: float) -> BoundReport:
     """Deterministic full-gradient sign descent bound (single trace):
 
     (1/T) sum_t ||grad f(x_t)||_1 <= (f(x_1) - f*) / (T gamma) + L gamma d^{2/q} / 2,
 
     checked at relative tolerance 1e-8.
     """
-    T, d_tr = _check_traces([trace], gamma=gamma, L=L, q=pair.q, d=d)
+    L, q, gamma, T, d = _run_params([trace], "L", "q", "gamma", "T", "d")
     lhs = float(np.mean(trace.gnorm1[:T]))
-    rhs = float((trace.f[0] - f_star) / (T * gamma) + L * gamma * pair.dim_root(d_tr) ** 2 / 2.0)
+    dim_sq = ConjugatePair(q).dim_root(d) ** 2
+    rhs = float((trace.f[0] - f_star) / (T * gamma) + L * gamma * dim_sq / 2.0)
     tol = 1e-8 * abs(rhs)
     return BoundReport("signgd_bound", lhs, rhs, tol, lhs <= rhs + tol, 1)
 
 
-def rate_metrics(
-    traces: list[Trace],
-    pair: ConjugatePair,
-    D: float,
-    L: float,
-    d: int,
-    T: int,
-    f_star: float,
-) -> tuple[BoundReport, BoundReport]:
+def rate_metrics(traces: list[Trace], f_star: float) -> tuple[BoundReport, BoundReport]:
     """Rate bounds under the smoothness-scaled schedule, where the radius
     satisfies D = P sqrt(2/(L T)) for reference period P.
 
@@ -253,7 +219,8 @@ def rate_metrics(
 
         E||g||_1 <= sqrt(2L/T) max(d^{1/q} (f(x_1) - f* + 1), 2 d P).
     """
-    _check_traces(traces, D=D, L=L, q=pair.q, d=d, T=T)
+    D, L, q, T, d = _run_params(traces, "D", "L", "q", "T", "d")
+    pair = ConjugatePair(q)
     P = D * math.sqrt(L * T / 2.0)
     rate = math.sqrt(2.0 * L / T)
     per_p = np.array([float(np.mean(tr.gnorm(pair.p)[:T])) for tr in traces])
@@ -271,7 +238,9 @@ def rate_metrics(
 
 
 def update_count_bound(trace: Trace, P: float) -> BoundReport:
-    """Reference refreshes are rare: k(T) <= ceil(T / P), exactly (tol 0)."""
+    """Reference refreshes are rare: k(T) <= ceil(T / P), exactly (tol 0).
+
+    Reads only the k column, so traces read back from a file qualify."""
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
     T = trace.T
@@ -280,7 +249,7 @@ def update_count_bound(trace: Trace, P: float) -> BoundReport:
     return BoundReport("update_count_bound", lhs, rhs, 0.0, lhs <= rhs, 1)
 
 
-def comm_bits_bound(trace: Trace, float_bits: int, n: int, d: int, P: float) -> BoundReport:
+def comm_bits_bound(trace: Trace, P: float) -> BoundReport:
     """Communication after T iterations: bits_cum(T) <= d (F n + P - 1) ceil(T/P).
 
     The worst case packs one reference sync (n d F bits) plus P - 1 sign
@@ -289,7 +258,7 @@ def comm_bits_bound(trace: Trace, float_bits: int, n: int, d: int, P: float) -> 
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    _check_traces([trace], float_bits=float_bits, n=n, d=d)
+    float_bits, n, d = _run_params([trace], "float_bits", "n", "d")
     T = trace.T
     lhs = float(trace.bits_cum[T - 1])
     rhs = float(d * (float_bits * n + P - 1) * math.ceil(T / P))

@@ -102,31 +102,29 @@ def _worst_seed(reports: list[BoundReport]) -> BoundReport:
 
 
 # check name -> (algorithms it applies to, what it needs of the optimum,
-# evaluator(cfg, prob, derived, traces) -> BoundReport). The need is None,
+# evaluator(prob, derived, traces) -> BoundReport). The need is None,
 # "x_star" (a closed-form minimizer) or "f_star" (f* from any source). The
-# evaluators name the analysis functions at call time, so a wrapper set on
-# this module's attributes sees every call.
+# evaluators read the run's parameters from the traces' meta, and name the
+# analysis functions at call time, so a wrapper set on this module's
+# attributes sees every call.
 CHECKS = {
-    "svrg_grad_bound_v1": ({"signsvrg_v1"}, None, lambda cfg, prob, dv, trs: svrg_grad_bound_v1(
-        trs, dv.L, dv.D, dv.pair, dv.gamma)),
-    "svrg_grad_bound_v2": ({"signsvrg_v2"}, None, lambda cfg, prob, dv, trs: svrg_grad_bound_v2(
-        trs, dv.L, dv.D, dv.pair, dv.gamma, prob.d)),
-    "svrg_gap_bound": ({"signsvrg_v1"}, "x_star", lambda cfg, prob, dv, trs: svrg_gap_bound(
-        trs, dv.L, dv.D, dv.pair, dv.gamma, prob.d, dv.f_star, dv.x_star)),
-    "regret_bound": ({"signsgd_plus"}, "x_star", lambda cfg, prob, dv, trs: regret_bound(
-        trs, dv.g_inf, dv.gamma, prob.d, dv.f_star, dv.x_star)),
-    "final_gap_bound": ({"signsgd_plus"}, "x_star", lambda cfg, prob, dv, trs: final_gap_bound(
-        trs, prob, dv.g_inf, dv.x_star, dv.f_star)),
-    "signgd_bound": ({"signgd"}, "f_star", lambda cfg, prob, dv, trs: signgd_bound(
-        trs[0], dv.L, dv.pair, dv.gamma, prob.d, dv.f_star)),
-    "rate_bounds_v1": ({"signsvrg_v1"}, "f_star", lambda cfg, prob, dv, trs: rate_metrics(
-        trs, dv.pair, dv.D, dv.L, prob.d, cfg.T, dv.f_star)[0]),
-    "rate_bounds_v2": ({"signsvrg_v2"}, "f_star", lambda cfg, prob, dv, trs: rate_metrics(
-        trs, dv.pair, dv.D, dv.L, prob.d, cfg.T, dv.f_star)[1]),
-    "update_count_bound": (VR_ALGORITHMS, None, lambda cfg, prob, dv, trs: _worst_seed(
+    "svrg_grad_bound_v1": ({"signsvrg_v1"}, None, lambda prob, dv, trs: svrg_grad_bound_v1(trs)),
+    "svrg_grad_bound_v2": ({"signsvrg_v2"}, None, lambda prob, dv, trs: svrg_grad_bound_v2(trs)),
+    "svrg_gap_bound": ({"signsvrg_v1"}, "x_star", lambda prob, dv, trs: svrg_gap_bound(
+        trs, dv.f_star, dv.x_star)),
+    "regret_bound": ({"signsgd_plus"}, "x_star", lambda prob, dv, trs: regret_bound(
+        trs, dv.f_star, dv.x_star)),
+    "final_gap_bound": ({"signsgd_plus"}, "x_star", lambda prob, dv, trs: final_gap_bound(
+        trs, prob, dv.f_star, dv.x_star)),
+    "signgd_bound": ({"signgd"}, "f_star", lambda prob, dv, trs: signgd_bound(trs[0], dv.f_star)),
+    "rate_bounds_v1": ({"signsvrg_v1"}, "f_star", lambda prob, dv, trs: rate_metrics(
+        trs, dv.f_star)[0]),
+    "rate_bounds_v2": ({"signsvrg_v2"}, "f_star", lambda prob, dv, trs: rate_metrics(
+        trs, dv.f_star)[1]),
+    "update_count_bound": (VR_ALGORITHMS, None, lambda prob, dv, trs: _worst_seed(
         [update_count_bound(tr, dv.P) for tr in trs])),
-    "comm_bits_bound": (VR_ALGORITHMS, None, lambda cfg, prob, dv, trs: _worst_seed(
-        [comm_bits_bound(tr, cfg.F, prob.n, prob.d, dv.P) for tr in trs])),
+    "comm_bits_bound": (VR_ALGORITHMS, None, lambda prob, dv, trs: _worst_seed(
+        [comm_bits_bound(tr, dv.P) for tr in trs])),
 }
 
 
@@ -306,30 +304,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Derived:
-    """Quantities resolved from (config, problem) before running."""
+    """What is resolved from (config, problem) before running: the run's
+    spec, the reference period and the optimum the checks need."""
 
-    x1: np.ndarray
-    gamma: float
-    D: float | None
-    L: float | None
+    spec: RunSpec
     P: float
-    g_inf: float | None
-    pair: ConjugatePair
     f_star: float | None = None
     f_star_source: str | None = None
     x_star: np.ndarray | None = None
 
     def as_dict(self) -> dict:
+        spec = self.spec
         return {
-            "x1": [float(v) for v in self.x1],
-            "gamma": self.gamma,
-            "D": self.D,
-            "L": self.L,
+            "x1": [float(v) for v in spec.x1],
+            "gamma": spec.gamma,
+            "D": spec.D,
+            "L": spec.L,
             "P": self.P,
-            "g_inf": self.g_inf,
-            "q": "inf" if self.pair.q == math.inf else int(self.pair.q),
+            "g_inf": spec.g_inf,
+            "q": "inf" if spec.q == math.inf else int(spec.q),
             "f_star": self.f_star,
             "f_star_source": self.f_star_source,
             "x_star": None if self.x_star is None else [float(v) for v in self.x_star],
@@ -373,7 +368,6 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> tuple[_Derived, f
     f* came from elsewhere). Raises every ConfigError that depends on the
     problem, so none comes after a step has run."""
     x1 = _resolve_x1(cfg, prob)
-    pair = ConjugatePair(cfg.q)
     P = float(cfg.P) if cfg.P is not None else float(cfg.F * prob.n)
     needs = {CHECKS[name][1] for name in cfg.checks} - {None}
     alpha_from_opt = cfg.schedule in ("cor2", "sec2") and cfg.alpha is None
@@ -410,29 +404,28 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> tuple[_Derived, f
                 f"signsgd_plus needs a gradient bound; problem {cfg.problem.kind!r} "
                 "provides none, supply g_inf explicitly",
             )
-    derived = _Derived(x1=x1, gamma=gamma, D=D, L=L, P=P, g_inf=g_inf, pair=pair)
+    spec = RunSpec(algo=cfg.algo, gamma=gamma, x1=x1, q=cfg.q, D=D, L=L, g_inf=g_inf,
+                   float_bits=cfg.F)
 
     # f* sources in order: optimum, infimum, lower bound, numeric descent
-    f_star_s = 0.0
     if needs and opt is not None:
-        derived.x_star, derived.f_star, derived.f_star_source = opt[0], float(opt[1]), "optimum"
-    elif "x_star" in needs:
+        return _Derived(spec, P, float(opt[1]), "optimum", opt[0]), 0.0
+    if "x_star" in needs:
         name = next(c for c in cfg.checks if CHECKS[c][1] == "x_star")
         raise ConfigError(
             "checks",
             f"check {name!r} needs a closed-form optimum; problem {cfg.problem.kind!r} provides none",
         )
-    elif needs:
-        for source, resolve in (("infimum", prob.f_infimum), ("lower_bound", prob.f_lower_bound)):
-            f_star = resolve()
-            if f_star is not None:
-                break
-        else:
-            t0 = time.perf_counter()
-            source, f_star = "numeric", numeric_f_star(prob)
-            f_star_s = time.perf_counter() - t0
-        derived.f_star, derived.f_star_source = float(f_star), source
-    return derived, f_star_s
+    if not needs:
+        return _Derived(spec, P), 0.0
+    for source, resolve in (("infimum", prob.f_infimum), ("lower_bound", prob.f_lower_bound)):
+        f_star = resolve()
+        if f_star is not None:
+            return _Derived(spec, P, float(f_star), source), 0.0
+    t0 = time.perf_counter()
+    f_star = numeric_f_star(prob)
+    f_star_s = time.perf_counter() - t0
+    return _Derived(spec, P, float(f_star), "numeric"), f_star_s
 
 
 @dataclass
@@ -463,21 +456,11 @@ def execute_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None)
     t_start = time.perf_counter()
     prob = make_problem(cfg.problem)
     derived, f_star_s = _resolve(cfg, prob)
-    spec = RunSpec(
-        algo=cfg.algo,
-        gamma=derived.gamma,
-        x1=derived.x1,
-        q=cfg.q,
-        D=derived.D,
-        L=derived.L,
-        g_inf=derived.g_inf,
-        float_bits=cfg.F,
-    )
     t_run = time.perf_counter()
-    traces = run_seeds(spec, prob, cfg.T, cfg.seeds)
+    traces = run_seeds(derived.spec, prob, cfg.T, cfg.seeds)
 
     t_checks = time.perf_counter()
-    reports = [CHECKS[name][2](cfg, prob, derived, traces) for name in cfg.checks]
+    reports = [CHECKS[name][2](prob, derived, traces) for name in cfg.checks]
     all_hold = all(r.holds for r in reports)
     t_end = time.perf_counter()
     timing = {

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -201,8 +200,8 @@ class LogisticProblem(FiniteSumProblem):
     Holds the signed rows ya_i = -y_i a_i: w = ya x is the label form bit for
     bit, as +-1 factors and negations commute with every product and BLAS sum
     (rounding to nearest is sign-symmetric) but for a zero margin's sign, which
-    no kernel tells apart. a is derived from ya when first read. A separator
-    (the labels' planted direction) lets f_infimum certify inf f = 0.
+    no kernel tells apart; -y_i ya_i gives back the rows a_i bit for bit. A
+    separator (the labels' planted direction) lets f_infimum certify inf f = 0.
     """
 
     def __init__(self, a: np.ndarray, y: np.ndarray, separator: np.ndarray | None = None):
@@ -218,11 +217,6 @@ class LogisticProblem(FiniteSumProblem):
         self.separator = None if separator is None else _frozen(separator)
         if self.separator is not None and self.separator.shape != (self.d,):
             raise ValueError(f"separator must have length d={self.d}")
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        """The rows a_i = -y_i ya_i: the constructor's, bit for bit."""
-        return _frozen(-self.y[:, None] * self.ya)
 
     @staticmethod
     def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

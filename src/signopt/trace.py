@@ -77,9 +77,6 @@ class Trace:
         """Number of iterations (rows excluding the terminal snapshot)."""
         return len(self.t) - 1
 
-    def __len__(self) -> int:
-        return self.T
-
     def gnorm(self, p: float) -> np.ndarray:
         if p == 1:
             return self.gnorm1

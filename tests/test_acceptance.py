@@ -172,9 +172,9 @@ def test_criterion_02_signgd_bound_all_pairs():
         for q in QS:
             L = prob.lipschitz_constant(q)
             gamma, _ = schedule_cor1(prob.d, q, L, 1000)
-            tr = run(RunSpec(algo="signgd", gamma=gamma, x1=_x1(prob), q=q),
+            tr = run(RunSpec(algo="signgd", gamma=gamma, x1=_x1(prob), q=q, L=L),
                      prob, 1000, 0)
-            rep = signgd_bound(tr, L, ConjugatePair(q), gamma, prob.d, f_star)
+            rep = signgd_bound(tr, f_star)
             rel = (rep.lhs - rep.rhs) / abs(rep.rhs)
             worst_rel = max(worst_rel, rel)
             ok = ok and rel <= 1e-8
@@ -196,11 +196,9 @@ def test_criterion_03_grad_bounds_both_variants(grad_batches):
     details = []
     for (label, algo), b in grad_batches.items():
         if algo == "signsvrg_v1":
-            rep = svrg_grad_bound_v1(b["traces"], b["L"], b["D"], ConjugatePair(1.0),
-                                     b["gamma"])
+            rep = svrg_grad_bound_v1(b["traces"])
         else:
-            rep = svrg_grad_bound_v2(b["traces"], b["L"], b["D"], ConjugatePair(1.0),
-                                     b["gamma"], b["prob"].d)
+            rep = svrg_grad_bound_v2(b["traces"])
         ok = ok and rep.holds and b["elapsed"] < 30.0
         details.append(f"{label}/{algo[-2:]} lhs/rhs={rep.lhs / rep.rhs:.3f} "
                        f"{b['elapsed']:.0f}s")
@@ -210,8 +208,7 @@ def test_criterion_03_grad_bounds_both_variants(grad_batches):
 def test_criterion_04_convex_gap_bound(gap_batch):
     """Average-iterate suboptimality bound on the convex instance."""
     b = gap_batch
-    rep = svrg_gap_bound(b["traces"], b["L"], b["D"], ConjugatePair(1.0), b["gamma"],
-                         b["prob"].d, b["f_star"], b["x_star"])
+    rep = svrg_gap_bound(b["traces"], b["f_star"], b["x_star"])
     ok = rep.holds and b["elapsed"] < 30.0
     assert _line(4, "convex_gap_bound", ok,
                  f"lhs={rep.lhs:.4f} <= rhs={rep.rhs:.4f} +- {rep.tol:.1e}, "
@@ -221,9 +218,8 @@ def test_criterion_04_convex_gap_bound(gap_batch):
 def test_criterion_05_regret_and_final_gap(regret_batch):
     """Noise-corrupted sign descent: regret and last-average gap, 3 stderr."""
     b = regret_batch
-    rep1 = regret_bound(b["traces"], b["g_inf"], b["gamma"], b["prob"].d,
-                        b["f_star"], b["x_star"])
-    rep2 = final_gap_bound(b["traces"], b["prob"], b["g_inf"], b["x_star"], b["f_star"])
+    rep1 = regret_bound(b["traces"], b["f_star"], b["x_star"])
+    rep2 = final_gap_bound(b["traces"], b["prob"], b["f_star"], b["x_star"])
     ok = rep1.holds and rep2.holds and b["elapsed"] < 20.0
     assert _line(5, "regret_and_final_gap", ok,
                  f"regret {rep1.lhs:.1f} <= {rep1.rhs:.1f} +- {rep1.tol:.1f}; "
@@ -251,15 +247,13 @@ def test_criterion_07_comm_bits_cap(grad_batches, gap_batch, rate_batches):
     violations = 0
     total = 0
     for b in _all_vr_batches(grad_batches, gap_batch, rate_batches):
-        n = b["prob"].n
-        d = b["prob"].d
         for tr in b["traces"]:
             total += 1
-            if not comm_bits_bound(tr, 32, n, d, b["P"]).holds:
+            if not comm_bits_bound(tr, b["P"]).holds:
                 violations += 1
     worked = _cor1_batch(_make("least_squares", 5, 4, 9), "signsvrg_v1", 1.0, 16, 8.0,
                          seeds=(1,))
-    rep = comm_bits_bound(worked["traces"][0], 32, 4, 5, 8.0)
+    rep = comm_bits_bound(worked["traces"][0], 8.0)
     ok = violations == 0 and rep.rhs == 1350.0 and rep.holds
     assert _line(7, "comm_bits_cap", ok,
                  f"{total} traces, {violations} violations; worked example "

@@ -5,6 +5,7 @@ n=4, P=8 the per-epoch budget is d(Fn + P - 1) bits, so two epochs give
 5 * 135 * 2 = 1350, and at T = P the accounting is exactly tight.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from signopt.analysis import (
     svrg_grad_bound_v2,
     update_count_bound,
 )
-from signopt.optimizers import RunSpec, run, schedule_cor1, schedule_cor2
+from signopt.optimizers import RunSpec, run, run_seeds, schedule_cor1, schedule_cor2
 from signopt.oracles import finite_diff_gradient
 from signopt.problems import ProblemSpec, make_problem
+from signopt.trace import read_trace
 from signopt.vecmath import ConjugatePair, RngStream
 
 Q1 = ConjugatePair(1.0)
@@ -72,15 +74,15 @@ def test_report_serialization_plain_types():
 # ---------------------------------------------------------------- bound evaluators
 
 def test_grad_bound_v1_holds_on_schedule_batch():
-    _, traces, L, D, gamma = _vr_batch()
-    rep = svrg_grad_bound_v1(traces, L, D, Q1, gamma)
+    _, traces, *_ = _vr_batch()
+    rep = svrg_grad_bound_v1(traces)
     assert rep.holds and rep.lhs < rep.rhs
     assert rep.n_seeds == 6
 
 
 def test_grad_bound_v2_holds_on_schedule_batch():
-    _, traces, L, D, gamma = _vr_batch(algo="signsvrg_v2")
-    rep = svrg_grad_bound_v2(traces, L, D, Q1, gamma, 6)
+    _, traces, *_ = _vr_batch(algo="signsvrg_v2")
+    rep = svrg_grad_bound_v2(traces)
     assert rep.holds and rep.lhs < rep.rhs
 
 
@@ -99,35 +101,60 @@ def test_variants_coincide_at_d_1():
     for a, b in zip(tr1, tr2):
         np.testing.assert_array_equal(a.x_final, b.x_final)
         np.testing.assert_array_equal(a.k, b.k)
-    r1 = svrg_grad_bound_v1(tr1, L, D, Q1, gamma)
-    r2 = svrg_grad_bound_v2(tr2, L, D, Q1, gamma, 1)
+    r1 = svrg_grad_bound_v1(tr1)
+    r2 = svrg_grad_bound_v2(tr2)
     assert r1.lhs == pytest.approx(r2.lhs, rel=1e-12)
     assert r1.rhs == pytest.approx(r2.rhs, rel=1e-12)
 
 
 def test_single_step_traces_are_valid_input():
-    _, traces, L, D, gamma = _vr_batch(T=1, P=1.0, seeds=range(1, 4))
-    rep = svrg_grad_bound_v1(traces, L, D, Q1, gamma)
+    _, traces, *_ = _vr_batch(T=1, P=1.0, seeds=range(1, 4))
+    rep = svrg_grad_bound_v1(traces)
     assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
 
 
 def test_mismatched_traces_rejected():
-    _, traces, L, D, gamma = _vr_batch(seeds=(1, 2))
+    _, traces, *_ = _vr_batch(seeds=(1, 2))
     _, other, *_ = _vr_batch(T=200, seeds=(3,))
-    with pytest.raises(ValueError):
-        svrg_grad_bound_v1(traces + other, L, D, Q1, gamma)
-    # and lying about the step size is also caught
-    with pytest.raises(ValueError):
-        svrg_grad_bound_v1(traces, L, D, Q1, gamma * 2)
+    with pytest.raises(ValueError, match="disagree on gamma"):
+        svrg_grad_bound_v1(traces + other)
+
+
+@pytest.mark.parametrize("param, value", [("g_inf", 2.0), ("float_bits", 64)])
+def test_runs_differing_in_one_parameter_rejected(param, value):
+    # every recorded parameter is compared, including the ones that only
+    # scale a bound's rhs (g_inf) or only count bits (float_bits)
+    prob = make_problem(ProblemSpec(kind="abs_regression", d=5, n=12, seed=3))
+    x_star, f_star = prob.optimum()
+    spec = RunSpec(algo="signsgd_plus", gamma=0.01, x1=np.ones(5), g_inf=prob.grad_bound_inf())
+    traces = run_seeds(spec, prob, 50, (1, 2))
+    other = run_seeds(replace(spec, **{param: value}), prob, 50, (3,))
+    regret_bound(traces, f_star, x_star)  # the batch of one run is valid input
+    with pytest.raises(ValueError, match=f"disagree on {param}"):
+        regret_bound(traces + other, f_star, x_star)
+    with pytest.raises(ValueError, match=f"disagree on {param}"):
+        final_gap_bound(traces + other, prob, f_star, x_star)
+
+
+def test_traces_without_meta_name_the_missing_parameter(tmp_path):
+    # read_trace gives back the metric columns only, not the run's parameters
+    _, traces, *_ = _vr_batch(T=20, seeds=(1,))
+    traces[0].to_npy(str(tmp_path / "t.npy"))
+    back = read_trace(tmp_path / "t.npy")
+    with pytest.raises(ValueError, match="do not record the run's L"):
+        svrg_grad_bound_v1([back])
+    with pytest.raises(ValueError, match="do not record the run's float_bits"):
+        comm_bits_bound(back, 8.0)
+    assert update_count_bound(back, 8.0) == update_count_bound(traces[0], 8.0)
 
 
 def test_empty_trace_list_rejected():
     with pytest.raises(ValueError):
-        svrg_grad_bound_v1([], 1.0, 1.0, Q1, 0.1)
+        svrg_grad_bound_v1([])
 
 
 def test_gap_bound_holds_and_guards_f_star():
-    prob, traces, L, D, gamma = _vr_batch(T=600, P=64.0)
+    prob, traces, L, *_ = _vr_batch(T=600, P=64.0)
     x_star, f_star = prob.optimum()
     # cor2-style run for the convex guarantee
     alpha = 2.0
@@ -135,10 +162,10 @@ def test_gap_bound_holds_and_guards_f_star():
     spec = RunSpec(algo="signsvrg_v1", gamma=gamma2, x1=traces[0].x1, q=1.0,
                    D=d_of_p(64.0), L=L)
     traces2 = [run(spec, prob, 600, s) for s in (1, 2, 3, 4)]
-    rep = svrg_gap_bound(traces2, L, d_of_p(64.0), Q1, gamma2, 6, f_star, x_star)
+    rep = svrg_gap_bound(traces2, f_star, x_star)
     assert rep.holds
     with pytest.raises(ValueError):
-        svrg_gap_bound(traces2, L, d_of_p(64.0), Q1, gamma2, 6, f_star + 100.0, x_star)
+        svrg_gap_bound(traces2, f_star + 100.0, x_star)
 
 
 def test_regret_and_final_gap_bounds():
@@ -149,9 +176,9 @@ def test_regret_and_final_gap_bounds():
     gamma = float(np.linalg.norm(x1 - x_star)) / math.sqrt(5 * 2000)
     spec = RunSpec(algo="signsgd_plus", gamma=gamma, x1=x1, g_inf=g_inf)
     traces = [run(spec, prob, 2000, s) for s in range(1, 9)]
-    rep = regret_bound(traces, g_inf, gamma, 5, f_star, x_star)
+    rep = regret_bound(traces, f_star, x_star)
     assert rep.holds
-    rep2 = final_gap_bound(traces, prob, g_inf, x_star, f_star)
+    rep2 = final_gap_bound(traces, prob, f_star, x_star)
     assert rep2.holds
     # the final-gap comparison value is dimension-aware
     assert rep2.rhs == pytest.approx(
@@ -163,8 +190,8 @@ def test_signgd_bound_is_deterministic_and_tight_tolerance():
     prob = make_problem(ProblemSpec(kind="trig_nonconvex", d=5, n=8, seed=3, lam=0.1))
     L = prob.lipschitz_constant(2.0)
     gamma, _ = schedule_cor1(5, 2.0, L, 400)
-    tr = run(RunSpec(algo="signgd", gamma=gamma, x1=np.ones(5), q=2.0), prob, 400, 0)
-    rep = signgd_bound(tr, L, ConjugatePair(2.0), gamma, 5, -1.0)
+    tr = run(RunSpec(algo="signgd", gamma=gamma, x1=np.ones(5), q=2.0, L=L), prob, 400, 0)
+    rep = signgd_bound(tr, -1.0)
     assert rep.holds
     assert rep.tol == pytest.approx(1e-8 * abs(rep.rhs))
 
@@ -191,7 +218,7 @@ def test_rate_metrics_disjunction_consistency():
         for f_star in (0.0, 1e6):
             radius = _branch(per_p, 2.0 * P * rate)
             ratio = _branch(per_2**2 / per_p, Q1.dim_root(6) * (f_x1 - f_star + 1.0) * rate)
-            v1, v2 = rate_metrics(traces, Q1, D, L, 6, T, f_star)
+            v1, v2 = rate_metrics(traces, f_star)
             assert (v1.name, v2.name) == ("rate_v1_either_bound", "rate_max_bound")
             assert v1.holds == (radius[2] or ratio[2])
             lhs, rhs, _ = ratio if ratio[2] and not radius[2] else radius
@@ -213,10 +240,9 @@ def test_update_count_bound_on_batch():
 
 def test_comm_budget_worked_example():
     # two reference periods of the worked budget: 5 * (32*4 + 8 - 1) * 2 = 1350
-    prob, traces, L, D, gamma = _vr_batch(d=5, n=4, T=16, P=8.0, prob_seed=2,
-                                          seeds=(1, 2, 3))
+    _, traces, *_ = _vr_batch(d=5, n=4, T=16, P=8.0, prob_seed=2, seeds=(1, 2, 3))
     for tr in traces:
-        rep = comm_bits_bound(tr, 32, 4, 5, 8.0)
+        rep = comm_bits_bound(tr, 8.0)
         assert rep.rhs == 1350.0
         assert rep.holds
 
@@ -224,10 +250,9 @@ def test_comm_budget_worked_example():
 def test_comm_budget_exactly_tight_at_one_period():
     # T = P under the coupled schedule: no refresh can trigger, so the count
     # is the initial broadcast plus P-1 sign steps, meeting the budget exactly
-    prob, traces, L, D, gamma = _vr_batch(d=5, n=4, T=8, P=8.0, prob_seed=2,
-                                          seeds=(1, 2, 3, 4))
+    _, traces, *_ = _vr_batch(d=5, n=4, T=8, P=8.0, prob_seed=2, seeds=(1, 2, 3, 4))
     for tr in traces:
-        rep = comm_bits_bound(tr, 32, 4, 5, 8.0)
+        rep = comm_bits_bound(tr, 8.0)
         assert rep.lhs == rep.rhs == 5 * (32 * 4 + 8 - 1)
         assert tr.k[-1] == 1
 
@@ -238,9 +263,9 @@ def test_comm_budget_symbolic_form():
     beta, F, n, d = 1.0, 32, 4, 3
     P = (F * n - 1) / beta  # 127
     T = int(10 * P)
-    prob, traces, L, D, gamma = _vr_batch(d=d, n=n, T=T, P=P, prob_seed=7, seeds=(1, 2))
+    _, traces, *_ = _vr_batch(d=d, n=n, T=T, P=P, prob_seed=7, seeds=(1, 2))
     for tr in traces:
-        rep = comm_bits_bound(tr, F, n, d, P)
+        rep = comm_bits_bound(tr, P)
         assert rep.rhs == (1 + beta) * d * T
         assert rep.holds
 
@@ -250,7 +275,7 @@ def test_counting_bound_validation():
     with pytest.raises(ValueError):
         update_count_bound(traces[0], 0.5)
     with pytest.raises(ValueError):
-        comm_bits_bound(traces[0], 0, 4, 5, 8.0)
+        comm_bits_bound(traces[0], 0.5)
 
 
 # ---------------------------------------------------------------- sphere statistics

@@ -447,7 +447,7 @@ def test_sec2_regret_pipeline():
     }
     result = execute_experiment(config_from_dict(doc))
     assert result.all_hold
-    assert result.derived.g_inf is not None  # pulled from the problem
+    assert result.derived.spec.g_inf is not None  # pulled from the problem
     assert result.derived.f_star_source == "optimum"
 
 

@@ -611,7 +611,7 @@ def test_trace_shapes_and_snapshot_semantics():
     prob = _ls()
     T = 12
     tr = run(RunSpec(algo="signsgd", gamma=0.1, x1=np.ones(4), keep_iterates=True), prob, T, 5)
-    assert len(tr) == T and tr.T == T
+    assert tr.T == T
     assert tr.f.shape == (T + 1,)  # rows 1..T plus the terminal snapshot
     assert tr.iterates.shape == (T, 4)
     np.testing.assert_array_equal(tr.iterates[0], np.ones(4))  # row 1 is x_1

@@ -32,3 +32,16 @@ def test_cli_import_leaves_the_oracles_unloaded():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.split() == ["False"]
+
+
+def test_sweep_horizon_script_prints_one_row_per_horizon():
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(signopt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    args = ["--horizons", "100,400", "--seeds", "2"]
+    out = subprocess.run([sys.executable, str(root / "scripts" / "sweep_horizon.py"), *args],
+                         capture_output=True, text=True, env=env, check=True, timeout=60)
+    lines = [line for line in out.stdout.splitlines() if not line.startswith("#")]
+    assert lines[0] == "T,mean_ginf,rate_sqrt_T"
+    assert [row.split(",")[0] for row in lines[1:]] == ["100", "400"]
+    assert all(len(row.split(",")) == 3 for row in lines[1:])

@@ -28,6 +28,13 @@ from signopt.vecmath import ConjugatePair, RngStream, norm, row_dot
 
 QS = (1.0, 2.0, math.inf)
 
+def _rows(prob):
+    """The rows a_i; a logistic problem stores the signed rows -y_i a_i."""
+    if isinstance(prob, LogisticProblem):
+        return -prob.y[:, None] * prob.ya
+    return prob.a
+
+
 SMOOTH_SPECS = [
     ProblemSpec(kind="least_squares", d=6, n=10, seed=1),
     ProblemSpec(kind="logistic", d=5, n=12, seed=2),
@@ -117,7 +124,7 @@ def test_lipschitz_constant_bounds_every_component_hessian(spec):
     Hessian is a_i a_i^T + lam I)."""
     prob = make_problem(spec)
     tol = 1e-9 if spec.kind == "least_squares" else 1e-6  # difference-quotient error
-    tight = [np.zeros(prob.d)] + [math.pi * a / float(a @ a) for a in prob.a]
+    tight = [np.zeros(prob.d)] + [math.pi * a / float(a @ a) for a in _rows(prob)]
     xs = tight + list(RngStream(17).generator.standard_normal((4, prob.d)))
     hessians = [_fd_hessian(prob, i, x) for x in xs for i in range(prob.n)]
     for q in QS:
@@ -129,7 +136,7 @@ def test_lipschitz_constant_bounds_every_component_hessian(spec):
 
 def test_logistic_infimum_is_certified_on_separable_data():
     prob = make_problem(ProblemSpec(kind="logistic", d=5, n=12, seed=2))
-    assert float((prob.y * (prob.a @ prob.separator)).min()) > 0.0
+    assert float((prob.y * (_rows(prob) @ prob.separator)).min()) > 0.0
     assert prob.f_infimum() == 0.0
     assert prob.optimum() is None  # the infimum is not attained
     for spec in SMOOTH_SPECS[:1] + SMOOTH_SPECS[2:]:
@@ -140,10 +147,10 @@ def test_logistic_infimum_needs_every_margin_positive():
     prob = make_problem(ProblemSpec(kind="logistic", d=5, n=12, seed=2))
     flipped = prob.y.copy()
     flipped[3] = -flipped[3]
-    assert LogisticProblem(prob.a, flipped, prob.separator).f_infimum() is None
-    assert LogisticProblem(prob.a, prob.y).f_infimum() is None  # no separator
+    assert LogisticProblem(_rows(prob), flipped, prob.separator).f_infimum() is None
+    assert LogisticProblem(_rows(prob), prob.y).f_infimum() is None  # no separator
     noisy = make_problem(ProblemSpec(kind="logistic", d=5, n=12, seed=2, label_noise=0.2))
-    assert float((noisy.y * (noisy.a @ noisy.separator)).min()) < 0.0
+    assert float((noisy.y * (_rows(noisy) @ noisy.separator)).min()) < 0.0
     assert noisy.f_infimum() is None
     # a margin within the dot product's rounding error certifies nothing
     for tail, certified in ((1e-20, None), (1e-3, 0.0)):
@@ -199,12 +206,13 @@ def test_logistic_signed_rows_match_the_label_form_bit_for_bit(d, n):
     # from 0 (x = 0) through both saturated tails of the sigmoid and the
     # exp underflow of logaddexp. array_equal counts -0.0 as 0.0
     prob = make_problem(ProblemSpec(kind="logistic", d=d, n=n, seed=d, label_noise=0.3))
-    ref = _LabelForm(prob.a, prob.y)
+    rows = _rows(prob)
+    ref = _LabelForm(rows, prob.y)
     assert (prob.y < 0).any() and (prob.y > 0).any()
     gen = RngStream(n).generator
     xs = gen.standard_normal((5, d)) * np.array([0.0, 1.0, 30.0, 1e3, 1e6])[:, None]
     idx = gen.integers(0, n, size=5)
-    assert np.abs(prob.a @ xs[-1]).min() > 800.0  # past exp's overflow either way
+    assert np.abs(rows @ xs[-1]).min() > 800.0  # past exp's overflow either way
     for x in xs:
         for i in idx:
             i = int(i)
@@ -219,23 +227,23 @@ def test_logistic_signed_rows_match_the_label_form_bit_for_bit(d, n):
     for got, want in zip(prob.value_and_full_gradient_batch(xs), ref.value_and_full_gradient_batch(xs)):
         assert np.array_equal(got, want)
     for q in QS:
-        want = 0.25 * float(np.max([norm(row, ConjugatePair(q).p) for row in prob.a])) ** 2
+        want = 0.25 * float(np.max([norm(row, ConjugatePair(q).p) for row in rows])) ** 2
         assert prob.lipschitz_constant(q).hex() == want.hex()
 
 
 def test_logistic_rows_stay_the_constructors_and_read_only():
-    # a is derived from the stored signed rows, bit for bit, signed zeros
-    # under either label included, and computed once
+    # the stored signed rows give back the constructor's rows bit for bit,
+    # signed zeros under either label included
     gen = RngStream(8).generator
     rows = gen.standard_normal((30, 6))
     rows[:2, :2] = (0.0, -0.0)
     y = np.where(gen.uniform(size=30) < 0.5, -1.0, 1.0)
     y[:2] = (1.0, -1.0)
     prob = LogisticProblem(rows, y)
-    assert prob.a.tobytes() == rows.tobytes() and prob.a is prob.a
-    assert prob.a.shape == (30, 6) and not prob.a.flags.writeable
+    assert _rows(prob).tobytes() == rows.tobytes()
+    assert prob.ya.shape == (30, 6) and not prob.ya.flags.writeable
     with pytest.raises(ValueError):
-        prob.a[0, 0] = 1.0
+        prob.ya[0, 0] = 1.0
 
 
 def test_least_squares_constants_are_tight():
@@ -293,12 +301,12 @@ def test_logistic_frozen_values():
     x0 = np.zeros(4)
     assert prob.value(x0) == pytest.approx(math.log(2.0), rel=1e-14)
     # grad at 0 is -(1/n) sum y_i a_i / 2
-    expect = -np.mean(prob.y[:, None] * prob.a, axis=0) / 2.0
+    expect = -np.mean(prob.y[:, None] * _rows(prob), axis=0) / 2.0
     np.testing.assert_allclose(prob.full_gradient(x0), expect, atol=1e-14)
     # curvature factor sigma'(z) <= 1/4
     for q in QS:
         pair = ConjugatePair(q)
-        worst = max(norm(prob.a[i], pair.p) ** 2 for i in range(prob.n))
+        worst = max(norm(row, pair.p) ** 2 for row in _rows(prob))
         assert prob.lipschitz_constant(q) == pytest.approx(worst / 4.0, rel=1e-14)
 
 
@@ -411,14 +419,14 @@ def test_problem_freezes_a_copy_not_the_callers_array():
     prob = LogisticProblem(rows, y)
     assert rows.flags.writeable and y.flags.writeable
     rows[0, 2] = 1e-3
-    assert prob.a[0, 2] == 2.0
-    assert not prob.a.flags.writeable
+    assert _rows(prob)[0, 2] == 2.0
+    assert not prob.ya.flags.writeable
 
 
 def test_same_seed_same_problem():
     a = make_problem(ProblemSpec(kind="logistic", d=4, n=8, seed=77))
     b = make_problem(ProblemSpec(kind="logistic", d=4, n=8, seed=77))
-    np.testing.assert_array_equal(a.a, b.a)
+    np.testing.assert_array_equal(a.ya, b.ya)
     np.testing.assert_array_equal(a.y, b.y)
 
 
