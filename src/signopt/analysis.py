@@ -12,8 +12,9 @@ parameters (gamma, D, L, q, g_inf, float_bits, T, d, n) from the traces'
 meta, so a bound is only ever evaluated at the parameters the run used, and
 take as arguments only what a trace cannot hold: f*, x*, the reference
 period P and the problem. A batch that is empty, whose traces disagree on a
-recorded parameter, or that lacks one the bound needs (traces read back from
-a file carry no meta) raises a ValueError naming the cause.
+recorded parameter, that lacks one the bound needs (traces read back from a
+file carry no meta), or whose algorithm is not one the bound is stated for
+(_STATED_FOR) raises a ValueError naming the cause.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optimizers import VR_ALGORITHMS
 from .problems import FiniteSumProblem
 from .trace import Trace
 from .vecmath import ConjugatePair, RngStream, norm, sample_unit_sphere
@@ -41,6 +43,21 @@ __all__ = [
     "example1_stats",
     "linf_constant_expected",
 ]
+
+# the algorithms each bound is stated for, by the name of its check in
+# harness.CHECKS, which applies each check to these algorithms only
+_STATED_FOR = {
+    "svrg_grad_bound_v1": ("signsvrg_v1",),
+    "svrg_grad_bound_v2": ("signsvrg_v2",),
+    "svrg_gap_bound": ("signsvrg_v1",),
+    "regret_bound": ("signsgd_plus",),
+    "final_gap_bound": ("signsgd_plus",),
+    "signgd_bound": ("signgd",),
+    "rate_bounds_v1": ("signsvrg_v1",),
+    "rate_bounds_v2": ("signsvrg_v2",),
+    "update_count_bound": VR_ALGORITHMS,
+    "comm_bits_bound": VR_ALGORITHMS,
+}
 
 # the parameters every trace of a batch must agree on
 _RECORDED = ("algo", "gamma", "D", "L", "q", "g_inf", "float_bits", "T", "d", "n")
@@ -82,11 +99,13 @@ def _make_report(name: str, lhs_per_seed, rhs_per_seed) -> BoundReport:
     return BoundReport(name, lhs, rhs, tol, lhs <= rhs + tol, n)
 
 
-def _run_params(traces: list[Trace], *names: str) -> tuple:
-    """The recorded parameters `names` of the run that made a trace batch.
+def _run_params(traces: list[Trace], bound: str | tuple[str, ...], *names: str) -> tuple:
+    """The recorded parameters `names` of the run that made a trace batch
+    for the check `bound` (or for any of a tuple of checks).
 
     Raises ValueError on an empty batch, on traces that disagree on any
-    recorded parameter, and on a batch that does not record one of `names`."""
+    recorded parameter, on a batch that does not record one of `names`, and
+    on one of an algorithm the bound is not stated for."""
     if not traces:
         raise ValueError("need at least one trace")
     for key in _RECORDED:
@@ -97,6 +116,11 @@ def _run_params(traces: list[Trace], *names: str) -> tuple:
     for key in names:
         if meta.get(key) is None:
             raise ValueError(f"traces do not record the run's {key}; the bound needs it")
+    bounds = (bound,) if isinstance(bound, str) else bound
+    algos = [algo for name in bounds for algo in _STATED_FOR[name]]
+    if meta.get("algo") not in algos:
+        raise ValueError(f"{' and '.join(bounds)} is stated for {', '.join(algos)}, "
+                         f"not for traces of {meta.get('algo')!r}")
     return tuple(meta[key] for key in names)
 
 
@@ -106,7 +130,7 @@ def svrg_grad_bound_v1(traces: list[Trace]) -> BoundReport:
     E[(1/T) sum_t ||grad f(x_t)||_2^2 / (2 L D + ||grad f(x_t)||_p)]
         <= E[f(x_1) - f(x_{T+1})]/(T gamma) + L gamma d^{2/q} / 2.
     """
-    L, D, q, gamma, T, d = _run_params(traces, "L", "D", "q", "gamma", "T", "d")
+    L, D, q, gamma, T, d = _run_params(traces, "svrg_grad_bound_v1", "L", "D", "q", "gamma", "T", "d")
     pair = ConjugatePair(q)
     dim_sq = pair.dim_root(d) ** 2
     lhs, rhs = [], []
@@ -121,7 +145,7 @@ def svrg_grad_bound_v1(traces: list[Trace]) -> BoundReport:
 def svrg_grad_bound_v2(traces: list[Trace]) -> BoundReport:
     """Same rhs as variant 1; lhs uses the l_1 gradient norm against the
     coordinatewise amplitude: ||g||_1^2 / (2 L d D + ||g||_1)."""
-    L, D, q, gamma, T, d = _run_params(traces, "L", "D", "q", "gamma", "T", "d")
+    L, D, q, gamma, T, d = _run_params(traces, "svrg_grad_bound_v2", "L", "D", "q", "gamma", "T", "d")
     dim_sq = ConjugatePair(q).dim_root(d) ** 2
     lhs, rhs = [], []
     for tr in traces:
@@ -137,7 +161,7 @@ def svrg_gap_bound(traces: list[Trace], f_star: float, x_star: np.ndarray) -> Bo
     E[(1/T) sum_t (f(x_t) - f*) / (2 L D + sqrt(2 L (f(x_t) - f*)))]
         <= ||x_1 - x*||^2 / (2 T gamma) + gamma d / 2.
     """
-    L, D, gamma, T, d = _run_params(traces, "L", "D", "gamma", "T", "d")
+    L, D, gamma, T, d = _run_params(traces, "svrg_gap_bound", "L", "D", "gamma", "T", "d")
     lhs, rhs = [], []
     for tr in traces:
         gap = tr.f[:T] - f_star
@@ -157,7 +181,7 @@ def regret_bound(traces: list[Trace], f_star: float, x_star: np.ndarray) -> Boun
 
     E[sum_t (f(x_t) - f*)] <= (G_inf / 2) (||x_1 - x*||^2 / gamma + gamma d T).
     """
-    g_inf, gamma, T, d = _run_params(traces, "g_inf", "gamma", "T", "d")
+    g_inf, gamma, T, d = _run_params(traces, "regret_bound", "g_inf", "gamma", "T", "d")
     lhs, rhs = [], []
     for tr in traces:
         gap = tr.f[:T] - f_star
@@ -179,7 +203,7 @@ def final_gap_bound(
 
     E[f(xbar_T) - f*] <= G_inf ||x_1 - x*||_2 sqrt(d / T).
     """
-    g_inf, T, d = _run_params(traces, "g_inf", "T", "d")
+    g_inf, T, d = _run_params(traces, "final_gap_bound", "g_inf", "T", "d")
     lhs, rhs = [], []
     for tr in traces:
         lhs.append(prob.value(tr.x_mean) - f_star)
@@ -194,7 +218,7 @@ def signgd_bound(trace: Trace, f_star: float) -> BoundReport:
 
     checked at relative tolerance 1e-8.
     """
-    L, q, gamma, T, d = _run_params([trace], "L", "q", "gamma", "T", "d")
+    L, q, gamma, T, d = _run_params([trace], "signgd_bound", "L", "q", "gamma", "T", "d")
     lhs = float(np.mean(trace.gnorm1[:T]))
     dim_sq = ConjugatePair(q).dim_root(d) ** 2
     rhs = float((trace.f[0] - f_star) / (T * gamma) + L * gamma * dim_sq / 2.0)
@@ -219,7 +243,7 @@ def rate_metrics(traces: list[Trace], f_star: float) -> tuple[BoundReport, Bound
 
         E||g||_1 <= sqrt(2L/T) max(d^{1/q} (f(x_1) - f* + 1), 2 d P).
     """
-    D, L, q, T, d = _run_params(traces, "D", "L", "q", "T", "d")
+    D, L, q, T, d = _run_params(traces, ("rate_bounds_v1", "rate_bounds_v2"), "D", "L", "q", "T", "d")
     pair = ConjugatePair(q)
     P = D * math.sqrt(L * T / 2.0)
     rate = math.sqrt(2.0 * L / T)
@@ -258,7 +282,7 @@ def comm_bits_bound(trace: Trace, P: float) -> BoundReport:
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    float_bits, n, d = _run_params([trace], "float_bits", "n", "d")
+    float_bits, n, d = _run_params([trace], "comm_bits_bound", "float_bits", "n", "d")
     T = trace.T
     lhs = float(trace.bits_cum[T - 1])
     rhs = float(d * (float_bits * n + P - 1) * math.ceil(T / P))

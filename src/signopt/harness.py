@@ -33,6 +33,9 @@ Config schema (see README for the prose version):
       "F": int?,                    # bits per float, default 32
       "checks": [str, ...]
     }
+
+P and D apply to the reference-point methods only; a field the run would
+ignore is a ConfigError naming it.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _STATED_FOR,
     BoundReport,
     comm_bits_bound,
     final_gap_bound,
@@ -102,30 +106,25 @@ def _worst_seed(reports: list[BoundReport]) -> BoundReport:
 
 
 # check name -> (algorithms it applies to, what it needs of the optimum,
-# evaluator(prob, derived, traces) -> BoundReport). The need is None,
-# "x_star" (a closed-form minimizer) or "f_star" (f* from any source). The
-# evaluators read the run's parameters from the traces' meta, and name the
-# analysis functions at call time, so a wrapper set on this module's
-# attributes sees every call.
-CHECKS = {
-    "svrg_grad_bound_v1": ({"signsvrg_v1"}, None, lambda prob, dv, trs: svrg_grad_bound_v1(trs)),
-    "svrg_grad_bound_v2": ({"signsvrg_v2"}, None, lambda prob, dv, trs: svrg_grad_bound_v2(trs)),
-    "svrg_gap_bound": ({"signsvrg_v1"}, "x_star", lambda prob, dv, trs: svrg_gap_bound(
-        trs, dv.f_star, dv.x_star)),
-    "regret_bound": ({"signsgd_plus"}, "x_star", lambda prob, dv, trs: regret_bound(
-        trs, dv.f_star, dv.x_star)),
-    "final_gap_bound": ({"signsgd_plus"}, "x_star", lambda prob, dv, trs: final_gap_bound(
-        trs, prob, dv.f_star, dv.x_star)),
-    "signgd_bound": ({"signgd"}, "f_star", lambda prob, dv, trs: signgd_bound(trs[0], dv.f_star)),
-    "rate_bounds_v1": ({"signsvrg_v1"}, "f_star", lambda prob, dv, trs: rate_metrics(
-        trs, dv.f_star)[0]),
-    "rate_bounds_v2": ({"signsvrg_v2"}, "f_star", lambda prob, dv, trs: rate_metrics(
-        trs, dv.f_star)[1]),
-    "update_count_bound": (VR_ALGORITHMS, None, lambda prob, dv, trs: _worst_seed(
+# evaluator(prob, derived, traces) -> BoundReport). The algorithms are those
+# the analysis module states each bound for, and its evaluators reject traces
+# of any other. The need is None, "x_star" (a closed-form minimizer) or
+# "f_star" (f* from any source). The evaluators read the run's parameters
+# from the traces' meta, and name the analysis functions at call time, so a
+# wrapper set on this module's attributes sees every call.
+CHECKS = {name: (_STATED_FOR[name], need, evaluate) for name, (need, evaluate) in {
+    "svrg_grad_bound_v1": (None, lambda prob, dv, trs: svrg_grad_bound_v1(trs)),
+    "svrg_grad_bound_v2": (None, lambda prob, dv, trs: svrg_grad_bound_v2(trs)),
+    "svrg_gap_bound": ("x_star", lambda prob, dv, trs: svrg_gap_bound(trs, dv.f_star, dv.x_star)),
+    "regret_bound": ("x_star", lambda prob, dv, trs: regret_bound(trs, dv.f_star, dv.x_star)),
+    "final_gap_bound": ("x_star", lambda prob, dv, trs: final_gap_bound(trs, prob, dv.f_star, dv.x_star)),
+    "signgd_bound": ("f_star", lambda prob, dv, trs: signgd_bound(trs[0], dv.f_star)),
+    "rate_bounds_v1": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)[0]),
+    "rate_bounds_v2": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)[1]),
+    "update_count_bound": (None, lambda prob, dv, trs: _worst_seed(
         [update_count_bound(tr, dv.P) for tr in trs])),
-    "comm_bits_bound": (VR_ALGORITHMS, None, lambda prob, dv, trs: _worst_seed(
-        [comm_bits_bound(tr, dv.P) for tr in trs])),
-}
+    "comm_bits_bound": (None, lambda prob, dv, trs: _worst_seed([comm_bits_bound(tr, dv.P) for tr in trs])),
+}.items()}
 
 
 class ConfigError(ValueError):
@@ -191,6 +190,14 @@ class ExperimentConfig:
                 raise ConfigError("x1", f"must hold finite numbers only, got {self.x1!r}")
         if self.P is not None and self.P < 1:
             raise ConfigError("P", f"P must be >= 1, got {self.P}")
+        # a field the run would ignore is an error, not a silent no-op
+        for name, used in (("gamma", self.schedule == "manual"),
+                           ("D", self.schedule == "manual" and self.algo in VR_ALGORITHMS),
+                           ("P", self.algo in VR_ALGORITHMS),
+                           ("g_inf", self.algo == "signsgd_plus"),
+                           ("alpha", self.schedule in ("cor2", "sec2"))):
+            if getattr(self, name) is not None and not used:
+                raise ConfigError(name, f"is not used by algorithm {self.algo!r} under schedule {self.schedule!r}")
         if self.schedule == "manual" and (self.gamma is None or self.gamma <= 0):
             raise ConfigError("gamma", "manual schedule requires a positive gamma")
         if self.schedule == "manual" and self.algo in VR_ALGORITHMS and (self.D is None or self.D <= 0):
@@ -393,7 +400,7 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> tuple[_Derived, f
         D = None
     else:  # manual
         gamma = float(cfg.gamma)
-        D = cfg.D if cfg.algo in VR_ALGORITHMS else None
+        D = cfg.D
 
     g_inf = cfg.g_inf
     if cfg.algo == "signsgd_plus" and g_inf is None:

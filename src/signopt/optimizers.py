@@ -1,4 +1,4 @@
-"""The sign-based methods: step-size schedules and the seed-batched run loops.
+"""The sign-based methods: step-size schedules and the seed-batched run loop.
 
 Methods (all with constant step size gamma, sign(0) = +1 throughout):
 
@@ -29,31 +29,30 @@ Randomness is consumed in a fixed order inside each step: the component index
 signsgd, sgd and svrg draw none, and signgd draws nothing at all). A rejected
 step still consumes its draws, so traces are bitwise reproducible from
 (config, seed). run_seeds steps all S seeds of a call as one fixed batch, from
-the first step to the last. A block of steps at a time, one
-vecmath.sample_steps call decodes the draws of every seed at once from the raw
-Philox words of its own stream, bit for bit the same as those calls; a seed's
-trace never depends on the other seeds of the batch. A variance-reduced step
-takes the component gradients at the iterates and at the references in one
-call. The signed variance-reduced methods check the amplitude premise and flag
-degenerate steps once per block of draws, for every step of the block, not
-inside the step; a violation raises AssertionError, also under python -O. The
-iterates live in the rows of a step-major snapshot chunk, one contiguous
-(S, d) block per row: each step computes its seeds' new iterates (and a
-variance-reduced step their distances to the references) straight into the
-chunk's next row. Once per chunk of rows, not per step, the loops test the
-rows of the reference-free methods for finiteness, snapshot f and the gradient
-norms of each seed's rows, copied out contiguous, into its trace columns (one
-1-D array per seed and column, named as in Trace), and add the rows to the
-iterate sums, in the order of one row after another. A seed that fails (a
-non-finite iterate or a broken amplitude premise) steps on with the others;
-seed 0's error is raised at once, any other after the last step, that of the
-first failed seed in seed order, as running the seeds one after another would.
-When a problem's component subgradients are +-a_i
-(FiniteSumProblem.subgradient_rows), signsgd, signsgd_plus and sgd compute
-both steps that each draw of a block can give before the iterates are known,
-and a step only picks one of them by the sign of a_i^T x - b_i. A sign step
-picks +-gamma from a [-gamma, gamma] pair. oracles.reference_run steps one
-seed at a time with the calls themselves, and tests hold the two to the bit.
+the first step to the last, in one step loop for every method: a step forms
+one gradient estimate, takes the sign or the unsigned step from it, and only
+a reference-point method then checks its radius and refreshes. A block of
+steps at a time, one vecmath.sample_steps call decodes the draws of every
+seed at once from the raw Philox words of its own stream, bit for bit the
+same as those calls; a seed's trace never depends on the other seeds of the
+batch. The signed variance-reduced methods check the amplitude premise and
+flag degenerate steps once per block of draws, not inside the step; a
+violation raises AssertionError, also under python -O. The iterates live in
+the rows of a step-major snapshot chunk, one contiguous (S, d) block per
+row, and each step computes the next row straight into its slot. Once per
+chunk of rows, not per step, the loop tests the rows for finiteness,
+snapshots f and the gradient norms of each seed's rows, copied out
+contiguous, into its trace columns (one 1-D array per seed and column, named
+as in Trace), and adds the rows to the iterate sums, in the order of one row
+after another. A seed that fails (a non-finite iterate or a broken amplitude
+premise) steps on with the others; seed 0's error is raised at once, any
+other after the last step, that of the first failed seed in seed order, as
+running the seeds one after another would. When a problem's component
+subgradients are +-a_i (FiniteSumProblem.subgradient_rows), signsgd,
+signsgd_plus and sgd compute both steps that each draw of a block can give
+before the iterates are known, and a step picks one by the sign of
+a_i^T x - b_i. oracles.reference_run steps one seed at a time with the calls
+themselves, and tests hold the two to the bit.
 
 Communication accounting (bits): a sign step uploads d bits; an unsigned
 stochastic gradient uploads d * float_bits; a reference refresh (and the
@@ -192,7 +191,7 @@ class RunSpec:
             raise ValueError(f"float_bits must be >= 1, got {self.float_bits}")
 
 
-# float64 elements per buffer of the step loops: the noise drawn for one
+# float64 elements per buffer of the step loop: the noise drawn for one
 # block of steps, and one seed's iterates of one snapshot chunk (or the
 # premise tolerances of a few steps of a block)
 _DRAW_ELEMENTS = 1 << 14
@@ -220,20 +219,18 @@ def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, d: int):
 
 class _Chunks:
     """Every seed's trace columns, one 1-D array per seed and column named
-    as in Trace (COLUMNS), and the snapshot chunk where the step loops keep
-    the iterates (and distances) of all S seeds, step-major. Row t of all
-    seeds is the contiguous (S, d) block x[1 + t % size] (and
-    dist[1 + t % size]), and the step from row t computes row t + 1 straight
-    into its slot. On a chunk's last row, before the step from it, and at
-    row T + 1, flush snapshots the chunk's rows per seed, copied contiguous
-    so that the snapshot's BLAS calls see lda = d for every S, and adds them
-    to the iterate sums. Chunk bounds depend on n and d alone, so a seed's f
-    and gradient norms never depend on the other seeds of the call. The S
-    seeds are fixed for the whole run: a failed seed steps on, errors holds
-    each seed's first error (fail), and flush snapshots no failed seed."""
-
-    COLUMNS = ("t", "f", "gnorm1", "gnorm2", "gnorm_inf", "k", "dist_to_ref",
-               "bits_cum", "grad_evals_cum", "flags", "iterates")
+    as in Trace (Trace.COLUMNS and iterates), and the snapshot chunk where
+    the step loop keeps the iterates (and distances) of all S seeds,
+    step-major. Row t of all seeds is the contiguous (S, d) block
+    x[1 + t % size] (and dist[1 + t % size]), and the step from row t
+    computes row t + 1 straight into its slot. On a chunk's last row, before
+    the step from it, and at row T + 1, flush tests the chunk's rows for
+    finiteness, snapshots them per seed, copied contiguous so that the
+    snapshot's BLAS calls see lda = d for every S, and adds them to the
+    iterate sums. Chunk bounds depend on n and d alone, so a seed's f and
+    gradient norms never depend on the other seeds of the call. The S seeds
+    are fixed for the whole run: a failed seed steps on, errors holds each
+    seed's first error (fail), and flush snapshots no failed seed."""
 
     def __init__(self, prob: FiniteSumProblem, T: int, S: int, x1: np.ndarray, keep_iterates: bool):
         self.prob, self.T = prob, T
@@ -260,25 +257,21 @@ class _Chunks:
         if self.errors[s] is None:
             self.errors[s] = error
 
-    def check_finite(self, t: int) -> None:
-        """Test the chunk's rows up to row t (0-based) before they are
-        flushed, and fail every seed with a non-finite one. A non-finite
-        coordinate never becomes finite again under a reference-free step,
-        so a seed's first non-finite row is the iteration at which stepping
-        that seed alone fails."""
+    def flush(self, t: int) -> None:
+        """Fail every seed with a non-finite row up to row t (0-based) of
+        the chunk, then snapshot those rows of every seed that has not
+        failed, and add the rows before row T + 1 to the iterate sums. A
+        non-finite coordinate never becomes finite again under a
+        reference-free step, so a seed's first non-finite row is the
+        iteration at which stepping that seed alone fails; a reference-point
+        method's row never is one, since a non-finite candidate has a
+        non-finite radius and is rejected."""
         c = t % self.size
         finite = np.isfinite(self.x[1:c + 2])
-        if finite.all():  # a whole-array test is far cheaper than one per row
-            return
-        bad = ~finite.all(axis=2)  # (rows, S)
-        for s in np.flatnonzero(bad.any(axis=0)):
-            self.fail(s, NonFiniteIterateError(t - c + int(np.argmax(bad[:, s]))))
-
-    def flush(self, t: int) -> None:
-        """Snapshot the chunk's rows up to row t (0-based) of every seed
-        that has not failed, and add the rows before row T + 1 to the
-        iterate sums."""
-        c = t % self.size
+        if not finite.all():  # a whole-array test is far cheaper than one per row
+            bad = ~finite.all(axis=2)  # (rows, S)
+            for s in np.flatnonzero(bad.any(axis=0)):
+                self.fail(s, NonFiniteIterateError(t - c + int(np.argmax(bad[:, s]))))
         rows = slice(t - c, t + 1)
         for s, error in enumerate(self.errors):
             self.dist_to_ref[s][rows] = self.dist[1:c + 2, s]
@@ -304,116 +297,6 @@ class _Chunks:
             x[0] = self.x_sum
             np.add.accumulate(x[:k], axis=0, out=x[:k])
             np.add(x[k - 1], x[k], out=self.x_sum)
-
-
-def _run_vr(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], chunks: _Chunks) -> None:
-    """Inner loop of the reference-point methods, all seeds of a call at once.
-
-    Row s of every (S, d) state array is seed s, and its arithmetic is that of
-    oracles.reference_run on seed s alone, float operation for float
-    operation: component gradients come from row-wise dots, distances from
-    vecmath.norm_rows, and a rejected step refreshes its seed's reference
-    with the one-vector full_gradient. The iterates and the references share
-    one (2, S, d) buffer, so a step takes both component gradients in one
-    component_gradient_batch call. ||x - ref||_q is carried across
-    iterations: the accepted candidate's radius check IS the next step's
-    distance. A sign step keeps its noise amplitude in a block buffer and
-    its estimate v in the noise slot it has just used; after each block of
-    draws, one pass over them sets FLAG_DEGENERATE where some coordinate's
-    amplitude is 0 and checks the amplitude premise of every step of every
-    seed (_Chunks.fail). An iterate stays finite without a check: a
-    candidate with a non-finite coordinate has a non-finite radius, so it is
-    rejected. k, bits_cum and grad_evals_cum follow from the refresh steps
-    after the loop.
-    """
-    S = len(rngs)
-    n, d = prob.n, prob.d
-    gamma, D, L = spec.gamma, spec.D, spec.L
-    variant = {"signsvrg_v1": 1, "signsvrg_v2": 2}.get(spec.algo, 0)  # 0: svrg
-    pair = ConjugatePair(spec.q)
-    comp_grads = prob.component_gradient_batch
-    move_bits = d * spec.float_bits if variant == 0 else d
-    sync_bits = n * d * spec.float_bits
-
-    def amp_floor(grad: np.ndarray) -> np.ndarray | float:
-        """What the amplitude adds to L ||x - ref||_q at a reference with
-        full gradient grad."""
-        return np.abs(grad) if variant == 2 else norm(grad, pair.p)
-
-    x1 = np.array(spec.x1, dtype=np.float64)
-    xr = np.empty((2, S, d))  # row 0: this step's iterates, row 1: the references
-    xr[1] = x1
-    ref = xr[1]
-    g = prob.full_gradient(x1)
-    ref_grad = np.tile(g, (S, 1))
-    floor = np.array([amp_floor(g)] * S)  # (S,) for variant 1, (S, d) for 2
-    chunk_x, chunk_dist, chunk_size = chunks.x, chunks.dist, chunks.size
-    sign_steps = _sign_steps(gamma)
-    diff = np.empty((S, d))  # candidate minus reference
-
-    for t0, idx, noise in _draw_blocks(rngs, n, d if variant else 0, T, d):
-        if t0 == 0 and variant:  # the first block is the longest
-            amps = np.empty(noise.shape if variant == 2 else idx.shape)
-        for j in range(len(idx)):
-            t = t0 + j
-            slot = 1 + t % chunk_size
-            if slot == chunk_size:
-                chunks.flush(t)
-            nxt = slot % chunk_size + 1
-            xr[0] = chunk_x[slot]
-            x = xr[0]
-            g = comp_grads(idx[j], xr)
-            if variant:
-                u = noise[j]
-                drift = L * chunk_dist[slot]
-                if variant == 1:
-                    amp = np.add(drift, floor, out=amps[j])[:, None]
-                else:
-                    amp = np.add(drift[:, None], floor, out=amps[j])
-                arg = amp * u
-                v = np.subtract(g[0], g[1], out=u)  # into the used-up noise slot
-                v += ref_grad
-                arg = np.add(v, arg, out=arg)
-                cand = np.subtract(x, sign_steps.take(arg >= 0.0), out=chunk_x[nxt])
-            else:
-                cand = np.subtract(x, gamma * (g[0] - g[1] + ref_grad), out=chunk_x[nxt])
-            rad = norm_rows(np.subtract(cand, ref, out=diff), pair.q, out=chunk_dist[nxt])
-            if not np.maximum.reduce(rad) <= D:  # also when a radius is NaN
-                for s in np.flatnonzero(~(rad <= D)):
-                    ref[s] = cand[s] = x[s]
-                    rad[s] = 0.0
-                    g = prob.full_gradient(ref[s])
-                    ref_grad[s] = g
-                    if variant:
-                        floor[s] = amp_floor(g)
-                    chunks.k[s][t + 1] = 1  # summed into k below
-        if variant:
-            steps = len(idx)
-            amp, v = amps[:steps], noise[:steps]
-            zero = amp == 0.0
-            degenerate = zero if variant == 1 else zero.any(axis=2)
-            for s in np.flatnonzero(degenerate.any(axis=0)):
-                chunks.flags[s][t0:t0 + steps][degenerate[:, s]] = FLAG_DEGENERATE
-            # the premise |v| <= amp + 1e-9 (1 + amp), coordinatewise, as an
-            # explicit test, so that it also runs under python -O; a few
-            # rows at a time, so that the tolerance stays a small temporary
-            held = np.empty((steps, S), dtype=bool)
-            rows = max(1, _SNAPSHOT_ELEMENTS // amp[0].size)
-            for r in range(0, steps, rows):
-                a, w = amp[r:r + rows], v[r:r + rows]
-                tol = a + 1.0
-                tol *= 1e-9
-                tol += a
-                w = np.abs(w, out=w)
-                held[r:r + rows] = np.maximum.reduce(w, axis=2) <= tol if variant == 1 else (w <= tol).all(axis=2)
-            for s in np.flatnonzero(~held.all(axis=0)):
-                chunks.fail(s, AssertionError("noise amplitude violated"))
-    steps_done = np.arange(T + 1)
-    for k, bits, evals in zip(chunks.k, chunks.bits_cum, chunks.grad_evals_cum):
-        refreshes = np.cumsum(k, out=k)
-        bits[:] = sync_bits + steps_done * move_bits + refreshes * (sync_bits - move_bits)
-        evals[:] = n + 2 * steps_done + refreshes * n
-        refreshes += 1
 
 
 def _both_steps(a: np.ndarray, b: np.ndarray, algo: str, gamma: float, idx: np.ndarray, noise: np.ndarray,
@@ -445,68 +328,156 @@ def _both_steps(a: np.ndarray, b: np.ndarray, algo: str, gamma: float, idx: np.n
     return rows, targets, up, down
 
 
-def _run_ref_free(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], chunks: _Chunks) -> None:
-    """Inner loop of the reference-free methods, all seeds of a call at once.
+def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStream], chunks: _Chunks) -> None:
+    """The one step loop of every method, all seeds of a call at once.
 
-    Row s of the (S, d) iterate is seed s, and its arithmetic is that of
-    oracles.reference_run on seed s alone, bit for bit: component gradients
-    come from component_gradient_batch, and signgd, whose rows all start at
-    x1 and draw nothing, takes the one-vector full_gradient of row 0 and
-    broadcasts its step over the rows. signsgd_plus scales a block's noise
-    by g_inf in one multiply. When the problem's subgradients are +-a_i
-    (subgradient_rows), both steps of every draw are computed once per
-    block (_both_steps), and a step is one row dot, one a_i^T x >= b_i
-    (which is a_i^T x - b_i >= 0 bit for bit, NaN included, for finite
-    b_i), one select and one subtract. The iterates are tested for
-    finiteness once per chunk (_Chunks.check_finite). bits_cum and
-    grad_evals_cum are the steps done times the per-step costs.
+    Row s of every (S, d) state array is seed s, and its arithmetic is that
+    of oracles.reference_run on seed s alone, float operation for float
+    operation. A step forms its estimate v (component gradients from
+    component_gradient_batch; signgd, whose rows all start at x1 and draw
+    nothing, takes the one-vector full_gradient of row 0 and broadcasts its
+    step over the rows) and steps by x - gamma v or by
+    x - [-gamma, gamma].take(v + amp u >= 0), where signsgd_plus scales a
+    block's noise u by amp = g_inf in one multiply. When the problem's
+    subgradients are +-a_i (subgradient_rows), both steps of every draw of
+    signsgd, signsgd_plus and sgd are computed once per block
+    (_both_steps), and a step is one row dot, one a_i^T x >= b_i (which is
+    a_i^T x - b_i >= 0 bit for bit, NaN included, for finite b_i), one
+    select and one subtract.
+
+    The reference-point methods keep the iterates and the references in one
+    (2, S, d) buffer, so a step takes both component gradients in one call,
+    and measure distances with vecmath.norm_rows; a rejected step refreshes
+    its seed's reference with the one-vector full_gradient.
+    ||x - ref||_q is carried across iterations: the accepted candidate's
+    radius check IS the next step's distance. A signed variance-reduced step
+    keeps its amplitude in a block buffer and its v in the noise slot it has
+    just used; after each block of draws, one pass over them sets
+    FLAG_DEGENERATE where some coordinate's amplitude is 0 and checks the
+    amplitude premise of every step of every seed (_Chunks.fail). k,
+    bits_cum and grad_evals_cum follow from the refresh steps after the loop.
     """
-    n, d = prob.n, prob.d
-    algo, gamma, g_inf = spec.algo, spec.gamma, spec.g_inf
-    step_bits = {"signgd": n * d * spec.float_bits, "sgd": d * spec.float_bits}.get(algo, d)
-    step_evals = n if algo == "signgd" else 1
+    S, n, d = len(rngs), prob.n, prob.d
+    algo, gamma, D, L = spec.algo, spec.gamma, spec.D, spec.L
+    vr = algo in VR_ALGORITHMS
+    signed = algo not in ("sgd", "svrg")
+    plus = algo == "signsgd_plus"
+    variant = {"signsvrg_v1": 1, "signsvrg_v2": 2}.get(algo, 0)  # 0: no amplitude
+    pair = ConjugatePair(spec.q)
+    comp_grads = prob.component_gradient_batch
     sign_steps = _sign_steps(gamma)
-    signed_rows = None if algo == "signgd" else prob.subgradient_rows()
+    signed_rows = None if vr or algo == "signgd" else prob.subgradient_rows()
+
+    # what the amplitude adds to L ||x - ref||_q at a reference with full gradient g
+    amp_floor = np.abs if variant == 2 else lambda g: norm(g, pair.p)
+    if vr:
+        xr = np.empty((2, S, d))  # row 0: this step's iterates, row 1: the references
+        xr[1] = spec.x1
+        ref = xr[1]
+        g = prob.full_gradient(np.array(spec.x1, dtype=np.float64))
+        ref_grad = np.tile(g, (S, 1))
+        floor = np.array([amp_floor(g)] * S)  # (S,) for variant 1, (S, d) for 2
+        diff = np.empty((S, d))  # candidate minus reference
 
     chunk_size = chunks.size
-    slots = list(chunks.x)  # the (S, d) row of every slot
+    slots, dists = list(chunks.x), list(chunks.dist)  # the (S, d) and (S,) row of every slot
     draws = () if algo == "signgd" else rngs
-    for t0, idx, noise in _draw_blocks(draws, n, d if algo == "signsgd_plus" else 0, T, d):
-        if algo == "signsgd_plus":
-            noise *= g_inf
+    for t0, idx, noise in _draw_blocks(draws, n, d if plus or variant else 0, T, d):
+        if t0 == 0 and variant:  # the first block is the longest
+            amps = np.empty(noise.shape if variant == 2 else idx.shape)
+        if plus:
+            noise *= spec.g_inf
         if signed_rows is not None:
-            if t0 == 0:  # the first block is the longest
+            if t0 == 0:
                 shape = (*idx.shape, d)
                 bufs = (np.empty(shape), np.empty(idx.shape), np.empty(shape),
-                        None if algo == "signsgd_plus" else np.empty(shape))
+                        None if plus else np.empty(shape))
             rows, targets, up, down = _both_steps(*signed_rows, algo, gamma, idx, noise, bufs)
         for j in range(len(idx)):
             t = t0 + j
             slot = 1 + t % chunk_size
             if slot == chunk_size:
-                chunks.check_finite(t)
                 chunks.flush(t)
-            x, nxt = slots[slot], slots[slot % chunk_size + 1]
+            nxt = slot % chunk_size + 1
+            x, x_next = slots[slot], slots[nxt]
             if signed_rows is not None:
                 pick = row_dot(rows[j], x) >= targets[j]
-                np.subtract(x, np.where(pick[:, None], up[j], down[j]), out=nxt)
+                np.subtract(x, np.where(pick[:, None], up[j], down[j]), out=x_next)
                 continue
+            # the estimate v, and the noise term w = amp u of a noisy sign step
             if algo == "signgd":
-                g = prob.full_gradient(x[0])  # every row equals row 0
+                v = prob.full_gradient(x[0])  # every row equals row 0
+            elif vr:
+                xr[0] = x
+                x = xr[0]  # a copy: at one row per chunk, x_next is x's own slot
+                g = comp_grads(idx[j], xr)
+                if variant:
+                    drift = L * dists[slot]
+                    if variant == 1:
+                        amp = np.add(drift, floor, out=amps[j])[:, None]
+                    else:
+                        amp = np.add(drift[:, None], floor, out=amps[j])
+                    w = amp * noise[j]
+                v = np.subtract(g[0], g[1], out=noise[j] if variant else g[0])  # into the used-up noise slot
+                v += ref_grad
             else:
-                g = prob.component_gradient_batch(idx[j], x)
-            if algo == "sgd":
-                g *= gamma
-                np.subtract(x, g, out=nxt)
+                v = comp_grads(idx[j], x)
+                w = noise[j]  # signsgd_plus: g_inf u
+            if not signed:
+                v *= gamma
+                np.subtract(x, v, out=x_next)
             else:
-                if algo == "signsgd_plus":
-                    g += noise[j]
-                np.subtract(x, sign_steps.take(g >= 0.0), out=nxt)
-    chunks.check_finite(T)
+                if plus or variant:
+                    v = np.add(v, w, out=w)
+                np.subtract(x, sign_steps.take(v >= 0.0), out=x_next)
+            if not vr:
+                continue
+            rad = norm_rows(np.subtract(x_next, ref, out=diff), pair.q, out=dists[nxt])
+            if not np.maximum.reduce(rad) <= D:  # also when a radius is NaN
+                for s in np.flatnonzero(~(rad <= D)):
+                    ref[s] = x_next[s] = x[s]
+                    rad[s] = 0.0
+                    g = prob.full_gradient(ref[s])
+                    ref_grad[s] = g
+                    if variant:
+                        floor[s] = amp_floor(g)
+                    chunks.k[s][t + 1] = 1  # summed into k below
+        if variant:
+            steps = len(idx)
+            amp, v = amps[:steps], noise[:steps]
+            zero = amp == 0.0
+            degenerate = zero if variant == 1 else zero.any(axis=2)
+            for s in np.flatnonzero(degenerate.any(axis=0)):
+                chunks.flags[s][t0:t0 + steps][degenerate[:, s]] = FLAG_DEGENERATE
+            # the premise |v| <= amp + 1e-9 (1 + amp), coordinatewise, as an
+            # explicit test, so that it also runs under python -O; a few
+            # rows at a time, so that the tolerance stays a small temporary
+            held = np.empty((steps, S), dtype=bool)
+            span = max(1, _SNAPSHOT_ELEMENTS // amp[0].size)
+            for r in range(0, steps, span):
+                a, w = amp[r:r + span], v[r:r + span]
+                tol = a + 1.0
+                tol *= 1e-9
+                tol += a
+                w = np.abs(w, out=w)
+                held[r:r + span] = np.maximum.reduce(w, axis=2) <= tol if variant == 1 else (w <= tol).all(axis=2)
+            for s in np.flatnonzero(~held.all(axis=0)):
+                chunks.fail(s, AssertionError("noise amplitude violated"))
+    # every seed pays the initial reference sync (reference-point methods
+    # only) and its steps; a refresh pays the sync in place of its step's
+    # upload, and n gradient evaluations on top of its step's
+    sync_bits = n * d * spec.float_bits
+    step_bits = sync_bits if algo == "signgd" else d if signed else d * spec.float_bits
+    step_evals = n if algo == "signgd" else 2 if vr else 1
     steps_done = np.arange(T + 1)
-    for bits, evals in zip(chunks.bits_cum, chunks.grad_evals_cum):
-        bits[:] = steps_done * step_bits
-        evals[:] = steps_done * step_evals
+    bits_done, evals_done = vr * sync_bits + steps_done * step_bits, vr * n + steps_done * step_evals
+    for k, bits, evals in zip(chunks.k, chunks.bits_cum, chunks.grad_evals_cum):
+        bits[:], evals[:] = bits_done, evals_done
+        if k.any():  # the cumulative sum is the slow part, and most seeds never refresh
+            refreshes = np.cumsum(k, out=k)
+            bits += refreshes * (sync_bits - step_bits)
+            evals += refreshes * n
+        k += vr  # the initial reference is k's first
 
 
 def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int]) -> list[Trace]:
@@ -514,10 +485,10 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
     batch, and record one trace per seed (see the trace module for the row
     conventions); a seed's trace does not depend on the other seeds. Aborts
     with AssertionError if a signed variance-reduced step breaks its
-    amplitude premise, and with NonFiniteIterateError if an iterate of a
-    reference-free method leaves the finite floats. A failed seed steps on
-    with the others; the error raised is that of the first failed seed in
-    seed order, as running the seeds one after another would raise."""
+    amplitude premise, and with NonFiniteIterateError if an iterate leaves
+    the finite floats. A failed seed steps on with the others; the error
+    raised is that of the first failed seed in seed order, as running the
+    seeds one after another would raise."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if len(seeds) < 1:
@@ -530,40 +501,26 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
 
     rngs = [RngStream(seed) for seed in seeds]
     chunks = _Chunks(prob, T, len(seeds), x1, spec.keep_iterates)
-    loop = _run_vr if spec.algo in VR_ALGORITHMS else _run_ref_free
     # a diverging seed passes through inf and NaN before its row raises
     # NonFiniteIterateError, which says all that numpy's warnings would
     with np.errstate(over="ignore", invalid="ignore"):
-        loop(spec, prob, T, rngs, chunks)
-        for error in chunks.errors:  # the first failed seed's, in seed order
-            if error is not None:
-                raise error
+        _step_loop(spec, prob, T, rngs, chunks)
         chunks.flush(T)
+    for error in chunks.errors:  # the first failed seed's, in seed order
+        if error is not None:
+            raise error
 
     x_final = chunks.x[1 + T % chunks.size]  # row T + 1 of every seed
-    traces = []
-    for s, seed in enumerate(seeds):
-        meta = {
-            "algo": spec.algo,
-            "gamma": spec.gamma,
-            "q": spec.q,
-            "D": spec.D,
-            "L": spec.L,
-            "g_inf": spec.g_inf,
-            "float_bits": spec.float_bits,
-            "T": T,
-            "seed": seed,
-            "n": prob.n,
-            "d": prob.d,
-        }
-        traces.append(Trace(
-            **{name: getattr(chunks, name)[s] for name in chunks.COLUMNS},
-            x1=x1.copy(),
-            x_mean=chunks.x_sum[s] / T,
-            x_final=x_final[s].copy(),
-            meta=meta,
-        ))
-    return traces
+    meta = {"algo": spec.algo, "gamma": spec.gamma, "q": spec.q, "D": spec.D, "L": spec.L, "g_inf": spec.g_inf,
+            "float_bits": spec.float_bits, "T": T, "n": prob.n, "d": prob.d}
+    return [Trace(
+        **{name: getattr(chunks, name)[s] for name in Trace.COLUMNS},
+        iterates=chunks.iterates[s],
+        x1=x1.copy(),
+        x_mean=chunks.x_sum[s] / T,
+        x_final=x_final[s].copy(),
+        meta={**meta, "seed": seed},
+    ) for s, seed in enumerate(seeds)]
 
 
 def run(spec: RunSpec, prob: FiniteSumProblem, T: int, seed: int) -> Trace:

@@ -197,7 +197,7 @@ def reference_run(spec: RunSpec, prob: FiniteSumProblem, T: int, seed: int) -> d
     Each step calls the seed's Generator itself (the index, then the noise
     cube of the noisy sign methods) and the one-vector component_gradient
     and full_gradient, and measures radii with vecmath.norm. The bitwise
-    reference for the seed-batched loops: returns the trace columns
+    reference for the seed-batched loop: returns the trace columns
     x_final, iterates (rows 1..T), k, dist_to_ref, bits_cum, grad_evals_cum
     and flags, which run_seeds must reproduce exactly.
     """

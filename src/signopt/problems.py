@@ -92,8 +92,9 @@ class FiniteSumProblem(ABC):
         """(a, b), rows (n, d) and finite targets (n,), when the (sub)gradient
         of component i is +a_i where a_i^T x - b_i >= 0 and -a_i otherwise
         (NaN included), bit for bit as component_gradient returns it; else
-        None. With it, the reference-free run loops compute both possible
-        steps of a block of draws before its iterates are known."""
+        None. With it, the run loop computes both possible steps of a block
+        of draws of signsgd, signsgd_plus and sgd before its iterates are
+        known."""
         return None
 
     def lipschitz_constant(self, q: float) -> float | None:

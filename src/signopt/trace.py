@@ -25,7 +25,7 @@ import functools
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -55,6 +55,10 @@ def _npy_header(rows: int) -> bytes:
 @dataclass
 class Trace:
     """Struct-of-arrays record of one run; all arrays have length T+1."""
+
+    # the metric columns, in the order of the file columns (CSV_HEADER)
+    COLUMNS: ClassVar[tuple[str, ...]] = (
+        "t", "f", "gnorm1", "gnorm2", "gnorm_inf", "k", "dist_to_ref", "bits_cum", "grad_evals_cum", "flags")
 
     t: np.ndarray
     f: np.ndarray
@@ -86,21 +90,16 @@ class Trace:
             return self.gnorm_inf
         raise ValueError(f"p must be one of {{1, 2, inf}}, got {p!r}")
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """The metric columns in `_TRACE_DTYPE` order."""
-        return (self.t, self.f, self.gnorm1, self.gnorm2, self.gnorm_inf, self.k,
-                self.dist_to_ref, self.bits_cum, self.grad_evals_cum, self.flags)
-
     def to_npy(self, path: str) -> None:
         records = np.empty(len(self.t), dtype=_TRACE_DTYPE)
-        for name, col in zip(_TRACE_DTYPE.names, self._columns()):
-            records[name] = col
+        for name, column in zip(_TRACE_DTYPE.names, self.COLUMNS):
+            records[name] = getattr(self, column)
         with open(path, "wb") as fh:  # the bytes of np.save, which would append ".npy" to a name
             fh.write(_npy_header(len(records)))
             fh.write(records.view(np.uint8))
 
     def to_csv(self, path: str) -> None:
-        cols = self._columns()
+        cols = [getattr(self, name) for name in self.COLUMNS]
         with open(path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             # a block of rows at a time bounds the Python objects alive at once
@@ -140,8 +139,7 @@ def read_trace(path: str | Path) -> Trace:
         raise ValueError(f"{path}: a trace file ends in .npy or .csv")
     if raw.size == 0:
         raise ValueError(f"{path}: trace has no rows")
-    cols = {name: np.ascontiguousarray(raw[name]) for name in _TRACE_DTYPE.names}
-    cols["gnorm_inf"] = cols.pop("gnormInf")
+    cols = {name: np.ascontiguousarray(raw[stored]) for name, stored in zip(Trace.COLUMNS, _TRACE_DTYPE.names)}
     empty = np.empty(0)
     return Trace(**cols, x1=empty, x_mean=empty, x_final=empty)
 

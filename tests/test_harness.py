@@ -125,6 +125,14 @@ def test_config_roundtrip():
         # the random streams key on a seed mod 2**64, so these two would alias
         ({"seeds": [-1, 2**64 - 1]}, "seeds"),
         ({"problem": dict(BASE["problem"], seed=2**64)}, "problem"),
+        # a field the run would ignore: cor1 derives gamma and D, only
+        # signsgd_plus reads g_inf, only cor2 and sec2 read alpha, and only
+        # the reference-point methods read P
+        ({"gamma": 0.1}, "gamma"),
+        ({"D": 1.0}, "D"),
+        ({"g_inf": 5.0}, "g_inf"),
+        ({"alpha": 1.0}, "alpha"),
+        ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": 64}, "P"),
     ],
 )
 def test_config_rejections_name_the_field(patch, field):

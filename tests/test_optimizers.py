@@ -1,8 +1,8 @@
-"""Schedules, the seed-batched run loops, and trace accounting.
+"""Schedules, the seed-batched run loop, and trace accounting.
 
 The frozen end states pin exact arithmetic (argument order of every random
 draw included); the equivalence tests then certify that the seed-batched
-loops inside run_seeds() are bit-for-bit the same dynamics as
+loop inside run_seeds() is bit-for-bit the same dynamics as
 oracles.reference_run, which steps one seed at a time.
 """
 import dataclasses
@@ -197,6 +197,19 @@ ORACLE_COLUMNS = ("x_final", "iterates", "k", "dist_to_ref", "bits_cum", "grad_e
 # sign step, five and a half refresh now and then, 333 never do
 RADII = {"reject_heavy": 1 / 3, "mixed": 5.5, "accept_only": 333.0}
 
+# (d, n) of each problem kind in the step loop tests. At n = 7 the horizon
+# lies inside one snapshot chunk of 585 rows; at n = 300 chunks hold 13
+# rows, so chunks are flushed mid-horizon. sphere_quadratic (whose single
+# component's draw, integers(1, 1), consumes no word) and the d = 1
+# counterexample run on the base-class kernels at their one shape.
+SHAPES = {"sphere_quadratic": ((5, 1),), "counterexample": ((1, 3),)}
+DATA_SHAPES = ((5, 7), (5, 300))
+KINDS = ("least_squares", "abs_regression", "trig_nonconvex", "logistic", "sphere_quadratic", "counterexample")
+
+
+def _problem(kind, d, n):
+    return make_problem(ProblemSpec(kind=kind, d=d, n=n, seed=3, lam=0.1 if kind == "trig_nonconvex" else 0.0))
+
 
 def _assert_matches_reference(tr, spec, prob, seed):
     ref = reference_run(spec, prob, tr.T, seed)
@@ -210,26 +223,24 @@ def _assert_matches_reference(tr, spec, prob, seed):
     np.testing.assert_array_equal(tr.x_mean, x_sum / tr.T, err_msg=f"{seed} x_mean")
 
 
-@pytest.mark.parametrize("kind", ["least_squares", "trig_nonconvex", "logistic"])
+@pytest.mark.parametrize("kind", ["least_squares", "trig_nonconvex", "logistic", "sphere_quadratic", "counterexample"])
 @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
 @pytest.mark.parametrize("algo", ["signsvrg_v1", "signsvrg_v2", "svrg"])
 def test_seed_batch_matches_steppers_and_single_runs(algo, q, kind):
-    x1 = 0.5 * np.ones(5)
-    T = 120
-    # at n = 7 the horizon lies inside one snapshot chunk of 585 rows; at
-    # n = 300 chunks hold 13 rows, and 120 is no multiple of 13, so chunks
-    # are flushed mid-horizon and the last one is partial
-    for n, (radius, steps) in itertools.product((7, 300), RADII.items()):
+    T = 120  # no multiple of 13, so at n = 300 the last chunk is partial
+    for (d, n), (radius, steps) in itertools.product(SHAPES.get(kind, DATA_SHAPES), RADII.items()):
         # the unsigned steps need a longer stride to refresh as often, and a
         # longer one still at n = 300, whose full gradients are smaller
-        gamma = {7: 0.3, 300: 0.5}[n] if algo == "svrg" else 0.03
-        prob = make_problem(ProblemSpec(kind=kind, d=5, n=n, seed=3, lam=0.1 if kind == "trig_nonconvex" else 0.0))
+        gamma = {1: 1.0, 3: 1.0, 7: 0.3, 300: 0.5}[n] if algo == "svrg" else 0.03
+        prob = _problem(kind, d, n)
         L = prob.lipschitz_constant(q)
-        D = steps * 0.03 * ConjugatePair(q).dim_root(prob.d)
-        spec = RunSpec(algo=algo, gamma=gamma, x1=x1, q=q, D=D, L=L, keep_iterates=True)
+        D = steps * 0.03 * ConjugatePair(q).dim_root(d)
+        spec = RunSpec(algo=algo, gamma=gamma, x1=0.5 * np.ones(d), q=q, D=D, L=L, keep_iterates=True)
         batch = run_seeds(spec, prob, T, BATCH_SEEDS)
         refreshes = [int(tr.k[-1]) - 1 for tr in batch]
-        if radius == "reject_heavy":
+        if kind in SHAPES and algo == "svrg":
+            pass  # its estimate x - ref + grad f(ref) there hardly depends on the draw
+        elif radius == "reject_heavy":
             assert min(refreshes) > T // 2, (n, radius)
         elif radius == "mixed":
             # every seed refreshes, not all at the same steps
@@ -443,15 +454,13 @@ def test_run_seeds_rejects_an_empty_batch():
 
 @pytest.mark.parametrize("algo", ["signsgd", "signsgd_plus", "sgd", "signgd"])
 def test_fused_simple_loop_matches_reference_run(algo):
-    kw = dict(algo=algo, gamma=0.02, x1=0.5 * np.ones(5), keep_iterates=True)
-    if algo == "signsgd_plus":
-        kw["g_inf"] = 9.0
-    spec = RunSpec(**kw)
-    # at n = 7 the horizon lies inside one snapshot chunk of 585 rows; at
-    # n = 300 chunks hold 13 rows, and 150 is no multiple of 13 while 130 is
-    kinds = ("least_squares", "abs_regression", "trig_nonconvex", "logistic")
-    for kind, (n, T) in itertools.product(kinds, ((7, 150), (300, 150), (300, 130))):
-        prob = make_problem(ProblemSpec(kind=kind, d=5, n=n, seed=3, lam=0.1 if kind == "trig_nonconvex" else 0.0))
+    # at n = 300, 150 is no multiple of the chunk's 13 rows while 130 is
+    cases = [(kind, d, n, T) for kind in KINDS for d, n in SHAPES.get(kind, DATA_SHAPES)
+             for T in ((150, 130) if n == 300 else (150,))]
+    for kind, d, n, T in cases:
+        prob = _problem(kind, d, n)
+        spec = RunSpec(algo=algo, gamma=0.02, x1=0.5 * np.ones(d), g_inf=9.0 if algo == "signsgd_plus" else None,
+                       keep_iterates=True)
         for seeds in ((13,), BATCH_SEEDS):
             for seed, tr in zip(seeds, run_seeds(spec, prob, T, seeds)):
                 single = run(spec, prob, T, seed)
@@ -459,6 +468,22 @@ def test_fused_simple_loop_matches_reference_run(algo):
                     np.testing.assert_array_equal(getattr(tr, col), getattr(single, col),
                                                   err_msg=f"{kind} {n} {T} {seed} {col}")
                 _assert_matches_reference(tr, spec, prob, seed)
+
+
+def test_one_row_chunks_match_reference_run():
+    # at n > 4096 // 2 a snapshot chunk holds one row, so every step writes
+    # its new iterates over the row it steps from: a rejected
+    # variance-reduced candidate must still restore the iterate it replaced
+    prob = _ls(d=3, n=4200, seed=3)
+    for algo in ALGORITHMS:
+        vr = algo in ("signsvrg_v1", "signsvrg_v2", "svrg")
+        spec = RunSpec(algo=algo, gamma=0.5 if algo == "svrg" else 0.05, x1=np.ones(3), q=1.0,
+                       D=0.3 if vr else None, L=prob.lipschitz_constant(1.0) if vr else None,
+                       g_inf=50.0 if algo == "signsgd_plus" else None, keep_iterates=True)
+        batch = run_seeds(spec, prob, 40, (1, 2))
+        assert not vr or min(tr.k[-1] for tr in batch) > 5, algo  # every seed refreshes
+        for seed, tr in zip((1, 2), batch):
+            _assert_matches_reference(tr, spec, prob, seed)
 
 
 def test_candidate_steps_take_a_zero_residual_as_plus():

@@ -464,7 +464,7 @@ def test_abs_regression_batch_subgradient_takes_sign_zero_as_plus():
 
 def test_subgradient_rows_match_component_gradient_bitwise():
     # subgradient_rows() promises that component i's gradient is +a_i where
-    # a_i^T x - b_i >= 0 and -a_i otherwise, bit for bit; the run loops test
+    # a_i^T x - b_i >= 0 and -a_i otherwise, bit for bit; the run loop tests
     # a_i^T x >= b_i, which must choose alike. Checked at residuals of
     # exactly 0, at -0.0 iterates, and at NaN and infinite ones
     probs = [make_problem(spec) for spec in ALL_SPECS]

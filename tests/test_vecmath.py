@@ -185,7 +185,7 @@ def test_row_dot_and_norm_rows_match_one_row_ops_bitwise(d):
     a = gen.standard_normal((300, d))
     b = gen.standard_normal((300, d))
     np.testing.assert_array_equal(row_dot(a, b), [u @ v for u, v in zip(a, b)])
-    # the run loops' shapes: rows against an (S, d) stack and a (2, S, d)
+    # the run loop's shapes: rows against an (S, d) stack and a (2, S, d)
     # one, and the rows of a step-major snapshot chunk (size + 1, S, d): a
     # whole row chunk[slot] and the prefix chunk[slot, :S'] left after seeds
     # drop out
