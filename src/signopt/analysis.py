@@ -104,8 +104,8 @@ def _run_params(traces: list[Trace], bound: str | tuple[str, ...], *names: str) 
     for the check `bound` (or for any of a tuple of checks).
 
     Raises ValueError on an empty batch, on traces that disagree on any
-    recorded parameter, on a batch that does not record one of `names`, and
-    on one of an algorithm the bound is not stated for."""
+    recorded parameter, on one of an algorithm the bound is not stated for,
+    and on a batch that does not record one of `names`."""
     if not traces:
         raise ValueError("need at least one trace")
     for key in _RECORDED:
@@ -113,14 +113,16 @@ def _run_params(traces: list[Trace], bound: str | tuple[str, ...], *names: str) 
         if len(vals) != 1:
             raise ValueError(f"traces disagree on {key}: {sorted(map(str, vals))}")
     meta = traces[0].meta
-    for key in names:
-        if meta.get(key) is None:
-            raise ValueError(f"traces do not record the run's {key}; the bound needs it")
+    missing = [key for key in names if meta.get(key) is None]
     bounds = (bound,) if isinstance(bound, str) else bound
     algos = [algo for name in bounds for algo in _STATED_FOR[name]]
-    if meta.get("algo") not in algos:
+    # a recorded algorithm is checked first, since another algorithm need
+    # not record the parameters this bound reads
+    if meta.get("algo") not in algos and (meta.get("algo") is not None or not missing):
         raise ValueError(f"{' and '.join(bounds)} is stated for {', '.join(algos)}, "
                          f"not for traces of {meta.get('algo')!r}")
+    if missing:
+        raise ValueError(f"traces do not record the run's {missing[0]}; the bound needs it")
     return tuple(meta[key] for key in names)
 
 

@@ -87,14 +87,15 @@ __all__ = [
     "SCHEDULES",
 ]
 
-SCHEDULES = ("cor1", "cor2", "sec2", "manual")
-
-# which algorithms each schedule rule may drive
-_SCHEDULE_ALGOS = {
-    "cor1": {"signsvrg_v1", "signsvrg_v2", "svrg", "signgd"},
-    "cor2": {"signsvrg_v1"},
-    "sec2": {"signsgd_plus"},
-    "manual": set(ALGORITHMS),
+# schedule -> (the algorithms it drives, the config fields it reads, its
+# rule). A rule maps (cfg, d, L, alpha) to gamma and to P -> D, the trust
+# radius of a reference period P, which is called only for a method that
+# records D. Every method cor1 drives records L.
+SCHEDULES = {
+    "cor1": ((*VR_ALGORITHMS, "signgd"), (), lambda cfg, d, L, alpha: schedule_cor1(d, cfg.q, L, cfg.T)),
+    "cor2": (("signsvrg_v1",), ("alpha",), lambda cfg, d, L, alpha: schedule_cor2(alpha, d, cfg.T)),
+    "sec2": (("signsgd_plus",), ("alpha",), lambda cfg, d, L, alpha: (schedule_sec2(alpha, d, cfg.T), None)),
+    "manual": (ALGORITHMS, ("gamma", "D"), lambda cfg, d, L, alpha: (float(cfg.gamma), lambda P: cfg.D)),
 }
 
 
@@ -157,7 +158,8 @@ class ExperimentConfig:
             raise ConfigError("algo", f"unknown algorithm {self.algo!r}; known: {sorted(ALGORITHMS)}")
         if self.schedule not in SCHEDULES:
             raise ConfigError("schedule", f"unknown schedule {self.schedule!r}; known: {sorted(SCHEDULES)}")
-        if self.algo not in _SCHEDULE_ALGOS[self.schedule]:
+        algos, reads, _ = SCHEDULES[self.schedule]
+        if self.algo not in algos:
             raise ConfigError(
                 "schedule",
                 f"schedule {self.schedule!r} does not apply to algorithm {self.algo!r}",
@@ -190,18 +192,20 @@ class ExperimentConfig:
                 raise ConfigError("x1", f"must hold finite numbers only, got {self.x1!r}")
         if self.P is not None and self.P < 1:
             raise ConfigError("P", f"P must be >= 1, got {self.P}")
-        # a field the run would ignore is an error, not a silent no-op
-        for name, used in (("gamma", self.schedule == "manual"),
-                           ("D", self.schedule == "manual" and self.algo in VR_ALGORITHMS),
-                           ("P", self.algo in VR_ALGORITHMS),
-                           ("g_inf", self.algo == "signsgd_plus"),
-                           ("alpha", self.schedule in ("cor2", "sec2"))):
+        # a field the run would ignore is an error, not a silent no-op; P
+        # sets the radius D of a method that records one
+        params = RunSpec.PARAMS[self.algo]
+        for name, used in (("gamma", "gamma" in reads),
+                           ("D", "D" in reads and "D" in params),
+                           ("P", "D" in params),
+                           ("g_inf", "g_inf" in params),
+                           ("alpha", "alpha" in reads)):
             if getattr(self, name) is not None and not used:
                 raise ConfigError(name, f"is not used by algorithm {self.algo!r} under schedule {self.schedule!r}")
-        if self.schedule == "manual" and (self.gamma is None or self.gamma <= 0):
-            raise ConfigError("gamma", "manual schedule requires a positive gamma")
-        if self.schedule == "manual" and self.algo in VR_ALGORITHMS and (self.D is None or self.D <= 0):
-            raise ConfigError("D", "manual schedule with a reference-point method requires D > 0")
+        if "gamma" in reads and (self.gamma is None or self.gamma <= 0):
+            raise ConfigError("gamma", f"schedule {self.schedule!r} requires a positive gamma")
+        if "D" in reads and "D" in params and (self.D is None or self.D <= 0):
+            raise ConfigError("D", f"schedule {self.schedule!r} with a reference-point method requires D > 0")
         for name in self.checks:
             if name not in CHECKS:
                 raise ConfigError("checks", f"unknown check {name!r}; known: {sorted(CHECKS)}")
@@ -314,10 +318,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 @dataclass(frozen=True)
 class _Derived:
     """What is resolved from (config, problem) before running: the run's
-    spec, the reference period and the optimum the checks need."""
+    spec, the reference period (None for a method without a reference
+    point) and the optimum the checks need."""
 
     spec: RunSpec
-    P: float
+    P: float | None
     f_star: float | None = None
     f_star_source: str | None = None
     x_star: np.ndarray | None = None
@@ -375,35 +380,25 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> tuple[_Derived, f
     f* came from elsewhere). Raises every ConfigError that depends on the
     problem, so none comes after a step has run."""
     x1 = _resolve_x1(cfg, prob)
-    P = float(cfg.P) if cfg.P is not None else float(cfg.F * prob.n)
+    params = RunSpec.PARAMS[cfg.algo]
+    _, reads, rule = SCHEDULES[cfg.schedule]
+    P = float(cfg.F * prob.n if cfg.P is None else cfg.P) if "D" in params else None
     needs = {CHECKS[name][1] for name in cfg.checks} - {None}
-    alpha_from_opt = cfg.schedule in ("cor2", "sec2") and cfg.alpha is None
-    opt = prob.optimum() if needs or alpha_from_opt else None
+    opt = prob.optimum() if needs or ("alpha" in reads and cfg.alpha is None) else None
 
-    needs_l = cfg.algo in VR_ALGORITHMS or cfg.algo == "signgd"
-    L = prob.lipschitz_constant(cfg.q) if needs_l else None
-    if needs_l and L is None:
+    L = prob.lipschitz_constant(cfg.q) if "L" in params else None
+    if "L" in params and L is None:
         raise ConfigError(
             "algo",
             f"algorithm {cfg.algo!r} needs an analytic smoothness constant, but problem "
             f"{cfg.problem.kind!r} provides none",
         )
-
-    if cfg.schedule == "cor1":
-        gamma, d_factory = schedule_cor1(prob.d, cfg.q, L, cfg.T)
-        D = d_factory(P) if cfg.algo in VR_ALGORITHMS else None
-    elif cfg.schedule == "cor2":
-        gamma, d_factory = schedule_cor2(_resolve_alpha(cfg, opt, x1), prob.d, cfg.T)
-        D = d_factory(P)
-    elif cfg.schedule == "sec2":
-        gamma = schedule_sec2(_resolve_alpha(cfg, opt, x1), prob.d, cfg.T)
-        D = None
-    else:  # manual
-        gamma = float(cfg.gamma)
-        D = cfg.D
+    alpha = _resolve_alpha(cfg, opt, x1) if "alpha" in reads else None
+    gamma, radius = rule(cfg, prob.d, L, alpha)
+    D = radius(P) if "D" in params else None
 
     g_inf = cfg.g_inf
-    if cfg.algo == "signsgd_plus" and g_inf is None:
+    if "g_inf" in params and g_inf is None:
         g_inf = prob.grad_bound_inf()
         if g_inf is None:
             raise ConfigError(

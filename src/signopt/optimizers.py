@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -89,12 +89,6 @@ __all__ = [
     "ALGORITHMS",
     "VR_ALGORITHMS",
 ]
-
-ALGORITHMS = ("signsgd", "signsgd_plus", "signgd", "sgd", "signsvrg_v1", "signsvrg_v2", "svrg")
-
-# the methods that keep a reference point and a trust radius
-VR_ALGORITHMS = ("signsvrg_v1", "signsvrg_v2", "svrg")
-
 
 class NonFiniteIterateError(RuntimeError):
     """Raised when an iterate leaves the finite floats; carries the row index."""
@@ -158,6 +152,15 @@ def schedule_sec2(dist_to_opt: float, d: int, T: int) -> float:
 class RunSpec:
     """Everything run() needs besides the problem, horizon, and seed."""
 
+    # the run parameters each method requires and records in its traces'
+    # meta besides gamma and q, and it takes no other: D and L for the
+    # reference-point methods, G_inf for signsgd_plus, and L for signgd,
+    # whose step reads none but whose bound (analysis.signgd_bound) reads L
+    PARAMS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "signsgd": (), "signsgd_plus": ("g_inf",), "signgd": ("L",), "sgd": (),
+        "signsvrg_v1": ("D", "L"), "signsvrg_v2": ("D", "L"), "svrg": ("D", "L"),
+    }
+
     algo: str
     gamma: float
     x1: np.ndarray
@@ -169,26 +172,26 @@ class RunSpec:
     keep_iterates: bool = False
 
     def __post_init__(self) -> None:
-        if self.algo not in ALGORITHMS:
+        if self.algo not in self.PARAMS:
             raise ValueError(f"unknown algo {self.algo!r}; known: {ALGORITHMS}")
-        for name in ("gamma", "D", "L", "g_inf"):
+        needed = ("gamma", *self.PARAMS[self.algo])
+        for name, what in (("gamma", "step size"), ("D", "trust radius"), ("L", "smoothness constant"),
+                           ("g_inf", "gradient bound")):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+            if (value is None) == (name in needed):
+                raise ValueError(f"{self.algo} requires {name}" if value is None
+                                 else f"{name} is not a parameter of {self.algo}")
+            if value is not None and not 0 < value < math.inf:  # also when it is NaN
+                raise ValueError(f"{what} {name} must be finite and positive, got {value}")
         ConjugatePair(self.q)  # every algorithm records q in its trace meta
-        if self.algo in VR_ALGORITHMS:
-            if self.D is None or self.L is None:
-                raise ValueError(f"{self.algo} requires both D and L")
-            if self.D <= 0:
-                raise ValueError(f"trust radius D must be positive, got {self.D}")
-            if self.L <= 0:
-                raise ValueError(f"smoothness constant L must be positive, got {self.L}")
-        if self.algo == "signsgd_plus" and (self.g_inf is None or self.g_inf <= 0):
-            raise ValueError("signsgd_plus requires a positive g_inf")
         if self.float_bits < 1:
             raise ValueError(f"float_bits must be >= 1, got {self.float_bits}")
+
+
+ALGORITHMS = tuple(RunSpec.PARAMS)
+
+# the methods that keep a reference point and a trust radius
+VR_ALGORITHMS = tuple(algo for algo, params in RunSpec.PARAMS.items() if "D" in params)
 
 
 # float64 elements per buffer of the step loop: the noise drawn for one

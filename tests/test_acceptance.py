@@ -295,7 +295,7 @@ def test_criterion_10_signgd_oscillation_floor():
     exactly and never has two consecutive iterates below gamma/2."""
     prob = LeastSquaresProblem(np.eye(1), np.zeros(1))
     gamma, T = 0.05, 1000
-    tr = run(RunSpec(algo="signgd", gamma=gamma, x1=np.array([1.0]),
+    tr = run(RunSpec(algo="signgd", gamma=gamma, x1=np.array([1.0]), L=prob.lipschitz_constant(1.0),
                      keep_iterates=True), prob, T, 0)
     xs = np.concatenate([tr.iterates[:, 0], [tr.x_final[0]]])  # x_1 .. x_{T+1}
     closed = signgd_1d_closed_form(1.0, gamma, T + 1)

@@ -139,14 +139,14 @@ def test_runs_differing_in_one_parameter_rejected(param, value):
 def test_traces_of_another_algorithm_rejected():
     # a bound is evaluated only on runs of the algorithms it is stated for,
     # also when the caller bypasses harness.CHECKS: a signsvrg_v2 run carries
-    # no variant-1 descent bound, and a signsvrg_v1 run whose spec set g_inf
-    # no regret bound
+    # no variant-1 descent bound, and a signsvrg_v1 run, which records no
+    # g_inf, no regret bound
     _, v2, *_ = _vr_batch(algo="signsvrg_v2", T=50, seeds=(1, 2))
     with pytest.raises(ValueError, match="svrg_grad_bound_v1 is stated for signsvrg_v1, not for traces of 'signsvrg_v2'"):
         svrg_grad_bound_v1(v2)
     prob, v1, L, D, gamma = _vr_batch(T=50, seeds=(1,))
     x_star, f_star = prob.optimum()
-    spec = RunSpec(algo="signsvrg_v1", gamma=gamma, x1=v1[0].x1, q=1.0, D=D, L=L, g_inf=5.0)
+    spec = RunSpec(algo="signsvrg_v1", gamma=gamma, x1=v1[0].x1, q=1.0, D=D, L=L)
     with pytest.raises(ValueError, match="regret_bound is stated for signsgd_plus, not for traces of 'signsvrg_v1'"):
         regret_bound(run_seeds(spec, prob, 50, (1, 2)), f_star, x_star)
 

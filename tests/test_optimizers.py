@@ -66,6 +66,8 @@ def test_frozen_simple_runs():
         kw = dict(algo=algo, gamma=0.1, x1=x1)
         if algo == "signsgd_plus":
             kw["g_inf"] = 8.0
+        if algo == "signgd":
+            kw["L"] = prob.lipschitz_constant(1.0)
         tr = run(RunSpec(**kw), prob, 5, 7)
         np.testing.assert_allclose(tr.x_final, xf, rtol=0, atol=0)
         assert int(tr.bits_cum[-1]) == bits
@@ -459,8 +461,9 @@ def test_fused_simple_loop_matches_reference_run(algo):
              for T in ((150, 130) if n == 300 else (150,))]
     for kind, d, n, T in cases:
         prob = _problem(kind, d, n)
+        # signgd's step reads no L, which the nonsmooth kinds do not have
         spec = RunSpec(algo=algo, gamma=0.02, x1=0.5 * np.ones(d), g_inf=9.0 if algo == "signsgd_plus" else None,
-                       keep_iterates=True)
+                       L=1.0 if algo == "signgd" else None, keep_iterates=True)
         for seeds in ((13,), BATCH_SEEDS):
             for seed, tr in zip(seeds, run_seeds(spec, prob, T, seeds)):
                 single = run(spec, prob, T, seed)
@@ -478,7 +481,7 @@ def test_one_row_chunks_match_reference_run():
     for algo in ALGORITHMS:
         vr = algo in ("signsvrg_v1", "signsvrg_v2", "svrg")
         spec = RunSpec(algo=algo, gamma=0.5 if algo == "svrg" else 0.05, x1=np.ones(3), q=1.0,
-                       D=0.3 if vr else None, L=prob.lipschitz_constant(1.0) if vr else None,
+                       D=0.3 if vr else None, L=prob.lipschitz_constant(1.0) if vr or algo == "signgd" else None,
                        g_inf=50.0 if algo == "signsgd_plus" else None, keep_iterates=True)
         batch = run_seeds(spec, prob, 40, (1, 2))
         assert not vr or min(tr.k[-1] for tr in batch) > 5, algo  # every seed refreshes
@@ -492,7 +495,8 @@ def test_candidate_steps_take_a_zero_residual_as_plus():
     prob = AbsRegressionProblem(np.array([[1.0]]), np.array([0.0]))
     assert prob.subgradient_rows() is not None
     for algo, x1 in itertools.product(("signsgd", "signsgd_plus", "sgd"), (0.0, -0.0)):
-        spec = RunSpec(algo=algo, gamma=0.5, x1=np.array([x1]), g_inf=0.25, keep_iterates=True)
+        spec = RunSpec(algo=algo, gamma=0.5, x1=np.array([x1]), g_inf=0.25 if algo == "signsgd_plus" else None,
+                       keep_iterates=True)
         tr = run(spec, prob, 6, 4)
         if algo != "signsgd_plus":
             assert tr.x_final[0] == 0.0 and tr.iterates[1, 0] == -0.5, algo
@@ -573,7 +577,7 @@ def test_signgd_descent_accounting(trig_small):
         L = prob.lipschitz_constant(q)
         pair = ConjugatePair(q)
         gamma = 0.01 / pair.dim_root(prob.d)
-        tr = run(RunSpec(algo="signgd", gamma=gamma, x1=np.ones(prob.d), q=q), prob, 300, 0)
+        tr = run(RunSpec(algo="signgd", gamma=gamma, x1=np.ones(prob.d), q=q, L=L), prob, 300, 0)
         slack = (
             tr.f[0]
             - gamma * tr.gnorm1[:-1].sum()
@@ -585,8 +589,9 @@ def test_signgd_descent_accounting(trig_small):
 
 def test_signgd_multi_seed_identical():
     prob = _ls()
-    a = run(RunSpec(algo="signgd", gamma=0.05, x1=np.ones(4)), prob, 50, 1)
-    b = run(RunSpec(algo="signgd", gamma=0.05, x1=np.ones(4)), prob, 50, 999)
+    spec = RunSpec(algo="signgd", gamma=0.05, x1=np.ones(4), L=prob.lipschitz_constant(1.0))
+    a = run(spec, prob, 50, 1)
+    b = run(spec, prob, 50, 999)
     np.testing.assert_array_equal(a.x_final, b.x_final)  # deterministic method
 
 
@@ -598,7 +603,7 @@ def test_signgd_batch_takes_one_full_gradient_per_step():
         calls.append(1)
         return type(prob).full_gradient(prob, x)
 
-    spec = RunSpec(algo="signgd", gamma=0.03, x1=np.ones(5), keep_iterates=True)
+    spec = RunSpec(algo="signgd", gamma=0.03, x1=np.ones(5), L=prob.lipschitz_constant(1.0), keep_iterates=True)
     singles = [run(spec, prob, 40, seed) for seed in (2, 9, 5)]
     prob.full_gradient = full_gradient
     batch = run_seeds(spec, prob, 40, (2, 9, 5))
@@ -702,14 +707,15 @@ def test_runspec_validation():
         RunSpec(algo="signsvrg_v2", gamma=0.1, x1=x1, D=0.5, L=-1.0)
     # a NaN passes every "<= 0" test, and an infinite D or L no radius check
     for bad in ({"gamma": math.nan}, {"gamma": math.inf}, {"D": math.nan}, {"D": math.inf},
-                {"L": math.nan}, {"L": math.inf}, {"g_inf": math.nan}):
-        kw = dict({"gamma": 0.1, "D": 0.5, "L": 1.0, "g_inf": 1.0}, **bad)
+                {"L": math.nan}, {"L": math.inf}):
+        kw = dict({"gamma": 0.1, "D": 0.5, "L": 1.0}, **bad)
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must be finite"):
             RunSpec(algo="signsvrg_v1", x1=x1, **kw)
-    with pytest.raises(ValueError, match="g_inf must be finite"):
-        RunSpec(algo="signsgd_plus", gamma=0.1, x1=x1, g_inf=math.inf)
+    for g_inf in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="g_inf must be finite"):
+            RunSpec(algo="signsgd_plus", gamma=0.1, x1=x1, g_inf=g_inf)
     # every algorithm records q in its trace meta, so every one validates it
-    for algo, extra in (("signsgd", {}), ("signgd", {}), ("signsgd_plus", {"g_inf": 1.0}),
+    for algo, extra in (("signsgd", {}), ("signgd", {"L": 1.0}), ("signsgd_plus", {"g_inf": 1.0}),
                         ("signsvrg_v1", {"D": 0.5, "L": 1.0})):
         with pytest.raises(ValueError, match="q must be one of"):
             RunSpec(algo=algo, gamma=0.1, x1=x1, q=3.0, **extra)
@@ -718,6 +724,28 @@ def test_runspec_validation():
         "signsgd", "signsgd_plus", "signgd", "sgd",
         "signsvrg_v1", "signsvrg_v2", "svrg",
     }
+
+
+# the run parameters each method's step or bound reads, besides gamma and q
+RECORDED = {"signsgd": (), "signsgd_plus": ("g_inf",), "signgd": ("L",), "sgd": (),
+            "signsvrg_v1": ("D", "L"), "signsvrg_v2": ("D", "L"), "svrg": ("D", "L")}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_runspec_takes_exactly_what_its_method_records(algo):
+    # RunSpec writes D, L and g_inf into every trace's meta, where the bound
+    # evaluators read them: one the method does not read is refused, not
+    # recorded, and one it reads must be given
+    prob, values = _ls(d=3), {"D": 0.5, "L": 1.0, "g_inf": 1.0}
+    needed = {name: values[name] for name in RECORDED[algo]}
+    tr = run(RunSpec(algo=algo, gamma=0.1, x1=np.ones(3), **needed), prob, 2, 0)
+    assert {name for name in values if tr.meta[name] is not None} == set(needed)
+    for name in values.keys() - needed.keys():
+        with pytest.raises(ValueError, match=f"{name} is not a parameter of {algo}"):
+            RunSpec(algo=algo, gamma=0.1, x1=np.ones(3), **needed, **{name: values[name]})
+    for name in needed:
+        with pytest.raises(ValueError, match=f"{algo} requires {name}"):
+            RunSpec(algo=algo, gamma=0.1, x1=np.ones(3), **{k: v for k, v in needed.items() if k != name})
 
 
 def test_run_rejects_bad_horizon_and_x1():
