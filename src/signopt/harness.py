@@ -68,9 +68,6 @@ from .optimizers import (  # noqa: F401 (run stays importable: perfbench/tracing
     RunSpec,
     run,
     run_seeds,
-    schedule_cor1,
-    schedule_cor2,
-    schedule_sec2,
 )
 from .problems import FiniteSumProblem, ProblemSpec, make_problem, numeric_f_star
 from .trace import Trace
@@ -87,15 +84,24 @@ __all__ = [
     "SCHEDULES",
 ]
 
+
+def _cor1(cfg, d, L, alpha, P):
+    """cor1's rule. One sign step moves exactly gamma d^{1/q} in l_q distance
+    and D = P gamma d^{1/q}, so a fresh reference holds for P steps."""
+    root = math.sqrt(2.0 / (L * cfg.T))
+    return root / ConjugatePair(cfg.q).dim_root(d), None if P is None else P * root
+
+
 # schedule -> (the algorithms it drives, the config fields it reads, its
-# rule). A rule maps (cfg, d, L, alpha) to gamma and to P -> D, the trust
-# radius of a reference period P, which is called only for a method that
-# records D. Every method cor1 drives records L.
+# rule). A rule maps (cfg, d, L, alpha, P) to gamma and the trust radius D of
+# the reference period P; D is None when P is, for a method that records no
+# D. Every method cor1 drives records L.
 SCHEDULES = {
-    "cor1": ((*VR_ALGORITHMS, "signgd"), (), lambda cfg, d, L, alpha: schedule_cor1(d, cfg.q, L, cfg.T)),
-    "cor2": (("signsvrg_v1",), ("alpha",), lambda cfg, d, L, alpha: schedule_cor2(alpha, d, cfg.T)),
-    "sec2": (("signsgd_plus",), ("alpha",), lambda cfg, d, L, alpha: (schedule_sec2(alpha, d, cfg.T), None)),
-    "manual": (ALGORITHMS, ("gamma", "D"), lambda cfg, d, L, alpha: (float(cfg.gamma), lambda P: cfg.D)),
+    "cor1": ((*VR_ALGORITHMS, "signgd"), (), _cor1),
+    "cor2": (("signsvrg_v1",), ("alpha",),
+             lambda cfg, d, L, alpha, P: (alpha / math.sqrt(d * cfg.T), P / math.sqrt(cfg.T))),
+    "sec2": (("signsgd_plus",), ("alpha",), lambda cfg, d, L, alpha, P: (alpha / math.sqrt(d * cfg.T), None)),
+    "manual": (ALGORITHMS, ("gamma", "D"), lambda cfg, d, L, alpha, P: (float(cfg.gamma), cfg.D)),
 }
 
 
@@ -190,6 +196,8 @@ class ExperimentConfig:
             scales = self.x1.values() if isinstance(self.x1, dict) else self.x1
             if not all(math.isfinite(v) for v in scales):
                 raise ConfigError("x1", f"must hold finite numbers only, got {self.x1!r}")
+        if isinstance(self.x1, dict) and (set(self.x1) != {"gaussian"} or not self.x1["gaussian"] > 0):
+            raise ConfigError("x1", f'object form must be {{"gaussian": positive_scale}}, got {self.x1!r}')
         if self.P is not None and self.P < 1:
             raise ConfigError("P", f"P must be >= 1, got {self.P}")
         # a field the run would ignore is an error, not a silent no-op; P
@@ -202,6 +210,10 @@ class ExperimentConfig:
                            ("alpha", "alpha" in reads)):
             if getattr(self, name) is not None and not used:
                 raise ConfigError(name, f"is not used by algorithm {self.algo!r} under schedule {self.schedule!r}")
+        for name in ("alpha", "g_inf"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(name, f"must be positive, got {value}")
         if "gamma" in reads and (self.gamma is None or self.gamma <= 0):
             raise ConfigError("gamma", f"schedule {self.schedule!r} requires a positive gamma")
         if "D" in reads and "D" in params and (self.D is None or self.D <= 0):
@@ -281,9 +293,7 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     if isinstance(x1, list):
         x1 = tuple(_number("x1", v) for v in x1)
     elif isinstance(x1, dict):
-        if set(x1) != {"gaussian"} or _number("x1", x1["gaussian"]) <= 0:
-            raise ConfigError("x1", 'object form must be {"gaussian": positive_scale}')
-        x1 = {"gaussian": float(x1["gaussian"])}
+        x1 = {k: _number("x1", v) for k, v in x1.items()}
     elif x1 != "zeros":
         raise ConfigError("x1", f'must be "zeros", {{"gaussian": scale}}, or a list, got {x1!r}')
     optional = {
@@ -360,8 +370,6 @@ def _resolve_x1(cfg: ExperimentConfig, prob: FiniteSumProblem) -> np.ndarray:
 
 def _resolve_alpha(cfg: ExperimentConfig, opt: tuple | None, x1: np.ndarray) -> float:
     if cfg.alpha is not None:
-        if cfg.alpha <= 0:
-            raise ConfigError("alpha", f"alpha must be positive, got {cfg.alpha}")
         return cfg.alpha
     if opt is None:
         raise ConfigError(
@@ -394,8 +402,7 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> tuple[_Derived, f
             f"{cfg.problem.kind!r} provides none",
         )
     alpha = _resolve_alpha(cfg, opt, x1) if "alpha" in reads else None
-    gamma, radius = rule(cfg, prob.d, L, alpha)
-    D = radius(P) if "D" in params else None
+    gamma, D = rule(cfg, prob.d, L, alpha, P)
 
     g_inf = cfg.g_inf
     if "g_inf" in params and g_inf is None:

@@ -1,4 +1,4 @@
-"""The sign-based methods: step-size schedules and the seed-batched run loop.
+"""The sign-based methods and their seed-batched run loop.
 
 Methods (all with constant step size gamma, sign(0) = +1 throughout):
 
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -81,9 +81,6 @@ from .vecmath import (
 __all__ = [
     "RunSpec",
     "NonFiniteIterateError",
-    "schedule_cor1",
-    "schedule_cor2",
-    "schedule_sec2",
     "run",
     "run_seeds",
     "ALGORITHMS",
@@ -96,56 +93,6 @@ class NonFiniteIterateError(RuntimeError):
     def __init__(self, iteration: int):
         super().__init__(f"non-finite iterate produced at iteration {iteration}")
         self.iteration = iteration
-
-
-def schedule_cor1(d: int, q: float, L: float, T: int) -> tuple[float, Callable[[float], float]]:
-    """Smoothness-scaled schedule for the nonconvex variance-reduced methods.
-
-    gamma = d^{-1/q} sqrt(2/(L T)); the radius factory maps a reference
-    period P to D = P sqrt(2/(L T)). With these choices a fresh reference
-    cannot be rejected for at least P steps, since each sign step moves the
-    iterate exactly gamma d^{1/q} in l_q distance.
-    """
-    if d < 1 or T < 1:
-        raise ValueError(f"d and T must be >= 1, got d={d}, T={T}")
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
-    root = math.sqrt(2.0 / (L * T))
-    gamma = root / ConjugatePair(q).dim_root(d)
-
-    def d_factory(P: float) -> float:
-        if P < 1:
-            raise ValueError(f"reference period P must be >= 1, got {P}")
-        return P * root
-
-    return gamma, d_factory
-
-
-def schedule_cor2(alpha: float, d: int, T: int) -> tuple[float, Callable[[float], float]]:
-    """Distance-scaled schedule for the convex analysis: gamma = alpha/sqrt(dT),
-    D = P/sqrt(T)."""
-    if d < 1 or T < 1:
-        raise ValueError(f"d and T must be >= 1, got d={d}, T={T}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    gamma = alpha / math.sqrt(d * T)
-
-    def d_factory(P: float) -> float:
-        if P < 1:
-            raise ValueError(f"reference period P must be >= 1, got {P}")
-        return P / math.sqrt(T)
-
-    return gamma, d_factory
-
-
-def schedule_sec2(dist_to_opt: float, d: int, T: int) -> float:
-    """Step size dist/sqrt(dT) for the noise-corrupted sign method on convex
-    Lipschitz problems."""
-    if d < 1 or T < 1:
-        raise ValueError(f"d and T must be >= 1, got d={d}, T={T}")
-    if dist_to_opt <= 0:
-        raise ValueError(f"dist_to_opt must be positive, got {dist_to_opt}")
-    return dist_to_opt / math.sqrt(d * T)
 
 
 @dataclass(frozen=True)

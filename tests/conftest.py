@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from signopt.harness import execute_experiment, load_config
 from signopt.problems import ProblemSpec, make_problem
 
 settings.register_profile(
@@ -12,6 +15,17 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("ci")
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
+
+
+@pytest.fixture(scope="session")
+def shipped_runs(tmp_path_factory):
+    """name -> (output directory, ExperimentResult) of each config in
+    scripts/configs/, run once per session with its files written."""
+    work = tmp_path_factory.mktemp("shipped")
+    return {path.stem: (work / path.stem, execute_experiment(load_config(path), work / path.stem))
+            for path in SHIPPED_CONFIGS}
 
 
 @pytest.fixture

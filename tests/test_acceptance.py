@@ -6,8 +6,11 @@ Each test prints exactly one line:
 
 and then asserts. Tolerances and time budgets are fixed here on purpose; if a
 guarantee stops holding at its stated tolerance the right outcome is a red
-test, not a looser threshold. Heavy trace batches are produced once in
-module-scoped fixtures and shared by the counting checks.
+test, not a looser threshold. Every batch is a config run through the
+harness, and the criteria read its reports, traces and timing. The batches of
+the shipped configs are the session's one run of each (the shipped_runs
+fixture); the other heavy batches are built once in module-scoped fixtures.
+All are shared by the counting checks.
 """
 import math
 import time
@@ -19,27 +22,24 @@ from signopt.analysis import (
     comm_bits_bound,
     example1_stats,
     linf_constant_expected,
-    regret_bound,
-    final_gap_bound,
-    signgd_bound,
-    svrg_gap_bound,
-    svrg_grad_bound_v1,
-    svrg_grad_bound_v2,
     update_count_bound,
 )
 from signopt.cli import main
-from signopt.optimizers import RunSpec, run, run_seeds, schedule_cor1, schedule_cor2, schedule_sec2
+from signopt.harness import config_from_dict, execute_experiment
+from signopt.optimizers import RunSpec, run
 from signopt.oracles import (
     expected_sign_analytic,
     monte_carlo_expected_sign,
     sign_vec,
     signgd_1d_closed_form,
 )
-from signopt.problems import LeastSquaresProblem, ProblemSpec, make_problem
+from signopt.problems import LeastSquaresProblem
 from signopt.vecmath import ConjugatePair, RngStream, norm
 
 SEEDS = tuple(range(1, 21))
 QS = (1.0, 2.0, math.inf)
+LEAST_SQUARES = {"kind": "least_squares", "d": 10, "n": 50, "seed": 101}
+TRIG = {"kind": "trig_nonconvex", "d": 10, "n": 50, "seed": 202, "lam": 0.1}
 
 
 def _line(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -47,77 +47,32 @@ def _line(num: int, name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _x1(prob, scale=1.0):
-    gen = RngStream(prob_seed_of(prob)).child("x1").generator
-    return scale * gen.standard_normal(prob.d)
+def _run(problem, algo, q, T, P=None, seeds=SEEDS, checks=()):
+    """One cor1 experiment run through the harness, from x1 drawn at scale 1
+    from the problem seed."""
+    doc = {"problem": problem, "algo": algo, "schedule": "cor1", "q": q, "T": T, "P": P,
+           "seeds": list(seeds), "x1": {"gaussian": 1.0}, "checks": list(checks)}
+    return execute_experiment(config_from_dict(doc))
 
 
-def prob_seed_of(prob):
-    return prob._spec_seed
-
-
-def _make(kind, d, n, seed, **kw):
-    prob = make_problem(ProblemSpec(kind=kind, d=d, n=n, seed=seed, **kw))
-    prob._spec_seed = seed
-    return prob
-
-
-def _cor1_batch(prob, algo, q, T, P, seeds=SEEDS):
-    L = prob.lipschitz_constant(q)
-    gamma, d_of_p = schedule_cor1(prob.d, q, L, T)
-    D = d_of_p(P)
-    x1 = _x1(prob)
-    t0 = time.perf_counter()
-    traces = run_seeds(RunSpec(algo=algo, gamma=gamma, x1=x1, q=q, D=D, L=L), prob, T, seeds)
-    return dict(prob=prob, traces=traces, L=L, D=D, gamma=gamma, P=P, T=T,
-                elapsed=time.perf_counter() - t0)
+def _report(result, check):
+    return result.reports[result.config_echo["checks"].index(check)]
 
 
 # ------------------------------------------------------------------ fixtures
-# (heavy batches, built once)
+# (heavy batches, built once; those of the shipped configs come from the
+# session's one run of each)
 
 @pytest.fixture(scope="module")
-def grad_batches():
-    ls = _make("least_squares", 10, 50, 101)
-    trig = _make("trig_nonconvex", 10, 50, 202, lam=0.1)
-    out = {}
-    for label, prob in (("least_squares", ls), ("trig", trig)):
-        for algo in ("signsvrg_v1", "signsvrg_v2"):
-            out[(label, algo)] = _cor1_batch(prob, algo, 1.0, 10_000, 32.0 * 50)
-    return out
-
-
-@pytest.fixture(scope="module")
-def gap_batch():
-    prob = _make("least_squares", 10, 50, 101)
-    T, P = 10_000, 32.0 * 50
-    x1 = _x1(prob)
-    x_star, f_star = prob.optimum()
-    alpha = float(norm(x1 - x_star, 2))
-    gamma, d_of_p = schedule_cor2(alpha, prob.d, T)
-    D = d_of_p(P)
-    L = prob.lipschitz_constant(1.0)
-    t0 = time.perf_counter()
-    traces = run_seeds(RunSpec(algo="signsvrg_v1", gamma=gamma, x1=x1, q=1.0, D=D, L=L),
-                       prob, T, SEEDS)
-    return dict(prob=prob, traces=traces, L=L, D=D, gamma=gamma, P=P, T=T,
-                f_star=f_star, x_star=x_star, elapsed=time.perf_counter() - t0)
-
-
-@pytest.fixture(scope="module")
-def regret_batch():
-    prob = _make("abs_regression", 5, 20, 77)
-    T = 10_000
-    x1 = _x1(prob)
-    x_star, f_star = prob.optimum()
-    alpha = float(norm(x1 - x_star, 2))
-    gamma = schedule_sec2(alpha, prob.d, T)
-    g_inf = prob.grad_bound_inf()
-    t0 = time.perf_counter()
-    traces = run_seeds(RunSpec(algo="signsgd_plus", gamma=gamma, x1=x1, g_inf=g_inf),
-                       prob, T, SEEDS)
-    return dict(prob=prob, traces=traces, gamma=gamma, g_inf=g_inf, T=T,
-                f_star=f_star, x_star=x_star, elapsed=time.perf_counter() - t0)
+def grad_batches(shipped_runs):
+    P = 32.0 * 50
+    return {
+        ("least_squares", "signsvrg_v1"): shipped_runs["vr_grad_least_squares"][1],
+        ("least_squares", "signsvrg_v2"): _run(LEAST_SQUARES, "signsvrg_v2", 1.0, 10_000, P,
+                                               checks=["svrg_grad_bound_v2"]),
+        ("trig", "signsvrg_v1"): _run(TRIG, "signsvrg_v1", 1.0, 10_000, P, checks=["svrg_grad_bound_v1"]),
+        ("trig", "signsvrg_v2"): shipped_runs["vr_grad_trig_v2"][1],
+    }
 
 
 @pytest.fixture(scope="module")
@@ -126,15 +81,14 @@ def rate_batches():
     # radius branch of the guarantee is non-vacuous; with P = Fn the injected
     # noise amplitude (up to L*D ~ 30) drowns the gradient signal and the
     # trajectory mean plateaus instead of decaying
-    prob = _make("trig_nonconvex", 10, 50, 202, lam=0.1)
-    short = _cor1_batch(prob, "signsvrg_v1", 1.0, 10_000, 50.0)
-    long = _cor1_batch(prob, "signsvrg_v1", 1.0, 16 * 10_000, 50.0)
+    short = _run(TRIG, "signsvrg_v1", 1.0, 10_000, 50.0)
+    long = _run(TRIG, "signsvrg_v1", 1.0, 16 * 10_000, 50.0)
     return dict(short=short, long=long)
 
 
-def _all_vr_batches(grad_batches, gap_batch, rate_batches):
+def _all_vr_batches(grad_batches, shipped_runs, rate_batches):
     batches = list(grad_batches.values())
-    batches += [gap_batch, rate_batches["short"], rate_batches["long"]]
+    batches += [shipped_runs["convex_gap_cor2"][1], rate_batches["short"], rate_batches["long"]]
     return batches
 
 
@@ -163,30 +117,22 @@ def test_criterion_01_key_identity_grid():
 
 def test_criterion_02_signgd_bound_all_pairs():
     """Full-gradient sign descent satisfies its norm bound for every q."""
-    t0 = time.perf_counter()
-    ls = _make("least_squares", 10, 1, 31)
-    trig = _make("trig_nonconvex", 5, 8, 32, lam=0.0)
+    ls = {"kind": "least_squares", "d": 10, "n": 1, "seed": 31}
+    trig = {"kind": "trig_nonconvex", "d": 5, "n": 8, "seed": 32, "lam": 0.0}
     worst_rel = -math.inf
+    elapsed = 0.0
     ok = True
-    for prob, f_star in ((ls, prob_f_star(ls)), (trig, -1.0)):
+    for problem in (ls, trig):
         for q in QS:
-            L = prob.lipschitz_constant(q)
-            gamma, _ = schedule_cor1(prob.d, q, L, 1000)
-            tr = run(RunSpec(algo="signgd", gamma=gamma, x1=_x1(prob), q=q, L=L),
-                     prob, 1000, 0)
-            rep = signgd_bound(tr, f_star)
+            result = _run(problem, "signgd", q, 1000, seeds=(0,), checks=["signgd_bound"])
+            rep = result.reports[0]
             rel = (rep.lhs - rep.rhs) / abs(rep.rhs)
             worst_rel = max(worst_rel, rel)
+            elapsed += result.timing["run_seeds_s"]
             ok = ok and rel <= 1e-8
-    elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     assert _line(2, "signgd_bound_all_pairs", ok,
                  f"6 configs, worst rel slack {worst_rel:.2e} <= 1e-8, {elapsed:.2f}s < 1s")
-
-
-def prob_f_star(prob):
-    opt = prob.optimum()
-    return float(opt[1]) if opt is not None else float(prob.f_lower_bound())
 
 
 def test_criterion_03_grad_bounds_both_variants(grad_batches):
@@ -195,65 +141,64 @@ def test_criterion_03_grad_bounds_both_variants(grad_batches):
     ok = True
     details = []
     for (label, algo), b in grad_batches.items():
-        if algo == "signsvrg_v1":
-            rep = svrg_grad_bound_v1(b["traces"])
-        else:
-            rep = svrg_grad_bound_v2(b["traces"])
-        ok = ok and rep.holds and b["elapsed"] < 30.0
-        details.append(f"{label}/{algo[-2:]} lhs/rhs={rep.lhs / rep.rhs:.3f} "
-                       f"{b['elapsed']:.0f}s")
+        rep = _report(b, f"svrg_grad_bound_{algo[-2:]}")
+        elapsed = b.timing["run_seeds_s"]
+        ok = ok and rep.holds and elapsed < 30.0
+        details.append(f"{label}/{algo[-2:]} lhs/rhs={rep.lhs / rep.rhs:.3f} {elapsed:.0f}s")
     assert _line(3, "vr_grad_bounds", ok, "; ".join(details) + " (each < 30s)")
 
 
-def test_criterion_04_convex_gap_bound(gap_batch):
+def test_criterion_04_convex_gap_bound(shipped_runs):
     """Average-iterate suboptimality bound on the convex instance."""
-    b = gap_batch
-    rep = svrg_gap_bound(b["traces"], b["f_star"], b["x_star"])
-    ok = rep.holds and b["elapsed"] < 30.0
+    gap_batch = shipped_runs["convex_gap_cor2"][1]
+    rep = _report(gap_batch, "svrg_gap_bound")
+    elapsed = gap_batch.timing["run_seeds_s"]
+    ok = rep.holds and elapsed < 30.0
     assert _line(4, "convex_gap_bound", ok,
                  f"lhs={rep.lhs:.4f} <= rhs={rep.rhs:.4f} +- {rep.tol:.1e}, "
-                 f"{b['elapsed']:.0f}s < 30s")
+                 f"{elapsed:.0f}s < 30s")
 
 
-def test_criterion_05_regret_and_final_gap(regret_batch):
+def test_criterion_05_regret_and_final_gap(shipped_runs):
     """Noise-corrupted sign descent: regret and last-average gap, 3 stderr."""
-    b = regret_batch
-    rep1 = regret_bound(b["traces"], b["f_star"], b["x_star"])
-    rep2 = final_gap_bound(b["traces"], b["prob"], b["f_star"], b["x_star"])
-    ok = rep1.holds and rep2.holds and b["elapsed"] < 20.0
+    regret_batch = shipped_runs["regret_sec2"][1]
+    rep1 = _report(regret_batch, "regret_bound")
+    rep2 = _report(regret_batch, "final_gap_bound")
+    elapsed = regret_batch.timing["run_seeds_s"]
+    ok = rep1.holds and rep2.holds and elapsed < 20.0
     assert _line(5, "regret_and_final_gap", ok,
                  f"regret {rep1.lhs:.1f} <= {rep1.rhs:.1f} +- {rep1.tol:.1f}; "
                  f"gap {rep2.lhs:.4f} <= {rep2.rhs:.4f} +- {rep2.tol:.1e}; "
-                 f"{b['elapsed']:.0f}s < 20s")
+                 f"{elapsed:.0f}s < 20s")
 
 
-def test_criterion_06_reference_update_cap(grad_batches, gap_batch, rate_batches):
+def test_criterion_06_reference_update_cap(grad_batches, shipped_runs, rate_batches):
     """k(T) <= ceil(T/P) for every variance-reduced trace, zero tolerance."""
     violations = 0
     total = 0
-    for b in _all_vr_batches(grad_batches, gap_batch, rate_batches):
-        for tr in b["traces"]:
+    for b in _all_vr_batches(grad_batches, shipped_runs, rate_batches):
+        for tr in b.traces:
             total += 1
-            if not update_count_bound(tr, b["P"]).holds:
+            if not update_count_bound(tr, b.derived.P).holds:
                 violations += 1
     ok = violations == 0
     assert _line(6, "reference_update_cap", ok,
                  f"{total} traces, {violations} violations (tol 0)")
 
 
-def test_criterion_07_comm_bits_cap(grad_batches, gap_batch, rate_batches):
+def test_criterion_07_comm_bits_cap(grad_batches, shipped_runs, rate_batches):
     """bits(T) <= d (F n + P - 1) ceil(T/P) for every trace, plus the worked
     example evaluating to exactly 1350."""
     violations = 0
     total = 0
-    for b in _all_vr_batches(grad_batches, gap_batch, rate_batches):
-        for tr in b["traces"]:
+    for b in _all_vr_batches(grad_batches, shipped_runs, rate_batches):
+        for tr in b.traces:
             total += 1
-            if not comm_bits_bound(tr, b["P"]).holds:
+            if not comm_bits_bound(tr, b.derived.P).holds:
                 violations += 1
-    worked = _cor1_batch(_make("least_squares", 5, 4, 9), "signsvrg_v1", 1.0, 16, 8.0,
-                         seeds=(1,))
-    rep = comm_bits_bound(worked["traces"][0], 8.0)
+    worked = _run({"kind": "least_squares", "d": 5, "n": 4, "seed": 9}, "signsvrg_v1", 1.0, 16, 8.0,
+                  seeds=(1,), checks=["comm_bits_bound"])
+    rep = worked.reports[0]
     ok = violations == 0 and rep.rhs == 1350.0 and rep.holds
     assert _line(7, "comm_bits_cap", ok,
                  f"{total} traces, {violations} violations; worked example "
@@ -336,12 +281,13 @@ def test_criterion_12_horizon_scaling(rate_batches):
     """Average gradient norm shrinks with the horizon: 16x more steps must
     cut the mean max-norm to at most 0.6 of its short-horizon value."""
     def mean_ginf(batch):
-        return float(np.mean([tr.gnorm_inf[:batch["T"]].mean() for tr in batch["traces"]]))
+        T = batch.config_echo["T"]
+        return float(np.mean([tr.gnorm_inf[:T].mean() for tr in batch.traces]))
 
     short, long = rate_batches["short"], rate_batches["long"]
     g_short, g_long = mean_ginf(short), mean_ginf(long)
     ratio = g_long / g_short
-    elapsed = long["elapsed"]
+    elapsed = long.timing["run_seeds_s"]
     ok = ratio <= 0.6 and elapsed < 120.0
     assert _line(12, "horizon_scaling", ok,
                  f"E||grad||_inf {g_short:.5f} -> {g_long:.5f}, ratio {ratio:.3f} <= 0.6, "

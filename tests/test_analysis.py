@@ -24,7 +24,7 @@ from signopt.analysis import (
     svrg_grad_bound_v2,
     update_count_bound,
 )
-from signopt.optimizers import RunSpec, run, run_seeds, schedule_cor1, schedule_cor2
+from signopt.optimizers import RunSpec, run, run_seeds
 from signopt.oracles import finite_diff_gradient
 from signopt.problems import ProblemSpec, make_problem
 from signopt.trace import read_trace
@@ -37,8 +37,8 @@ def _vr_batch(algo="signsvrg_v1", d=6, n=8, T=400, P=64.0, q=1.0, seeds=range(1,
               kind="least_squares", prob_seed=5, x1_scale=1.0):
     prob = make_problem(ProblemSpec(kind=kind, d=d, n=n, seed=prob_seed))
     L = prob.lipschitz_constant(q)
-    gamma, d_of_p = schedule_cor1(d, q, L, T)
-    D = d_of_p(P)
+    root = math.sqrt(2.0 / (L * T))  # cor1: gamma d^{1/q} P = D
+    gamma, D = root / ConjugatePair(q).dim_root(d), P * root
     x1 = x1_scale * RngStream(prob_seed).child("x1").generator.standard_normal(d)
     spec = RunSpec(algo=algo, gamma=gamma, x1=x1, q=q, D=D, L=L)
     traces = [run(spec, prob, T, s) for s in seeds]
@@ -91,8 +91,8 @@ def test_variants_coincide_at_d_1():
     # amplitudes are the same number, so both variants generate identical runs
     prob = make_problem(ProblemSpec(kind="counterexample", d=1, n=3, seed=0))
     L = prob.lipschitz_constant(2.0)
-    gamma, d_of_p = schedule_cor1(1, 1.0, L, 500)
-    D = d_of_p(16.0)
+    gamma = math.sqrt(2.0 / (L * 500))  # cor1 at d = 1, P = 16
+    D = 16.0 * gamma
     x1 = np.array([2.0])
     tr1 = [run(RunSpec(algo="signsvrg_v1", gamma=gamma, x1=x1, q=1.0, D=D, L=L), prob, 500, s)
            for s in (1, 2, 3)]
@@ -173,9 +173,8 @@ def test_gap_bound_holds_and_guards_f_star():
     x_star, f_star = prob.optimum()
     # cor2-style run for the convex guarantee
     alpha = 2.0
-    gamma2, d_of_p = schedule_cor2(alpha, 6, 600)
-    spec = RunSpec(algo="signsvrg_v1", gamma=gamma2, x1=traces[0].x1, q=1.0,
-                   D=d_of_p(64.0), L=L)
+    spec = RunSpec(algo="signsvrg_v1", gamma=alpha / math.sqrt(6 * 600), x1=traces[0].x1, q=1.0,
+                   D=64.0 / math.sqrt(600), L=L)
     traces2 = [run(spec, prob, 600, s) for s in (1, 2, 3, 4)]
     rep = svrg_gap_bound(traces2, f_star, x_star)
     assert rep.holds
@@ -204,7 +203,7 @@ def test_regret_and_final_gap_bounds():
 def test_signgd_bound_is_deterministic_and_tight_tolerance():
     prob = make_problem(ProblemSpec(kind="trig_nonconvex", d=5, n=8, seed=3, lam=0.1))
     L = prob.lipschitz_constant(2.0)
-    gamma, _ = schedule_cor1(5, 2.0, L, 400)
+    gamma = math.sqrt(2.0 / (L * 400)) / math.sqrt(5)  # cor1 at q = 2
     tr = run(RunSpec(algo="signgd", gamma=gamma, x1=np.ones(5), q=2.0, L=L), prob, 400, 0)
     rep = signgd_bound(tr, -1.0)
     assert rep.holds

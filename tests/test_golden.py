@@ -3,7 +3,9 @@
 The manifest holds the sha256 of every summary.json and trace_seed*.npy
 that `execute_experiment` writes for the five shipped configs in
 scripts/configs/ and for the three benchmark workloads at workload seeds 0
-and 1 (as perfbench/run.py's make_config builds them). A change that keeps
+and 1 (as perfbench/run.py's make_config builds them). The test takes the
+shipped configs' outputs from the session's one run of each (the
+shipped_runs fixture) and runs the workloads itself. A change that keeps
 every output byte-identical keeps this test passing; one that changes an
 output on purpose rewrites the manifest and names the entries it changed.
 
@@ -39,7 +41,7 @@ def _sha(data: bytes) -> str:
 
 
 def _workload_configs() -> dict:
-    """name -> config dict of each benchmark workload at each workload seed."""
+    """name -> config of each benchmark workload at each workload seed."""
     sys.path.insert(0, str(PERFBENCH))  # run.py imports its sibling hostspeed
     try:
         spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
@@ -47,20 +49,21 @@ def _workload_configs() -> dict:
         spec.loader.exec_module(bench)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return {f"{w}-seed{s}": bench.make_config(w, s) for w in bench.WORKLOADS for s in WORKLOAD_SEEDS}
+    return {f"{w}-seed{s}": config_from_dict(bench.make_config(w, s))
+            for w in bench.WORKLOADS for s in WORKLOAD_SEEDS}
 
 
-def run_outputs(work: Path) -> dict:
-    """run name -> {file name: sha256} of every output file of the 11 runs."""
-    configs = {path.stem: load_config(path) for path in sorted(CONFIGS.glob("*.json"))}
-    configs.update({name: config_from_dict(doc) for name, doc in _workload_configs().items()})
-    runs = {}
+def output_hashes(out: Path) -> dict:
+    """file name -> sha256 of the summary.json and trace files in out."""
+    return {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())
+            if p.name == "summary.json" or p.name.startswith("trace_seed")}
+
+
+def run_outputs(configs: dict, work: Path) -> dict:
+    """run name -> output_hashes of each config, run into work / name."""
     for name, cfg in configs.items():
-        out = work / name
-        execute_experiment(cfg, out)
-        runs[name] = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())
-                      if p.name == "summary.json" or p.name.startswith("trace_seed")}
-    return runs
+        execute_experiment(cfg, work / name)
+    return {name: output_hashes(work / name) for name in configs}
 
 
 def build_fingerprint() -> dict:
@@ -87,9 +90,10 @@ def build_fingerprint() -> dict:
     return fingerprint
 
 
-def test_outputs_match_the_manifest(tmp_path):
+def test_outputs_match_the_manifest(tmp_path, shipped_runs):
     want = json.loads(MANIFEST.read_text())
-    got = run_outputs(tmp_path)
+    got = run_outputs(_workload_configs(), tmp_path)
+    got.update({name: output_hashes(out) for name, (out, _) in shipped_runs.items()})
     differ = []
     for name in sorted(set(want["runs"]) | set(got)):
         files_want, files_got = want["runs"].get(name, {}), got.get(name, {})
@@ -108,6 +112,8 @@ def test_outputs_match_the_manifest(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = {"fingerprint": build_fingerprint(), "runs": run_outputs(Path(tmp))}
+        configs = {path.stem: load_config(path) for path in sorted(CONFIGS.glob("*.json"))}
+        configs.update(_workload_configs())
+        manifest = {"fingerprint": build_fingerprint(), "runs": run_outputs(configs, Path(tmp))}
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST}: {sum(map(len, manifest['runs'].values()))} files of {len(manifest['runs'])} runs")

@@ -133,6 +133,17 @@ def test_config_roundtrip():
         ({"g_inf": 5.0}, "g_inf"),
         ({"alpha": 1.0}, "alpha"),
         ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": 64}, "P"),
+        # positive numbers, checked when the config is built, JSON or Python
+        ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": None, "g_inf": -5}, "g_inf"),
+        ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": None, "g_inf": 0}, "g_inf"),
+        ({"schedule": "cor2", "alpha": 0}, "alpha"),
+        ({"x1": {"gaussian": -1.0}}, "x1"),
+        ({"x1": {"gaussian": 0}}, "x1"),
+        ({"x1": {"uniform": 1.0}}, "x1"),
+        (_Replace(algo="signsgd_plus", schedule="sec2", checks=(), P=None, g_inf=-5.0), "g_inf"),
+        (_Replace(schedule="cor2", alpha=0.0), "alpha"),
+        (_Replace(x1={"gaussian": -1.0}), "x1"),
+        (_Replace(x1={"gaussian": 0.0}), "x1"),
     ],
 )
 def test_config_rejections_name_the_field(patch, field):
@@ -186,6 +197,45 @@ def test_manual_schedule_requires_gamma_and_d():
     assert err.value.field == "D"
     doc["D"] = 0.4
     config_from_dict(doc)  # now fine
+
+
+# (schedule, algo, the fields its rule reads or the method rejects): every
+# schedule on a method with a reference point and on one without
+SCHEDULE_RUNS = [
+    ("cor1", "signsvrg_v1", {}),
+    ("cor1", "signgd", {"P": None}),
+    ("cor2", "signsvrg_v1", {"alpha": 2.0}),
+    ("sec2", "signsgd_plus", {"alpha": 2.0, "g_inf": 5.0, "P": None}),
+    ("manual", "svrg", {"gamma": 0.05, "D": 0.4}),
+    ("manual", "sgd", {"gamma": 0.05, "P": None}),
+]
+
+
+@pytest.mark.parametrize("schedule, algo, fields", SCHEDULE_RUNS, ids=[f"{s}-{a}" for s, a, _ in SCHEDULE_RUNS])
+def test_schedule_sets_gamma_and_d(schedule, algo, fields):
+    # the closed forms written out: d = 6, T = 50, P = 64 and L = L_q
+    d, T, P = 6, 50, 64.0
+    for q in (1.0, 2.0, math.inf):
+        cfg = config_from_dict(_cfg(algo=algo, schedule=schedule, q=q, T=T, seeds=[1], checks=[],
+                                    **fields))
+        derived = execute_experiment(cfg).derived.as_dict()
+        root = math.sqrt(2.0 / (make_problem(cfg.problem).lipschitz_constant(q) * T))
+        gamma, D = {
+            "cor1": (root / d ** (1 / q), P * root),
+            "cor2": (2.0 / math.sqrt(d * T), P / math.sqrt(T)),
+            "sec2": (2.0 / math.sqrt(d * T), None),
+            "manual": (0.05, 0.4),
+        }[schedule]
+        assert derived["gamma"] == pytest.approx(gamma, rel=1e-15), q
+        if derived["P"] is None:
+            assert derived["D"] is None, q
+            continue
+        assert derived["P"] == P
+        assert derived["D"] == pytest.approx(D, rel=1e-15), q
+        if schedule == "cor1":
+            # P sign steps from a fresh reference move exactly P gamma d^{1/q}
+            # in the q-norm, so a reference holds for at least P steps
+            assert derived["gamma"] * d ** (1 / q) * P == pytest.approx(derived["D"], rel=1e-12), q
 
 
 def test_q_inf_token():
@@ -383,10 +433,7 @@ def test_rate_v1_reported_as_single_disjunction():
     assert result.reports[0].name == "rate_v1_either_bound"
 
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "scripts" / "configs").glob("*.json"))
-
-
-def test_every_check_has_an_owner():
+def test_every_check_has_an_owner(shipped_runs):
     # every entry names known algorithms and a known need, and some shipped
     # config requests it, so test_shipped_configs_report_plain_bools runs
     # every evaluator
@@ -398,7 +445,7 @@ def test_every_check_has_an_owner():
     for name, (algos, need, _) in CHECKS.items():
         assert set(algos) <= set(ALGORITHMS), name
         assert need in (None, "x_star", "f_star"), name
-    shipped = {name for path in SHIPPED_CONFIGS for name in json.loads(path.read_text())["checks"]}
+    shipped = {name for _, result in shipped_runs.values() for name in result.config_echo["checks"]}
     assert shipped == set(CHECKS)
 
 
@@ -433,13 +480,12 @@ def test_check_needs_resolved_before_the_run(tmp_path, monkeypatch, doc, error_f
     assert derived["f_star_source"] is None
 
 
-def test_shipped_configs_report_plain_bools():
-    assert len(SHIPPED_CONFIGS) == 5
-    for path in SHIPPED_CONFIGS:
-        result = execute_experiment(load_config(path))
-        assert result.reports, path.name
+def test_shipped_configs_report_plain_bools(shipped_runs):
+    assert len(shipped_runs) == 5
+    for name, (_, result) in shipped_runs.items():
+        assert result.reports, name
         for rep in result.reports:
-            assert type(rep.holds) is bool, (path.name, rep.name)
+            assert type(rep.holds) is bool, (name, rep.name)
 
 
 def test_sec2_regret_pipeline():

@@ -1,4 +1,4 @@
-"""Schedules, the seed-batched run loop, and trace accounting.
+"""The cor1 step rule, the seed-batched run loop and trace accounting.
 
 The frozen end states pin exact arithmetic (argument order of every random
 draw included); the equivalence tests then certify that the seed-batched
@@ -14,20 +14,19 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import signopt
+from signopt.harness import SCHEDULES
 from signopt.optimizers import (
     ALGORITHMS,
     NonFiniteIterateError,
     RunSpec,
     run,
     run_seeds,
-    schedule_cor1,
-    schedule_cor2,
-    schedule_sec2,
 )
 from signopt.oracles import reference_run
 from signopt.problems import AbsRegressionProblem, ProblemSpec, make_problem
@@ -130,10 +129,11 @@ def test_frozen_logistic_vr_run_at_benchmark_shape():
     # at the d = 6, n = 9 pin above; the run refreshes every few steps
     prob = make_problem(ProblemSpec(kind="logistic", d=100, n=500, seed=101))
     L = prob.lipschitz_constant(2.0)
-    gamma, d_of_p = schedule_cor1(100, 2.0, L, 800)
+    root = math.sqrt(2.0 / (L * 800))
+    gamma = root / ConjugatePair(2.0).dim_root(100)
     assert (L.hex(), gamma.hex()) == ("0x1.9ab4ba3498153p-2", "0x1.02b46ad87f8d9p-7")
     spec = RunSpec(algo="signsvrg_v2", gamma=gamma, x1=RngStream(0).generator.standard_normal(100),
-                   q=2.0, D=d_of_p(2), L=L)
+                   q=2.0, D=2 * root, L=L)
     expect = [  # sha256 of x_final's bytes, k(T), f(T), ||grad f||^2(T)
         ("c5f8c347336ce1d6b527b1704e1c842eaea975bc4ac029541c2e8d539895f064", 10,
          "0x1.759af7fed152ep-1", "0x1.8df84998950bbp-5"),
@@ -146,44 +146,31 @@ def test_frozen_logistic_vr_run_at_benchmark_shape():
         assert (float(tr.f[-1]).hex(), float(tr.gnorm2[-1]).hex()) == (f, g2)
 
 
-# ---------------------------------------------------------------- schedules
+# ---------------------------------------------------------------- the cor1 rule
+
+def _cor1(d, q, L, T, P=None):
+    """gamma and D from harness.SCHEDULES' cor1 rule, which reads q and T."""
+    return SCHEDULES["cor1"][2](SimpleNamespace(q=q, T=T), d, L, None, P)
+
 
 def test_schedule_cor1():
-    gamma, d_of_p = schedule_cor1(16, 1.0, 2.0, 800)
+    gamma, D = _cor1(16, 1.0, 2.0, 800, P=5)
     assert gamma == pytest.approx((1 / 16) * math.sqrt(2 / (2 * 800)), rel=1e-15)
-    assert d_of_p(5) == pytest.approx(5 * math.sqrt(2 / (2 * 800)), rel=1e-15)
+    assert D == pytest.approx(5 * math.sqrt(2 / (2 * 800)), rel=1e-15)
     # q = inf: no dimension shrink on the step
-    gamma_inf, _ = schedule_cor1(16, math.inf, 2.0, 800)
+    gamma_inf, _ = _cor1(16, math.inf, 2.0, 800, P=5)
     assert gamma_inf == pytest.approx(math.sqrt(2 / 1600), rel=1e-15)
+    # no reference period, no trust radius
+    assert _cor1(16, 1.0, 2.0, 800) == (gamma, None)
 
 
 def test_schedule_cor1_step_times_p_reaches_d():
     # P sign steps from a fresh reference move at most P * gamma * d^{1/q} = D(P)
     # in the q-norm, so a reference refresh cannot happen more than once per P
     for q in (1.0, 2.0, math.inf):
-        gamma, d_of_p = schedule_cor1(9, q, 3.0, 400)
+        gamma, D = _cor1(9, q, 3.0, 400, P=7)
         pair = ConjugatePair(q)
-        assert gamma * pair.dim_root(9) * 7 == pytest.approx(d_of_p(7), rel=1e-12)
-
-
-def test_schedule_cor2():
-    gamma, d_of_p = schedule_cor2(2.0, 4, 100)
-    assert gamma == pytest.approx(0.1, rel=1e-15)
-    assert d_of_p(3) == pytest.approx(0.3, rel=1e-15)
-
-
-def test_schedule_sec2():
-    assert schedule_sec2(3.0, 9, 900) == pytest.approx(1 / 30, rel=1e-15)
-
-
-def test_schedule_validation():
-    for bad in [(0, 1.0, 1.0, 10), (4, 1.0, 0.0, 10), (4, 1.0, 1.0, 0)]:
-        with pytest.raises(ValueError):
-            schedule_cor1(*bad)
-    with pytest.raises(ValueError):
-        schedule_cor2(0.0, 4, 10)
-    with pytest.raises(ValueError):
-        schedule_sec2(1.0, 4, 0)
+        assert gamma * pair.dim_root(9) * 7 == pytest.approx(D, rel=1e-12)
 
 
 # ---------------------------------------------------------------- fused loop equivalence
