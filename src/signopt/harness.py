@@ -18,24 +18,28 @@ Config schema (see README for the prose version):
 
     {
       "problem": {"kind": str, "d": int, "n": int, "seed": int,
-                   "lam": float?, "label_noise": float?},
+                  "lam": float?,           # trig_nonconvex only
+                  "label_noise": float?},  # logistic only
       "algo": "signsgd"|"signsgd_plus"|"signgd"|"sgd"
               |"signsvrg_v1"|"signsvrg_v2"|"svrg",
       "schedule": "cor1"|"cor2"|"sec2"|"manual",
       "q": 1|2|"inf",
       "T": int,
       "seeds": [int, ...],          # distinct
-      "x1": "zeros"|{"gaussian": scale}|[floats],
+      "x1": "zeros"|{"gaussian": scale}|[floats],  # a list has length d
       "P": float?,                  # reference period; default F*n
       "alpha": float?,              # cor2/sec2 distance; default ||x1 - x*||
       "gamma": float?, "D": float?, # manual schedule only
       "g_inf": float?,              # override for signsgd_plus
       "F": int?,                    # bits per float, default 32
-      "checks": [str, ...]
+      "checks": [str, ...]          # the rate checks under cor1 only
     }
 
-P and D apply to the reference-point methods only; a field the run would
-ignore is a ConfigError naming it.
+An unknown or missing key, at the top or in "problem", is a ConfigError
+naming it. P and D apply to the reference-point methods only; a field the
+run would ignore, or a problem field its kind ignores, is a ConfigError too.
+ExperimentConfig parses every field, so a config built in Python gets the
+same checks and errors as one read from JSON.
 """
 from __future__ import annotations
 
@@ -101,7 +105,7 @@ SCHEDULES = {
     "cor2": (("signsvrg_v1",), ("alpha",),
              lambda cfg, d, L, alpha, P: (alpha / math.sqrt(d * cfg.T), P / math.sqrt(cfg.T))),
     "sec2": (("signsgd_plus",), ("alpha",), lambda cfg, d, L, alpha, P: (alpha / math.sqrt(d * cfg.T), None)),
-    "manual": (ALGORITHMS, ("gamma", "D"), lambda cfg, d, L, alpha, P: (float(cfg.gamma), cfg.D)),
+    "manual": (ALGORITHMS, ("gamma", "D"), lambda cfg, d, L, alpha, P: (cfg.gamma, cfg.D)),
 }
 
 
@@ -126,12 +130,14 @@ CHECKS = {name: (_STATED_FOR[name], need, evaluate) for name, (need, evaluate) i
     "regret_bound": ("x_star", lambda prob, dv, trs: regret_bound(trs, dv.f_star, dv.x_star)),
     "final_gap_bound": ("x_star", lambda prob, dv, trs: final_gap_bound(trs, prob, dv.f_star, dv.x_star)),
     "signgd_bound": ("f_star", lambda prob, dv, trs: signgd_bound(trs[0], dv.f_star)),
+    # under cor1 only (_COR1_ONLY): their right-hand sides take cor1's gamma and D
     "rate_bounds_v1": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)[0]),
     "rate_bounds_v2": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)[1]),
     "update_count_bound": (None, lambda prob, dv, trs: _worst_seed(
         [update_count_bound(tr, dv.P) for tr in trs])),
     "comm_bits_bound": (None, lambda prob, dv, trs: _worst_seed([comm_bits_bound(tr, dv.P) for tr in trs])),
 }.items()}
+_COR1_ONLY = ("rate_bounds_v1", "rate_bounds_v2")
 
 
 class ConfigError(ValueError):
@@ -140,91 +146,6 @@ class ConfigError(ValueError):
     def __init__(self, fld: str, msg: str):
         super().__init__(f"config error in {fld!r}: {msg}")
         self.field = fld
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    problem: ProblemSpec
-    algo: str
-    schedule: str
-    q: float
-    T: int
-    seeds: tuple[int, ...]
-    x1: Any  # "zeros" | {"gaussian": scale} | tuple of floats
-    P: float | None = None
-    alpha: float | None = None
-    gamma: float | None = None
-    D: float | None = None
-    g_inf: float | None = None
-    F: int = 32
-    checks: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.algo not in ALGORITHMS:
-            raise ConfigError("algo", f"unknown algorithm {self.algo!r}; known: {sorted(ALGORITHMS)}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError("schedule", f"unknown schedule {self.schedule!r}; known: {sorted(SCHEDULES)}")
-        algos, reads, _ = SCHEDULES[self.schedule]
-        if self.algo not in algos:
-            raise ConfigError(
-                "schedule",
-                f"schedule {self.schedule!r} does not apply to algorithm {self.algo!r}",
-            )
-        try:
-            ConjugatePair(self.q)
-        except ValueError as exc:
-            raise ConfigError("q", str(exc)) from None
-        if self.T < 1:
-            raise ConfigError("T", f"T must be >= 1, got {self.T}")
-        if not self.seeds:
-            raise ConfigError("seeds", "need at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds", "seeds must be distinct")
-        # RngStream keys on a seed mod 2**64, so seeds outside the range alias
-        if not all(0 <= s < 1 << 64 for s in self.seeds):
-            raise ConfigError("seeds", f"seeds must lie in [0, 2**64), got {list(self.seeds)}")
-        if not 0 <= self.problem.seed < 1 << 64:
-            raise ConfigError("problem", f"seed must lie in [0, 2**64), got {self.problem.seed}")
-        if self.F < 1:
-            raise ConfigError("F", f"F must be >= 1, got {self.F}")
-        # config_from_dict checks these too, but a config built in Python skips it
-        for name in ("P", "alpha", "gamma", "D", "g_inf"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(name, f"must be a finite number, got {value!r}")
-        if isinstance(self.x1, (dict, tuple)):
-            scales = self.x1.values() if isinstance(self.x1, dict) else self.x1
-            if not all(math.isfinite(v) for v in scales):
-                raise ConfigError("x1", f"must hold finite numbers only, got {self.x1!r}")
-        if isinstance(self.x1, dict) and (set(self.x1) != {"gaussian"} or not self.x1["gaussian"] > 0):
-            raise ConfigError("x1", f'object form must be {{"gaussian": positive_scale}}, got {self.x1!r}')
-        if self.P is not None and self.P < 1:
-            raise ConfigError("P", f"P must be >= 1, got {self.P}")
-        # a field the run would ignore is an error, not a silent no-op; P
-        # sets the radius D of a method that records one
-        params = RunSpec.PARAMS[self.algo]
-        for name, used in (("gamma", "gamma" in reads),
-                           ("D", "D" in reads and "D" in params),
-                           ("P", "D" in params),
-                           ("g_inf", "g_inf" in params),
-                           ("alpha", "alpha" in reads)):
-            if getattr(self, name) is not None and not used:
-                raise ConfigError(name, f"is not used by algorithm {self.algo!r} under schedule {self.schedule!r}")
-        for name in ("alpha", "g_inf"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(name, f"must be positive, got {value}")
-        if "gamma" in reads and (self.gamma is None or self.gamma <= 0):
-            raise ConfigError("gamma", f"schedule {self.schedule!r} requires a positive gamma")
-        if "D" in reads and "D" in params and (self.D is None or self.D <= 0):
-            raise ConfigError("D", f"schedule {self.schedule!r} with a reference-point method requires D > 0")
-        for name in self.checks:
-            if name not in CHECKS:
-                raise ConfigError("checks", f"unknown check {name!r}; known: {sorted(CHECKS)}")
-            if self.algo not in CHECKS[name][0]:
-                raise ConfigError(
-                    "checks", f"check {name!r} does not apply to algorithm {self.algo!r}"
-                )
 
 
 def _int(fld: str, raw: Any) -> int:
@@ -248,14 +169,6 @@ def _number(fld: str, raw: Any) -> float:
     return value
 
 
-def _parse_q(raw: Any) -> float:
-    if not isinstance(raw, bool) and raw in (1, 2):
-        return float(raw)
-    if raw in ("inf", "Inf", "INF") or raw == math.inf:
-        return math.inf
-    raise ConfigError("q", f"q must be 1, 2, or \"inf\", got {raw!r}")
-
-
 def _str(fld: str, raw: Any) -> str:
     """raw itself when it is a string; numbers and lists are not."""
     if not isinstance(raw, str):
@@ -263,55 +176,143 @@ def _str(fld: str, raw: Any) -> str:
     return raw
 
 
+def _parse_q(fld: str, raw: Any) -> float:
+    if not isinstance(raw, bool) and raw in (1, 2):
+        return float(raw)
+    if raw in ("inf", "Inf", "INF") or raw == math.inf:
+        return math.inf
+    raise ConfigError(fld, f"q must be 1, 2, or \"inf\", got {raw!r}")
+
+
+def _tuple_of(parse):
+    """The parser of a list (or tuple) of what parse parses."""
+    def parse_list(fld: str, raw: Any) -> tuple:
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(fld, f"must be a list, got {raw!r}")
+        return tuple(parse(fld, v) for v in raw)
+    return parse_list
+
+
+def _parse_x1(fld: str, raw: Any) -> Any:
+    if isinstance(raw, (list, tuple)):
+        return _tuple_of(_number)(fld, raw)
+    if isinstance(raw, dict) and set(raw) == {"gaussian"}:
+        scale = _number(fld, raw["gaussian"])
+        if scale > 0:
+            return {"gaussian": scale}
+    elif isinstance(raw, str) and raw == "zeros":
+        return raw
+    raise ConfigError(fld, f'must be "zeros", {{"gaussian": positive_scale}}, or a list, got {raw!r}')
+
+
+# field -> its parser, for a JSON and a Python value alike: each checks the
+# type and finiteness and returns the one form a config stores, where ints
+# stay ints, numbers become floats, lists tuples and "inf" math.inf
+_PARSERS = {"algo": _str, "schedule": _str, "q": _parse_q, "T": _int,
+            "seeds": _tuple_of(_int), "x1": _parse_x1, "F": _int, "checks": _tuple_of(_str),
+            **dict.fromkeys(("P", "alpha", "gamma", "D", "g_inf"),
+                            lambda fld, raw: None if raw is None else _number(fld, raw))}
+_PROBLEM_PARSERS = {"kind": _str, "d": _int, "n": _int, "seed": _int, "lam": _number, "label_noise": _number}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    problem: ProblemSpec
+    algo: str
+    schedule: str
+    q: float
+    T: int
+    seeds: tuple[int, ...]
+    x1: Any  # "zeros" | {"gaussian": scale} | tuple of floats
+    P: float | None = None
+    alpha: float | None = None
+    gamma: float | None = None
+    D: float | None = None
+    g_inf: float | None = None
+    F: int = 32
+    checks: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.problem, ProblemSpec):
+            raise ConfigError("problem", f"must be a ProblemSpec, got {self.problem!r}")
+        for name, parse in _PARSERS.items():
+            object.__setattr__(self, name, parse(name, getattr(self, name)))
+        if self.algo not in ALGORITHMS:
+            raise ConfigError("algo", f"unknown algorithm {self.algo!r}; known: {sorted(ALGORITHMS)}")
+        if self.schedule not in SCHEDULES:
+            raise ConfigError("schedule", f"unknown schedule {self.schedule!r}; known: {sorted(SCHEDULES)}")
+        algos, reads, _ = SCHEDULES[self.schedule]
+        if self.algo not in algos:
+            raise ConfigError(
+                "schedule",
+                f"schedule {self.schedule!r} does not apply to algorithm {self.algo!r}",
+            )
+        for name in ("T", "F", "P"):
+            if (value := getattr(self, name)) is not None and value < 1:
+                raise ConfigError(name, f"{name} must be >= 1, got {value}")
+        for name in ("alpha", "gamma", "D", "g_inf"):
+            if (value := getattr(self, name)) is not None and value <= 0:
+                raise ConfigError(name, f"must be positive, got {value}")
+        if not self.seeds:
+            raise ConfigError("seeds", "need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds", "seeds must be distinct")
+        # RngStream keys on a seed mod 2**64, so seeds outside the range alias
+        if not all(0 <= s < 1 << 64 for s in self.seeds):
+            raise ConfigError("seeds", f"seeds must lie in [0, 2**64), got {list(self.seeds)}")
+        if not 0 <= self.problem.seed < 1 << 64:
+            raise ConfigError("problem", f"seed must lie in [0, 2**64), got {self.problem.seed}")
+        if isinstance(self.x1, tuple) and len(self.x1) != self.problem.d:
+            raise ConfigError("x1", f"explicit x1 must have length d={self.problem.d}, got {len(self.x1)}")
+        # a field the run would ignore is an error, not a silent no-op; P
+        # sets the radius D of a method that records one. The manual rule
+        # requires the gamma and D it uses.
+        params = RunSpec.PARAMS[self.algo]
+        used = {"gamma": "gamma" in reads, "D": "D" in reads and "D" in params, "P": "D" in params,
+                "g_inf": "g_inf" in params, "alpha": "alpha" in reads}
+        for name, use in used.items():
+            if getattr(self, name) is not None and not use:
+                raise ConfigError(name, f"is not used by algorithm {self.algo!r} under schedule {self.schedule!r}")
+            if getattr(self, name) is None and use and name in ("gamma", "D"):
+                raise ConfigError(name, f"schedule {self.schedule!r} requires {name} for algorithm {self.algo!r}")
+        for name in self.checks:
+            if name not in CHECKS:
+                raise ConfigError("checks", f"unknown check {name!r}; known: {sorted(CHECKS)}")
+            if self.algo not in CHECKS[name][0]:
+                raise ConfigError(
+                    "checks", f"check {name!r} does not apply to algorithm {self.algo!r}"
+                )
+            if name in _COR1_ONLY and self.schedule != "cor1":
+                raise ConfigError("checks", f"check {name!r} applies under schedule 'cor1' only")
+
+
+def _check_keys(prefix: str, doc: dict, cls: type) -> None:
+    """Rejects a key of doc that names no field of cls, then the first field
+    of cls without a default that doc lacks."""
+    required = {f.name: f.default is MISSING for f in fields(cls)}
+    for key in doc:
+        if key not in required:
+            raise ConfigError(prefix + key, "unknown config field")
+    for key, needed in required.items():
+        if needed and key not in doc:
+            raise ConfigError(prefix + key, "required field missing")
+
+
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
+    """The config a JSON object describes. Only the object structure is
+    checked here; ExperimentConfig parses each field."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a single JSON object")
-    known = {f.name: f for f in fields(ExperimentConfig)}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(key, "unknown config field")
-    missing = [k for k, f in known.items() if f.default is MISSING and k not in doc]
-    if missing:
-        raise ConfigError(missing[0], "required field missing")
-    pdoc = doc["problem"]
-    if not isinstance(pdoc, dict):
+    _check_keys("", doc, ExperimentConfig)
+    if not isinstance(doc["problem"], dict):
         raise ConfigError("problem", "must be an object")
-    kind = _str("problem.kind", pdoc.get("kind", ""))
-    sizes = {k: _int(f"problem.{k}", pdoc.get(k, 0)) for k in ("d", "n", "seed")}
-    rates = {k: _number(f"problem.{k}", pdoc.get(k, 0.0)) for k in ("lam", "label_noise")}
+    _check_keys("problem.", doc["problem"], ProblemSpec)
+    parsed = {key: _PROBLEM_PARSERS[key](f"problem.{key}", raw) for key, raw in doc["problem"].items()}
     try:
-        pspec = ProblemSpec(kind=kind, **sizes, **rates)
+        spec = ProblemSpec(**parsed)
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from None
-    seeds = doc["seeds"]
-    if not isinstance(seeds, list):
-        raise ConfigError("seeds", f"must be a list of integers, got {seeds!r}")
-    checks = doc.get("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigError("checks", f"must be a list of strings, got {checks!r}")
-    x1 = doc["x1"]
-    if isinstance(x1, list):
-        x1 = tuple(_number("x1", v) for v in x1)
-    elif isinstance(x1, dict):
-        x1 = {k: _number("x1", v) for k, v in x1.items()}
-    elif x1 != "zeros":
-        raise ConfigError("x1", f'must be "zeros", {{"gaussian": scale}}, or a list, got {x1!r}')
-    optional = {
-        k: None if doc.get(k) is None else _number(k, doc[k])
-        for k in ("P", "alpha", "gamma", "D", "g_inf")
-    }
-    return ExperimentConfig(
-        problem=pspec,
-        algo=_str("algo", doc["algo"]),
-        schedule=_str("schedule", doc["schedule"]),
-        q=_parse_q(doc["q"]),
-        T=_int("T", doc["T"]),
-        seeds=tuple(_int("seeds", s) for s in seeds),
-        x1=x1,
-        F=_int("F", doc.get("F", 32)),
-        **optional,
-        checks=tuple(_str("checks", c) for c in checks),
-    )
+    return ExperimentConfig(**{**doc, "problem": spec})
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -360,12 +361,7 @@ def _resolve_x1(cfg: ExperimentConfig, prob: FiniteSumProblem) -> np.ndarray:
         scale = cfg.x1["gaussian"]
         gen = RngStream(cfg.problem.seed).child("x1").generator
         return scale * gen.standard_normal(prob.d)
-    x1 = np.asarray(cfg.x1, dtype=np.float64)
-    if x1.shape != (prob.d,):
-        raise ConfigError("x1", f"explicit x1 must have length d={prob.d}, got {x1.shape}")
-    if not np.all(np.isfinite(x1)):
-        raise ConfigError("x1", "explicit x1 must be finite")
-    return x1
+    return np.asarray(cfg.x1, dtype=np.float64)
 
 
 def _resolve_alpha(cfg: ExperimentConfig, opt: tuple | None, x1: np.ndarray) -> float:

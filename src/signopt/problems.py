@@ -143,6 +143,11 @@ class ProblemSpec:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError(f"label_noise must be in [0, 1], got {self.label_noise}")
+        # a field the kind would ignore is an error, not a silent no-op
+        for name, kind in (("lam", "trig_nonconvex"), ("label_noise", "logistic")):
+            if getattr(self, name) != 0 and self.kind != kind:
+                raise ValueError(f"{name} applies to kind {kind!r} only, got {name}={getattr(self, name)} "
+                                 f"on {self.kind!r}")
 
 
 def _gaussian_rows(spec: ProblemSpec) -> np.ndarray:

@@ -19,13 +19,16 @@ from signopt.cli import main
 from signopt.harness import (
     CHECKS,
     ConfigError,
+    ExperimentConfig,
     config_from_dict,
     execute_experiment,
     load_config,
 )
 from signopt.optimizers import ALGORITHMS
-from signopt.problems import FiniteSumProblem, make_problem
+from signopt.problems import FiniteSumProblem, ProblemSpec, make_problem
 from signopt.trace import _TRACE_DTYPE, CSV_HEADER, Trace, read_trace
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
 
 BASE = {
     "problem": {"kind": "least_squares", "d": 6, "n": 10, "seed": 5},
@@ -60,92 +63,113 @@ def test_config_roundtrip():
     assert cfg.F == 32
 
 
-@pytest.mark.parametrize(
-    "patch,field",
-    [
-        ({"algo": "adam"}, "algo"),
-        ({"schedule": "warmup"}, "schedule"),
-        ({"schedule": "sec2"}, "schedule"),  # wrong algo for sec2
-        ({"q": 3}, "q"),
-        ({"T": 0}, "T"),
-        ({"seeds": []}, "seeds"),
-        ({"seeds": [1, 1]}, "seeds"),
-        ({"checks": ["nope"]}, "checks"),
-        ({"checks": ["regret_bound"]}, "checks"),  # check/algo mismatch
-        ({"x1": "origin"}, "x1"),
-        ({"F": 0}, "F"),
-        ({"P": 0}, "P"),
-        ({"bogus_key": 1}, "bogus_key"),
-        # strict types: no bool for an int, no truncated float, no numeric string
-        ({"q": True}, "q"),
-        ({"T": 1.5}, "T"),
-        ({"T": True}, "T"),
-        ({"seeds": [1.7]}, "seeds"),
-        ({"seeds": [1, False]}, "seeds"),
-        ({"seeds": "12"}, "seeds"),
-        ({"F": 32.9}, "F"),
-        ({"F": None}, "F"),
-        ({"problem": dict(BASE["problem"], kind=["logistic"])}, "problem.kind"),
-        ({"problem": dict(BASE["problem"], d="10")}, "problem.d"),
-        ({"problem": dict(BASE["problem"], n=10.0)}, "problem.n"),
-        ({"problem": dict(BASE["problem"], seed=True)}, "problem.seed"),
-        ({"problem": dict(BASE["problem"], lam="0.1")}, "problem.lam"),
-        ({"problem": dict(BASE["problem"], label_noise=None)}, "problem.label_noise"),
-        ({"P": "64"}, "P"),
-        ({"P": True}, "P"),
-        ({"alpha": "1"}, "alpha"),
-        ({"gamma": [0.1]}, "gamma"),
-        ({"D": False}, "D"),
-        ({"g_inf": "2"}, "g_inf"),
-        ({"x1": [0.0, True, 0, 0, 0, 0]}, "x1"),
-        ({"x1": {"gaussian": "1"}}, "x1"),
-        ({"checks": "regret_bound"}, "checks"),  # a string is not a list of checks
-        ({"checks": [["svrg_grad_bound_v1"]]}, "checks"),
-        ({"algo": 5}, "algo"),
-        ({"algo": ["signsvrg_v1"]}, "algo"),
-        ({"schedule": 1}, "schedule"),
-        # finite numbers only: Python's JSON reader accepts NaN and Infinity
-        ({"g_inf": math.inf}, "g_inf"),
-        ({"P": math.inf}, "P"),
-        ({"gamma": math.nan}, "gamma"),
-        ({"x1": {"gaussian": math.nan}}, "x1"),
-        ({"x1": [0.0, -math.inf, 0, 0, 0, 0]}, "x1"),
-        ({"alpha": math.nan}, "alpha"),
-        ({"D": -math.inf}, "D"),
-        ({"problem": dict(BASE["problem"], lam=math.inf)}, "problem.lam"),
-        ({"P": 10**400}, "P"),  # an int beyond the floats
-        # a config built in Python never passes through config_from_dict
-        (_Replace(P=math.inf), "P"),
-        (_Replace(alpha=math.nan), "alpha"),
-        (_Replace(gamma=-math.inf), "gamma"),
-        (_Replace(D=math.inf), "D"),
-        (_Replace(g_inf=math.nan), "g_inf"),
-        (_Replace(x1=(0.0, math.inf, 0.0, 0.0, 0.0, 0.0)), "x1"),
-        (_Replace(x1={"gaussian": math.nan}), "x1"),
-        # the random streams key on a seed mod 2**64, so these two would alias
-        ({"seeds": [-1, 2**64 - 1]}, "seeds"),
-        ({"problem": dict(BASE["problem"], seed=2**64)}, "problem"),
-        # a field the run would ignore: cor1 derives gamma and D, only
-        # signsgd_plus reads g_inf, only cor2 and sec2 read alpha, and only
-        # the reference-point methods read P
-        ({"gamma": 0.1}, "gamma"),
-        ({"D": 1.0}, "D"),
-        ({"g_inf": 5.0}, "g_inf"),
-        ({"alpha": 1.0}, "alpha"),
-        ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": 64}, "P"),
-        # positive numbers, checked when the config is built, JSON or Python
-        ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": None, "g_inf": -5}, "g_inf"),
-        ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": None, "g_inf": 0}, "g_inf"),
-        ({"schedule": "cor2", "alpha": 0}, "alpha"),
-        ({"x1": {"gaussian": -1.0}}, "x1"),
-        ({"x1": {"gaussian": 0}}, "x1"),
-        ({"x1": {"uniform": 1.0}}, "x1"),
-        (_Replace(algo="signsgd_plus", schedule="sec2", checks=(), P=None, g_inf=-5.0), "g_inf"),
-        (_Replace(schedule="cor2", alpha=0.0), "alpha"),
-        (_Replace(x1={"gaussian": -1.0}), "x1"),
-        (_Replace(x1={"gaussian": 0.0}), "x1"),
-    ],
-)
+REJECTIONS = [
+    ({"algo": "adam"}, "algo"),
+    ({"schedule": "warmup"}, "schedule"),
+    ({"schedule": "sec2"}, "schedule"),  # wrong algo for sec2
+    ({"q": 3}, "q"),
+    ({"T": 0}, "T"),
+    ({"seeds": []}, "seeds"),
+    ({"seeds": [1, 1]}, "seeds"),
+    ({"checks": ["nope"]}, "checks"),
+    ({"checks": ["regret_bound"]}, "checks"),  # check/algo mismatch
+    ({"x1": "origin"}, "x1"),
+    ({"F": 0}, "F"),
+    ({"P": 0}, "P"),
+    ({"bogus_key": 1}, "bogus_key"),
+    # strict types: no bool for an int, no truncated float, no numeric string
+    ({"q": True}, "q"),
+    ({"T": 1.5}, "T"),
+    ({"T": True}, "T"),
+    ({"seeds": [1.7]}, "seeds"),
+    ({"seeds": [1, False]}, "seeds"),
+    ({"seeds": "12"}, "seeds"),
+    ({"F": 32.9}, "F"),
+    ({"F": None}, "F"),
+    ({"problem": dict(BASE["problem"], kind=["logistic"])}, "problem.kind"),
+    ({"problem": dict(BASE["problem"], d="10")}, "problem.d"),
+    ({"problem": dict(BASE["problem"], n=10.0)}, "problem.n"),
+    ({"problem": dict(BASE["problem"], seed=True)}, "problem.seed"),
+    ({"problem": dict(BASE["problem"], lam="0.1")}, "problem.lam"),
+    ({"problem": dict(BASE["problem"], label_noise=None)}, "problem.label_noise"),
+    ({"P": "64"}, "P"),
+    ({"P": True}, "P"),
+    ({"alpha": "1"}, "alpha"),
+    ({"gamma": [0.1]}, "gamma"),
+    ({"D": False}, "D"),
+    ({"g_inf": "2"}, "g_inf"),
+    ({"x1": [0.0, True, 0, 0, 0, 0]}, "x1"),
+    ({"x1": {"gaussian": "1"}}, "x1"),
+    ({"checks": "regret_bound"}, "checks"),  # a string is not a list of checks
+    ({"checks": [["svrg_grad_bound_v1"]]}, "checks"),
+    ({"algo": 5}, "algo"),
+    ({"algo": ["signsvrg_v1"]}, "algo"),
+    ({"schedule": 1}, "schedule"),
+    # finite numbers only: Python's JSON reader accepts NaN and Infinity
+    ({"g_inf": math.inf}, "g_inf"),
+    ({"P": math.inf}, "P"),
+    ({"gamma": math.nan}, "gamma"),
+    ({"x1": {"gaussian": math.nan}}, "x1"),
+    ({"x1": [0.0, -math.inf, 0, 0, 0, 0]}, "x1"),
+    ({"alpha": math.nan}, "alpha"),
+    ({"D": -math.inf}, "D"),
+    ({"problem": dict(BASE["problem"], lam=math.inf)}, "problem.lam"),
+    ({"P": 10**400}, "P"),  # an int beyond the floats
+    # a config built in Python never passes through config_from_dict
+    (_Replace(P=math.inf), "P"),
+    (_Replace(alpha=math.nan), "alpha"),
+    (_Replace(gamma=-math.inf), "gamma"),
+    (_Replace(D=math.inf), "D"),
+    (_Replace(g_inf=math.nan), "g_inf"),
+    (_Replace(x1=(0.0, math.inf, 0.0, 0.0, 0.0, 0.0)), "x1"),
+    (_Replace(x1={"gaussian": math.nan}), "x1"),
+    # the random streams key on a seed mod 2**64, so these two would alias
+    ({"seeds": [-1, 2**64 - 1]}, "seeds"),
+    ({"problem": dict(BASE["problem"], seed=2**64)}, "problem"),
+    # a field the run would ignore: cor1 derives gamma and D, only
+    # signsgd_plus reads g_inf, only cor2 and sec2 read alpha, and only
+    # the reference-point methods read P
+    ({"gamma": 0.1}, "gamma"),
+    ({"D": 1.0}, "D"),
+    ({"g_inf": 5.0}, "g_inf"),
+    ({"alpha": 1.0}, "alpha"),
+    ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": 64}, "P"),
+    # positive numbers, checked when the config is built, JSON or Python
+    ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": None, "g_inf": -5}, "g_inf"),
+    ({"algo": "signsgd_plus", "schedule": "sec2", "checks": [], "P": None, "g_inf": 0}, "g_inf"),
+    ({"schedule": "cor2", "alpha": 0}, "alpha"),
+    ({"x1": {"gaussian": -1.0}}, "x1"),
+    ({"x1": {"gaussian": 0}}, "x1"),
+    ({"x1": {"uniform": 1.0}}, "x1"),
+    (_Replace(algo="signsgd_plus", schedule="sec2", checks=(), P=None, g_inf=-5.0), "g_inf"),
+    (_Replace(schedule="cor2", alpha=0.0), "alpha"),
+    (_Replace(x1={"gaussian": -1.0}), "x1"),
+    (_Replace(x1={"gaussian": 0.0}), "x1"),
+    # every field is parsed when the config is built, JSON or Python
+    (_Replace(T="10"), "T"),
+    (_Replace(F="32"), "F"),
+    (_Replace(alpha="2"), "alpha"),
+    (_Replace(x1={"gaussian": "1"}), "x1"),
+    (_Replace(x1=("a",) * 6), "x1"),
+    (_Replace(seeds=(1.5,)), "seeds"),
+    (_Replace(seeds=(True,)), "seeds"),
+    # problem keys: none unknown, and kind, d, n and seed required
+    ({"problem": dict(BASE["problem"], lamda=0.1)}, "problem.lamda"),
+    ({"problem": {"kind": "least_squares", "d": 6, "n": 10}}, "problem.seed"),
+    ({"problem": {"d": 6, "n": 10, "seed": 5}}, "problem.kind"),
+    # a problem field the kind ignores
+    ({"problem": dict(BASE["problem"], lam=0.1)}, "problem"),
+    ({"problem": dict(BASE["problem"], label_noise=0.1)}, "problem"),
+    ({"problem": dict(BASE["problem"], kind="trig_nonconvex", label_noise=0.1)}, "problem"),
+    # the rate checks' right-hand sides take cor1's gamma and D
+    ({"schedule": "manual", "gamma": 0.05, "D": 0.4, "checks": ["rate_bounds_v1"]}, "checks"),
+    ({"schedule": "cor2", "alpha": 1.0, "checks": ["rate_bounds_v1"]}, "checks"),
+    ({"algo": "signsvrg_v2", "schedule": "manual", "gamma": 0.05, "D": 0.4,
+      "checks": ["rate_bounds_v2"]}, "checks"),
+]
+
+
+@pytest.mark.parametrize("patch,field", REJECTIONS)
 def test_config_rejections_name_the_field(patch, field):
     valid = config_from_dict(_cfg())
     with pytest.raises(ConfigError) as err:
@@ -155,6 +179,56 @@ def test_config_rejections_name_the_field(patch, field):
             config_from_dict(_cfg(**patch))
     assert err.value.field == field
     assert field in str(err.value)
+
+
+TOP_LEVEL_REJECTIONS = [(patch, field) for patch, field in REJECTIONS if not isinstance(patch, _Replace)
+                        and set(patch) <= {f.name for f in dataclasses.fields(ExperimentConfig)} - {"problem"}]
+
+
+@pytest.mark.parametrize("patch,field", TOP_LEVEL_REJECTIONS)
+def test_top_level_rejections_are_the_same_for_a_config_built_in_python(patch, field):
+    valid = config_from_dict(_cfg())
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(valid, **patch)
+    assert err.value.field == field
+
+
+@given(
+    field=st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]),
+    value=st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+        st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), max_size=7),
+        st.dictionaries(st.sampled_from(["gaussian", "kind", ""]), st.one_of(st.floats(), st.text(max_size=2))),
+    ),
+)
+def test_a_config_built_in_python_raises_only_config_errors(field, value):
+    # no TypeError or OverflowError from a value of the wrong type or size
+    try:
+        dataclasses.replace(config_from_dict(_cfg()), **{field: value})
+    except ConfigError:
+        pass
+
+
+def test_a_string_of_checks_is_not_a_list():
+    valid = config_from_dict(_cfg())
+    for build in (lambda: config_from_dict(_cfg(checks="regret_bound")),
+                  lambda: dataclasses.replace(valid, checks="regret_bound")):
+        with pytest.raises(ConfigError, match="must be a list") as err:
+            build()
+        assert err.value.field == "checks"
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_shipped_config_built_in_python_equals_the_loaded_one(path):
+    doc = json.loads(path.read_text())
+    problem = doc.pop("problem")
+    assert ExperimentConfig(problem=ProblemSpec(**problem), **doc) == load_config(path)
+
+
+def test_readme_config_schema_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Config schema\n")[1].split("\n## ")[0]
+    config_from_dict(json.loads(section.split("```json\n")[1].split("```")[0]))
 
 
 @given(
@@ -244,9 +318,8 @@ def test_q_inf_token():
 
 
 def test_explicit_x1_wrong_length():
-    cfg = config_from_dict(_cfg(x1=[0.0, 0.0]))
     with pytest.raises(ConfigError) as err:
-        execute_experiment(cfg)
+        config_from_dict(_cfg(x1=[0.0, 0.0]))
     assert err.value.field == "x1"
 
 

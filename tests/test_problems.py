@@ -405,6 +405,11 @@ def test_problem_spec_validation():
         make_problem(ProblemSpec(kind="sphere_quadratic", d=4, n=2, seed=1))  # needs n = 1
     with pytest.raises(ValueError):
         make_problem(ProblemSpec(kind="counterexample", d=2, n=3, seed=1))  # needs d = 1
+    # a field the kind ignores: lam is trig_nonconvex's, label_noise logistic's
+    with pytest.raises(ValueError, match="lam"):
+        ProblemSpec(kind="least_squares", d=2, n=2, seed=1, lam=0.1)
+    with pytest.raises(ValueError, match="label_noise"):
+        ProblemSpec(kind="trig_nonconvex", d=2, n=2, seed=1, label_noise=0.1)
 
 
 def test_problem_arrays_are_frozen():
