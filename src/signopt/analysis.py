@@ -228,9 +228,18 @@ def signgd_bound(trace: Trace, f_star: float) -> BoundReport:
     return BoundReport("signgd_bound", lhs, rhs, tol, lhs <= rhs + tol, 1)
 
 
+def _cor1_gamma(L: float, T: int, q: float, d: int) -> float:
+    """cor1's step sqrt(2/(L T)) / d^{1/q}: harness's cor1 rule sets gamma
+    with it and rate_metrics requires it of its traces, so the two agree
+    exactly."""
+    return math.sqrt(2.0 / (L * T)) / ConjugatePair(q).dim_root(d)
+
+
 def rate_metrics(traces: list[Trace], f_star: float) -> tuple[BoundReport, BoundReport]:
-    """Rate bounds under the smoothness-scaled schedule, where the radius
-    satisfies D = P sqrt(2/(L T)) for reference period P.
+    """Rate bounds under the smoothness-scaled schedule cor1, whose step is
+    gamma = sqrt(2/(L T)) / d^{1/q} and whose radius is D = P sqrt(2/(L T))
+    for reference period P. Traces run at any other gamma raise a
+    ValueError naming gamma.
 
     Returns (rate_v1_either_bound, rate_max_bound). Gradient norms are
     per-seed time-averages, i.e. Monte Carlo estimates of E||grad f(x_out)||
@@ -245,7 +254,10 @@ def rate_metrics(traces: list[Trace], f_star: float) -> tuple[BoundReport, Bound
 
         E||g||_1 <= sqrt(2L/T) max(d^{1/q} (f(x_1) - f* + 1), 2 d P).
     """
-    D, L, q, T, d = _run_params(traces, ("rate_bounds_v1", "rate_bounds_v2"), "D", "L", "q", "T", "d")
+    gamma, D, L, q, T, d = _run_params(traces, ("rate_bounds_v1", "rate_bounds_v2"),
+                                       "gamma", "D", "L", "q", "T", "d")
+    if gamma != (cor1 := _cor1_gamma(L, T, q, d)):
+        raise ValueError(f"the rate bounds are stated at cor1's gamma {cor1!r}, not at the traces' gamma {gamma!r}")
     pair = ConjugatePair(q)
     P = D * math.sqrt(L * T / 2.0)
     rate = math.sqrt(2.0 * L / T)

@@ -37,9 +37,10 @@ Config schema (see README for the prose version):
 
 An unknown or missing key, at the top or in "problem", is a ConfigError
 naming it. P and D apply to the reference-point methods only; a field the
-run would ignore, or a problem field its kind ignores, is a ConfigError too.
-ExperimentConfig parses every field, so a config built in Python gets the
-same checks and errors as one read from JSON.
+run would ignore is a ConfigError too. ProblemSpec parses the problem's
+fields and checks its kind's rules, raising ConfigError("problem.<field>"),
+and ExperimentConfig every other field, so a config built in Python gets
+the same checks and errors as one read from JSON.
 """
 from __future__ import annotations
 
@@ -55,6 +56,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _STATED_FOR,
+    _cor1_gamma,
     BoundReport,
     comm_bits_bound,
     final_gap_bound,
@@ -73,9 +75,9 @@ from .optimizers import (  # noqa: F401 (run stays importable: perfbench/tracing
     run,
     run_seeds,
 )
-from .problems import FiniteSumProblem, ProblemSpec, make_problem, numeric_f_star
+from .problems import ConfigError, FiniteSumProblem, ProblemSpec, _int, _number, _str, make_problem, numeric_f_star
 from .trace import Trace
-from .vecmath import ConjugatePair, RngStream, norm
+from .vecmath import RngStream, norm
 
 __all__ = [
     "ConfigError",
@@ -92,8 +94,7 @@ __all__ = [
 def _cor1(cfg, d, L, alpha, P):
     """cor1's rule. One sign step moves exactly gamma d^{1/q} in l_q distance
     and D = P gamma d^{1/q}, so a fresh reference holds for P steps."""
-    root = math.sqrt(2.0 / (L * cfg.T))
-    return root / ConjugatePair(cfg.q).dim_root(d), None if P is None else P * root
+    return _cor1_gamma(L, cfg.T, cfg.q, d), None if P is None else P * math.sqrt(2.0 / (L * cfg.T))
 
 
 # schedule -> (the algorithms it drives, the config fields it reads, its
@@ -140,42 +141,6 @@ CHECKS = {name: (_STATED_FOR[name], need, evaluate) for name, (need, evaluate) i
 _COR1_ONLY = ("rate_bounds_v1", "rate_bounds_v2")
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; carries the offending field name."""
-
-    def __init__(self, fld: str, msg: str):
-        super().__init__(f"config error in {fld!r}: {msg}")
-        self.field = fld
-
-
-def _int(fld: str, raw: Any) -> int:
-    """raw itself when it is an int; JSON true/false and 1.5 are not."""
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(fld, f"must be an integer, got {raw!r}")
-    return raw
-
-
-def _number(fld: str, raw: Any) -> float:
-    """raw as a float when it is a finite int or float; JSON true/false,
-    strings, NaN and Infinity (which Python's JSON reader accepts) are not."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(fld, f"must be a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError:  # an int beyond the floats
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(fld, f"must be a finite number, got {raw!r}")
-    return value
-
-
-def _str(fld: str, raw: Any) -> str:
-    """raw itself when it is a string; numbers and lists are not."""
-    if not isinstance(raw, str):
-        raise ConfigError(fld, f"must be a string, got {raw!r}")
-    return raw
-
-
 def _parse_q(fld: str, raw: Any) -> float:
     if not isinstance(raw, bool) and raw in (1, 2):
         return float(raw)
@@ -212,7 +177,6 @@ _PARSERS = {"algo": _str, "schedule": _str, "q": _parse_q, "T": _int,
             "seeds": _tuple_of(_int), "x1": _parse_x1, "F": _int, "checks": _tuple_of(_str),
             **dict.fromkeys(("P", "alpha", "gamma", "D", "g_inf"),
                             lambda fld, raw: None if raw is None else _number(fld, raw))}
-_PROBLEM_PARSERS = {"kind": _str, "d": _int, "n": _int, "seed": _int, "lam": _number, "label_noise": _number}
 
 
 @dataclass(frozen=True)
@@ -260,8 +224,6 @@ class ExperimentConfig:
         # RngStream keys on a seed mod 2**64, so seeds outside the range alias
         if not all(0 <= s < 1 << 64 for s in self.seeds):
             raise ConfigError("seeds", f"seeds must lie in [0, 2**64), got {list(self.seeds)}")
-        if not 0 <= self.problem.seed < 1 << 64:
-            raise ConfigError("problem", f"seed must lie in [0, 2**64), got {self.problem.seed}")
         if isinstance(self.x1, tuple) and len(self.x1) != self.problem.d:
             raise ConfigError("x1", f"explicit x1 must have length d={self.problem.d}, got {len(self.x1)}")
         # a field the run would ignore is an error, not a silent no-op; P
@@ -300,19 +262,14 @@ def _check_keys(prefix: str, doc: dict, cls: type) -> None:
 
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     """The config a JSON object describes. Only the object structure is
-    checked here; ExperimentConfig parses each field."""
+    checked here; ProblemSpec and ExperimentConfig parse each field."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a single JSON object")
     _check_keys("", doc, ExperimentConfig)
     if not isinstance(doc["problem"], dict):
         raise ConfigError("problem", "must be an object")
     _check_keys("problem.", doc["problem"], ProblemSpec)
-    parsed = {key: _PROBLEM_PARSERS[key](f"problem.{key}", raw) for key, raw in doc["problem"].items()}
-    try:
-        spec = ProblemSpec(**parsed)
-    except ValueError as exc:
-        raise ConfigError("problem", str(exc)) from None
-    return ExperimentConfig(**{**doc, "problem": spec})
+    return ExperimentConfig(**{**doc, "problem": ProblemSpec(**doc["problem"])})
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

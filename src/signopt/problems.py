@@ -9,17 +9,21 @@ norm from l_q to its Holder conjugate l_p:
 For rank-one Hessians a a^T this norm is ||a||_p^2, which is where the
 closed-form constants below come from. Methods return None where a quantity
 genuinely does not exist or is not known in closed form (e.g. smoothness of
-the absolute-loss model).
+the absolute-loss model). Every problem brings its own batch kernels.
+
+ProblemSpec owns a problem's recipe: building one parses every field and
+checks its kind's rules, raising a ConfigError named problem.<field>.
 """
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from .vecmath import ConjugatePair, RngStream, norm, norm_rows, row_dot
+from .vecmath import ConjugatePair, RngStream, norm, norm_rows, row_dot, sample_unit_sphere
 
 __all__ = [
     "FiniteSumProblem",
@@ -28,12 +32,46 @@ __all__ = [
     "LogisticProblem",
     "TrigProblem",
     "AbsRegressionProblem",
-    "SphereQuadraticProblem",
     "CounterexampleProblem",
     "make_problem",
     "numeric_f_star",
-    "PROBLEM_KINDS",
 ]
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; carries the offending field name (harness exports it)."""
+
+    def __init__(self, fld: str, msg: str):
+        super().__init__(f"config error in {fld!r}: {msg}")
+        self.field = fld
+
+
+def _int(fld: str, raw: Any) -> int:
+    """raw itself when it is an int; JSON true/false and 1.5 are not."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(fld, f"must be an integer, got {raw!r}")
+    return raw
+
+
+def _number(fld: str, raw: Any) -> float:
+    """raw as a float when it is a finite int or float; JSON true/false,
+    strings, NaN and Infinity (which Python's JSON reader accepts) are not."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(fld, f"must be a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:  # an int beyond the floats
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(fld, f"must be a finite number, got {raw!r}")
+    return value
+
+
+def _str(fld: str, raw: Any) -> str:
+    """raw itself when it is a string; numbers and lists are not."""
+    if not isinstance(raw, str):
+        raise ConfigError(fld, f"must be a string, got {raw!r}")
+    return raw
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -65,28 +103,20 @@ class FiniteSumProblem(ABC):
         """Both at once; hot problems override to share the residual."""
         return self.value(x), self.full_gradient(x)
 
+    @abstractmethod
     def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Row s is component_gradient(idx[s], xs[s]), bit for bit, for xs
         of shape (S, d) or a stack (m, S, d) against the same idx (S,); the
-        data-driven problems override it with row-wise dots
-        (vecmath.row_dot)."""
-        grads = np.empty(xs.shape)
-        for pos in np.ndindex(xs.shape[:-1]):
-            grads[pos] = self.component_gradient(int(idx[pos[-1]]), xs[pos])
-        return grads
+        data-driven problems take row-wise dots (vecmath.row_dot)."""
 
+    @abstractmethod
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f and the full gradient at every row of xs, shapes (m,) and (m, d).
 
-        Overrides evaluate all rows in matrix products, which sum in another
-        order than the one-vector methods: results may differ in the last
-        ulp, and a row's result may depend on the other rows of the call.
+        Matrix products sum in another order than the one-vector methods:
+        results may differ in the last ulp, and a row's result may depend on
+        the other rows of the call.
         """
-        vals = np.empty(len(xs))
-        grads = np.empty(xs.shape)
-        for r, x in enumerate(xs):
-            vals[r], grads[r] = self.value_and_full_gradient(x)
-        return vals, grads
 
     def subgradient_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(a, b), rows (n, d) and finite targets (n,), when the (sub)gradient
@@ -124,7 +154,9 @@ class ProblemSpec:
 
     Identical specs always produce bitwise-identical data: rows, planted
     targets, and label noise all come from labeled children of
-    RngStream(seed).
+    RngStream(seed). Building one parses every field (ints stay ints, lam
+    and label_noise become floats) and checks the kind's rules: a bad field
+    is a ConfigError naming problem.<field>.
     """
 
     kind: str
@@ -135,19 +167,25 @@ class ProblemSpec:
     label_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.d < 1 or self.n < 1:
-            raise ValueError(f"d and n must be >= 1, got d={self.d}, n={self.n}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not 0.0 <= self.label_noise <= 1.0:
-            raise ValueError(f"label_noise must be in [0, 1], got {self.label_noise}")
+        for name, parse in (("kind", _str), ("d", _int), ("n", _int), ("seed", _int), ("lam", _number),
+                            ("label_noise", _number)):
+            object.__setattr__(self, name, parse(f"problem.{name}", getattr(self, name)))
+        if self.kind not in _KINDS:
+            raise ConfigError("problem.kind", f"unknown problem kind {self.kind!r}; known: {sorted(_KINDS)}")
+        # RngStream keys on a seed mod 2**64, so seeds outside the range alias
+        for name, ok, rule in (("d", self.d >= 1, ">= 1"), ("n", self.n >= 1, ">= 1"),
+                               ("seed", 0 <= self.seed < 1 << 64, "in [0, 2**64)"), ("lam", self.lam >= 0, ">= 0"),
+                               ("label_noise", 0 <= self.label_noise <= 1, "in [0, 1]")):
+            if not ok:
+                raise ConfigError(f"problem.{name}", f"must be {rule}, got {getattr(self, name)}")
         # a field the kind would ignore is an error, not a silent no-op
         for name, kind in (("lam", "trig_nonconvex"), ("label_noise", "logistic")):
-            if getattr(self, name) != 0 and self.kind != kind:
-                raise ValueError(f"{name} applies to kind {kind!r} only, got {name}={getattr(self, name)} "
-                                 f"on {self.kind!r}")
+            if (value := getattr(self, name)) != 0 and self.kind != kind:
+                raise ConfigError(f"problem.{name}", f"applies to kind {kind!r} only, got {value} on {self.kind!r}")
+        # a kind of fixed shape takes no other
+        for name, size in _KINDS[self.kind][1].items():
+            if (value := getattr(self, name)) != size:
+                raise ConfigError(f"problem.{name}", f"is {size} for kind {self.kind!r}, got {value}")
 
 
 def _gaussian_rows(spec: ProblemSpec) -> np.ndarray:
@@ -161,7 +199,12 @@ def _row_norm_sq_max(a: np.ndarray, q: float) -> float:
 
 
 class LeastSquaresProblem(FiniteSumProblem):
-    """f_i(x) = (a_i^T x - b_i)^2 / 2. Hessian of f_i is a_i a_i^T."""
+    """f_i(x) = (a_i^T x - b_i)^2 / 2. Hessian of f_i is a_i a_i^T.
+
+    The sphere_quadratic kind is its one-row instance a = zeta^T, b = 0 with
+    ||zeta||_2 = 1: f(x) = (zeta^T x)^2 / 2, whose every smoothness constant
+    L_q = ||zeta||_p^2 is exact (L_2 = 1), and whose optimum is (0, 0).
+    """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a = _frozen(np.atleast_2d(a))
@@ -374,38 +417,6 @@ class AbsRegressionProblem(FiniteSumProblem):
         return self._planted, 0.0
 
 
-class SphereQuadraticProblem(FiniteSumProblem):
-    """Single-component f(x) = (zeta^T x)^2 / 2 with ||zeta||_2 = 1.
-
-    The Hessian is the rank-one projector zeta zeta^T, so every smoothness
-    constant is exact: L_q = ||zeta||_p^2, and in particular L_2 = 1.
-    """
-
-    def __init__(self, zeta: np.ndarray):
-        self.zeta = _frozen(zeta)
-        if abs(norm(self.zeta, 2) - 1.0) > 1e-9:
-            raise ValueError("zeta must be a unit vector")
-        self.n, self.d = 1, self.zeta.shape[0]
-
-    def component_value(self, i: int, x: np.ndarray) -> float:
-        return 0.5 * float(self.zeta @ x) ** 2
-
-    def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return float(self.zeta @ x) * self.zeta
-
-    def value(self, x: np.ndarray) -> float:
-        return self.component_value(0, x)
-
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.component_gradient(0, x)
-
-    def lipschitz_constant(self, q: float) -> float:
-        return norm(self.zeta, ConjugatePair(q).p) ** 2
-
-    def optimum(self) -> tuple[np.ndarray, float]:
-        return np.zeros(self.d), 0.0
-
-
 class CounterexampleProblem(FiniteSumProblem):
     """d=1, n=3 instance on which plain stochastic sign descent fails.
 
@@ -414,15 +425,13 @@ class CounterexampleProblem(FiniteSumProblem):
     away from x* everywhere on (-1, 3).
     """
 
-    slopes = (-3.0, 1.0, 1.0)
-
-    def __init__(self) -> None:
-        self.n, self.d = 3, 1
-        self._mean_slope = sum(self.slopes) / 3.0  # -1/3
+    slopes = _frozen((-3.0, 1.0, 1.0))
+    n, d = 3, 1
+    _mean_slope = float(slopes.sum()) / 3.0  # -1/3
 
     def component_value(self, i: int, x: np.ndarray) -> float:
         xv = float(x[0])
-        return self.slopes[i] * xv + 0.5 * xv * xv
+        return float(self.slopes[i]) * xv + 0.5 * xv * xv
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         return np.array([self.slopes[i] + float(x[0])])
@@ -433,6 +442,13 @@ class CounterexampleProblem(FiniteSumProblem):
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         return np.array([float(x[0]) + self._mean_slope])
+
+    def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return self.slopes.take(idx)[..., None] + xs
+
+    def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = xs[:, 0]
+        return self._mean_slope * x + 0.5 * x * x, xs + self._mean_slope
 
     def lipschitz_constant(self, q: float) -> float:
         ConjugatePair(q)  # validate q
@@ -469,32 +485,24 @@ def _make_abs_regression(spec: ProblemSpec) -> AbsRegressionProblem:
     return AbsRegressionProblem(a, a @ planted, planted=planted)
 
 
-def _make_sphere_quadratic(spec: ProblemSpec) -> SphereQuadraticProblem:
-    if spec.n != 1:
-        raise ValueError("sphere_quadratic is a single-component problem, need n=1")
-    from .vecmath import sample_unit_sphere
-
-    return SphereQuadraticProblem(sample_unit_sphere(RngStream(spec.seed).child("rows"), spec.d))
+def _make_sphere_quadratic(spec: ProblemSpec) -> LeastSquaresProblem:
+    zeta = sample_unit_sphere(RngStream(spec.seed).child("rows"), spec.d)
+    return LeastSquaresProblem(zeta[None, :], np.zeros(1))
 
 
-def _make_counterexample(spec: ProblemSpec) -> CounterexampleProblem:
-    if spec.d != 1 or spec.n != 3:
-        raise ValueError("counterexample is fixed at d=1, n=3")
-    return CounterexampleProblem()
-
-
-PROBLEM_KINDS = {
-    "least_squares": _make_least_squares,
-    "logistic": _make_logistic,
-    "trig_nonconvex": _make_trig,
-    "abs_regression": _make_abs_regression,
-    "sphere_quadratic": _make_sphere_quadratic,
-    "counterexample": _make_counterexample,
+# kind -> (its builder, the sizes the kind is fixed at), checked by ProblemSpec
+_KINDS = {
+    "least_squares": (_make_least_squares, {}),
+    "logistic": (_make_logistic, {}),
+    "trig_nonconvex": (_make_trig, {}),
+    "abs_regression": (_make_abs_regression, {}),
+    "sphere_quadratic": (_make_sphere_quadratic, {"n": 1}),
+    "counterexample": (lambda spec: CounterexampleProblem(), {"d": 1, "n": 3}),
 }
 
 
 def make_problem(spec: ProblemSpec) -> FiniteSumProblem:
-    return PROBLEM_KINDS[spec.kind](spec)
+    return _KINDS[spec.kind][0](spec)
 
 
 def numeric_f_star(prob: FiniteSumProblem, iters: int = 20000) -> float:

@@ -242,6 +242,17 @@ def test_rate_metrics_disjunction_consistency():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+@pytest.mark.parametrize("scale", [1e-3, 30.0])
+def test_rate_metrics_reject_traces_off_cor1s_gamma(scale):
+    # the rates are stated at cor1's gamma; the radius alone, from which P
+    # is rebuilt, does not tell a run at another gamma apart
+    prob, traces, L, D, gamma = _vr_batch(T=50, seeds=(1, 2))
+    spec = RunSpec(algo="signsvrg_v1", gamma=scale * gamma, x1=traces[0].x1, q=1.0, D=D, L=L)
+    with pytest.raises(ValueError, match="gamma"):
+        rate_metrics(run_seeds(spec, prob, 50, (1, 2)), 0.0)
+    rate_metrics(traces, 0.0)  # cor1's own gamma
+
+
 # ---------------------------------------------------------------- counting bounds
 
 def test_update_count_bound_on_batch():

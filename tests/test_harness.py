@@ -47,6 +47,10 @@ class _Replace(dict):
     """Fields to set with dataclasses.replace on a valid config."""
 
 
+class _ReplaceProblem(_Replace):
+    """Fields to set with dataclasses.replace on a valid config's problem."""
+
+
 def _cfg(**over):
     doc = json.loads(json.dumps(BASE))
     doc.update(over)
@@ -125,7 +129,7 @@ REJECTIONS = [
     (_Replace(x1={"gaussian": math.nan}), "x1"),
     # the random streams key on a seed mod 2**64, so these two would alias
     ({"seeds": [-1, 2**64 - 1]}, "seeds"),
-    ({"problem": dict(BASE["problem"], seed=2**64)}, "problem"),
+    ({"problem": dict(BASE["problem"], seed=2**64)}, "problem.seed"),
     # a field the run would ignore: cor1 derives gamma and D, only
     # signsgd_plus reads g_inf, only cor2 and sec2 read alpha, and only
     # the reference-point methods read P
@@ -158,14 +162,22 @@ REJECTIONS = [
     ({"problem": {"kind": "least_squares", "d": 6, "n": 10}}, "problem.seed"),
     ({"problem": {"d": 6, "n": 10, "seed": 5}}, "problem.kind"),
     # a problem field the kind ignores
-    ({"problem": dict(BASE["problem"], lam=0.1)}, "problem"),
-    ({"problem": dict(BASE["problem"], label_noise=0.1)}, "problem"),
-    ({"problem": dict(BASE["problem"], kind="trig_nonconvex", label_noise=0.1)}, "problem"),
+    ({"problem": dict(BASE["problem"], lam=0.1)}, "problem.lam"),
+    ({"problem": dict(BASE["problem"], label_noise=0.1)}, "problem.label_noise"),
+    ({"problem": dict(BASE["problem"], kind="trig_nonconvex", label_noise=0.1)}, "problem.label_noise"),
     # the rate checks' right-hand sides take cor1's gamma and D
     ({"schedule": "manual", "gamma": 0.05, "D": 0.4, "checks": ["rate_bounds_v1"]}, "checks"),
     ({"schedule": "cor2", "alpha": 1.0, "checks": ["rate_bounds_v1"]}, "checks"),
     ({"algo": "signsvrg_v2", "schedule": "manual", "gamma": 0.05, "D": 0.4,
       "checks": ["rate_bounds_v2"]}, "checks"),
+    # a problem built in Python gets the same parsing, and a kind of fixed
+    # shape takes no other: sphere_quadratic has one row, counterexample d = 1
+    (_ReplaceProblem(d="10"), "problem.d"),
+    (_ReplaceProblem(d=2.5), "problem.d"),
+    (_ReplaceProblem(seed=1.5), "problem.seed"),
+    (_ReplaceProblem(lam=True), "problem.lam"),
+    ({"problem": dict(BASE["problem"], kind="sphere_quadratic", n=2)}, "problem.n"),
+    (_ReplaceProblem(kind="counterexample", d=2, n=3), "problem.d"),
 ]
 
 
@@ -173,7 +185,9 @@ REJECTIONS = [
 def test_config_rejections_name_the_field(patch, field):
     valid = config_from_dict(_cfg())
     with pytest.raises(ConfigError) as err:
-        if isinstance(patch, _Replace):
+        if isinstance(patch, _ReplaceProblem):
+            dataclasses.replace(valid.problem, **patch)
+        elif isinstance(patch, _Replace):
             dataclasses.replace(valid, **patch)
         else:
             config_from_dict(_cfg(**patch))
@@ -194,7 +208,8 @@ def test_top_level_rejections_are_the_same_for_a_config_built_in_python(patch, f
 
 
 @given(
-    field=st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]),
+    field=st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]
+                          + [f"problem.{f.name}" for f in dataclasses.fields(ProblemSpec)]),
     value=st.one_of(
         st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
         st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), max_size=7),
@@ -202,9 +217,15 @@ def test_top_level_rejections_are_the_same_for_a_config_built_in_python(patch, f
     ),
 )
 def test_a_config_built_in_python_raises_only_config_errors(field, value):
-    # no TypeError or OverflowError from a value of the wrong type or size
+    # no TypeError or OverflowError from a value of the wrong type or size,
+    # at the top or in the problem
+    valid = config_from_dict(_cfg())
+    group, _, key = field.rpartition(".")
     try:
-        dataclasses.replace(config_from_dict(_cfg()), **{field: value})
+        if group:
+            dataclasses.replace(valid, problem=dataclasses.replace(valid.problem, **{key: value}))
+        else:
+            dataclasses.replace(valid, **{field: value})
     except ConfigError:
         pass
 
@@ -773,3 +794,16 @@ def test_cli_subcommands_are_the_documented_four(capsys):
     listed = [line.split()[1] for line in usage.strip().splitlines()]
     assert offered == docstring == listed == ["run", "verify-key-identity", "example1",
                                               "nonconvergence-demo"]
+
+
+def test_python_m_signopt_is_the_one_module_entry():
+    # the documented `python -m signopt` runs the CLI; `python -m signopt.cli`
+    # only imports the module, as cli.py has no second entry of its own
+    src = str(Path(signopt.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    procs = [subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True, text=True,
+                            env=env, timeout=120) for module in ("signopt", "signopt.cli")]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    offered = re.search(r"\{([^}]*)\}", procs[0].stdout).group(1).split(",")
+    assert offered == ["run", "verify-key-identity", "example1", "nonconvergence-demo"]
+    assert procs[1].stdout == ""

@@ -188,9 +188,10 @@ RADII = {"reject_heavy": 1 / 3, "mixed": 5.5, "accept_only": 333.0}
 
 # (d, n) of each problem kind in the step loop tests. At n = 7 the horizon
 # lies inside one snapshot chunk of 585 rows; at n = 300 chunks hold 13
-# rows, so chunks are flushed mid-horizon. sphere_quadratic (whose single
-# component's draw, integers(1, 1), consumes no word) and the d = 1
-# counterexample run on the base-class kernels at their one shape.
+# rows, so chunks are flushed mid-horizon. sphere_quadratic (a one-row
+# least-squares problem, whose single component's draw, integers(1, 1),
+# consumes no word) runs on the least-squares kernels and the d = 1
+# counterexample on its own, each at its one shape.
 SHAPES = {"sphere_quadratic": ((5, 1),), "counterexample": ((1, 3),)}
 DATA_SHAPES = ((5, 7), (5, 300))
 KINDS = ("least_squares", "abs_regression", "trig_nonconvex", "logistic", "sphere_quadratic", "counterexample")

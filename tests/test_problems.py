@@ -344,7 +344,7 @@ def test_abs_regression_interpolates():
 
 def test_sphere_quadratic_exact_properties():
     prob = make_problem(ProblemSpec(kind="sphere_quadratic", d=8, n=1, seed=5))
-    z = prob.zeta
+    z = prob.a[0]
     assert abs(norm(z, 2) - 1.0) < 1e-12
     assert prob.lipschitz_constant(2.0) == pytest.approx(1.0, abs=1e-12)
     assert prob.lipschitz_constant(1.0) == pytest.approx(norm(z, math.inf) ** 2, rel=1e-14)
@@ -501,6 +501,16 @@ def test_subgradient_rows_match_component_gradient_bitwise():
         assert zero_residuals > 0
     with pytest.raises(ValueError, match="targets"):
         AbsRegressionProblem(np.ones((2, 2)), np.array([1.0, np.inf]))
+
+
+def test_counterexample_batch_kernels_are_its_one_vector_methods_bit_for_bit():
+    # elementwise kernels with no sum in another order: every row is exact
+    prob = make_problem(ProblemSpec(kind="counterexample", d=1, n=3, seed=0))
+    xs = np.concatenate([10.0 * RngStream(3).generator.standard_normal((20, 1)), [[0.0], [-0.0], [1.0 / 3.0]]])
+    vals, grads = prob.value_and_full_gradient_batch(xs)
+    for x, val, grad in zip(xs, vals, grads):
+        want_val, want_grad = prob.value_and_full_gradient(x)
+        assert val.hex() == want_val.hex() and grad.tobytes() == want_grad.tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
