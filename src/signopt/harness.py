@@ -348,7 +348,9 @@ def _resolve(cfg: ExperimentConfig, prob: FiniteSumProblem) -> tuple[_Derived, f
     opt = prob.optimum() if needs or ("alpha" in reads and cfg.alpha is None) else None
 
     L = prob.lipschitz_constant(cfg.q) if "L" in params else None
-    if "L" in params and L is None:
+    # an optional L (signgd's) is needed only where cor1's rule or signgd_bound reads it
+    if L is None and "L" in params and ("L" not in RunSpec.OPTIONAL.get(cfg.algo, ())
+                                        or cfg.schedule == "cor1" or "signgd_bound" in cfg.checks):
         raise ConfigError(
             "algo",
             f"algorithm {cfg.algo!r} needs an analytic smoothness constant, but problem "

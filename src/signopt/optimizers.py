@@ -35,19 +35,24 @@ a reference-point method then checks its radius and refreshes. A block of
 steps at a time, one vecmath.sample_steps call decodes the draws of every
 seed at once from the raw Philox words of its own stream, bit for bit the
 same as those calls; a seed's trace never depends on the other seeds of the
-batch. The signed variance-reduced methods check the amplitude premise and
-flag degenerate steps once per block of draws, not inside the step; a
-violation raises AssertionError, also under python -O. The iterates live in
-the rows of a step-major snapshot chunk, one contiguous (S, d) block per
-row, and each step computes the next row straight into its slot. Once per
-chunk of rows, not per step, the loop tests the rows for finiteness,
-snapshots f and the gradient norms of each seed's rows, copied out
-contiguous, into its trace columns (one 1-D array per seed and column, named
-as in Trace), and adds the rows to the iterate sums, in the order of one row
-after another. A seed that fails (a non-finite iterate or a broken amplitude
-premise) steps on with the others; seed 0's error is raised at once, any
-other after the last step, that of the first failed seed in seed order, as
-running the seeds one after another would. When a problem's component
+batch. A block is as long as keeps all it fills per seed and step (the
+indices, the noise, and the amplitudes or precomputed steps below) within
+one budget of float64s. The signed variance-reduced methods check the
+amplitude premise and flag degenerate steps once per block of draws, not
+inside the step; a violation raises AssertionError, also under python -O.
+The iterates live in the rows of a step-major snapshot chunk, one contiguous
+(S, d) block per row, and each step computes the next row straight into its
+slot. Once per chunk of rows, not per step, the loop tests the rows for
+finiteness, snapshots f and the gradient norms of the seeds that have not
+failed, a group of a few seeds per call as one contiguous (G, rows, d)
+stack, into each seed's trace columns (one 1-D array per seed and column,
+named as in Trace), and adds the rows to the iterate sums, in the order of
+one row after another. A stacked snapshot gives each seed the bits of a call
+with its rows alone, so neither the groups nor the blocks reach a trace. A
+seed that fails (a non-finite iterate or a broken amplitude premise) steps
+on with the others; seed 0's error is raised at once, any other after the
+last step, that of the first failed seed in seed order, as running the
+seeds one after another would. When a problem's component
 subgradients are +-a_i (FiniteSumProblem.subgradient_rows), signsgd,
 signsgd_plus and sgd compute both steps that each draw of a block can give
 before the iterates are known, and a step picks one by the sign of
@@ -99,14 +104,16 @@ class NonFiniteIterateError(RuntimeError):
 class RunSpec:
     """Everything run() needs besides the problem, horizon, and seed."""
 
-    # the run parameters each method requires and records in its traces'
-    # meta besides gamma and q, and it takes no other: D and L for the
-    # reference-point methods, G_inf for signsgd_plus, and L for signgd,
-    # whose step reads none but whose bound (analysis.signgd_bound) reads L
+    # the run parameters each method records in its traces' meta besides
+    # gamma and q, and it takes no other: D and L for the reference-point
+    # methods, G_inf for signsgd_plus, and L for signgd. Each is required but
+    # signgd's L (OPTIONAL): its step reads none, only its bound
+    # (analysis.signgd_bound) does, so it records L when the problem has one
     PARAMS: ClassVar[dict[str, tuple[str, ...]]] = {
         "signsgd": (), "signsgd_plus": ("g_inf",), "signgd": ("L",), "sgd": (),
         "signsvrg_v1": ("D", "L"), "signsvrg_v2": ("D", "L"), "svrg": ("D", "L"),
     }
+    OPTIONAL: ClassVar[dict[str, tuple[str, ...]]] = {"signgd": ("L",)}
 
     algo: str
     gamma: float
@@ -121,13 +128,14 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.algo not in self.PARAMS:
             raise ValueError(f"unknown algo {self.algo!r}; known: {ALGORITHMS}")
-        needed = ("gamma", *self.PARAMS[self.algo])
+        taken = ("gamma", *self.PARAMS[self.algo])
         for name, what in (("gamma", "step size"), ("D", "trust radius"), ("L", "smoothness constant"),
                            ("g_inf", "gradient bound")):
             value = getattr(self, name)
-            if (value is None) == (name in needed):
-                raise ValueError(f"{self.algo} requires {name}" if value is None
-                                 else f"{name} is not a parameter of {self.algo}")
+            if value is None and name in taken and name not in self.OPTIONAL.get(self.algo, ()):
+                raise ValueError(f"{self.algo} requires {name}")
+            if value is not None and name not in taken:
+                raise ValueError(f"{name} is not a parameter of {self.algo}")
             if value is not None and not 0 < value < math.inf:  # also when it is NaN
                 raise ValueError(f"{what} {name} must be finite and positive, got {value}")
         ConjugatePair(self.q)  # every algorithm records q in its trace meta
@@ -141,11 +149,14 @@ ALGORITHMS = tuple(RunSpec.PARAMS)
 VR_ALGORITHMS = tuple(algo for algo, params in RunSpec.PARAMS.items() if "D" in params)
 
 
-# float64 elements per buffer of the step loop: the noise drawn for one
-# block of steps, and one seed's iterates of one snapshot chunk (or the
-# premise tolerances of a few steps of a block)
-_DRAW_ELEMENTS = 1 << 14
+# float64 elements per buffer of the step loop: every per-seed-step buffer
+# that one block of draws fills, taken together (the indices, the noise and
+# what the block precomputes from them), one seed's iterates of one snapshot
+# chunk (or the premise tolerances of a few steps of a block), and one
+# snapshot call's (G, rows, max(n, d)) operands
+_DRAW_ELEMENTS = 1 << 16
 _SNAPSHOT_ELEMENTS = 1 << 12
+_GROUP_ELEMENTS = 1 << 14
 
 
 def _sign_steps(gamma: float) -> np.ndarray:
@@ -153,15 +164,17 @@ def _sign_steps(gamma: float) -> np.ndarray:
     return np.array([-gamma, gamma])
 
 
-def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, d: int):
+def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, extra: int):
     """Yields (t0, idx, noise) per block of steps t0, t0 + 1, ...: the
     0-based component indices (steps, S) and noise cubes (steps, S, width)
     of every seed, decoded from its own stream, all seeds of a block in one
-    vecmath.sample_steps call."""
+    vecmath.sample_steps call. A block is as long as keeps its index, its
+    noise and the caller's `extra` float64s per seed and step within
+    _DRAW_ELEMENTS."""
     S = len(rngs)
     # even blocks start with no buffered half-word, so the streams stay on
     # the batched decoder from one block to the next
-    block = max(2, min(T, _DRAW_ELEMENTS // (max(S, 1) * d)) & ~1)
+    block = max(2, min(T, _DRAW_ELEMENTS // (max(S, 1) * (1 + width + extra))) & ~1)
     out = np.empty((block, S), dtype=np.int64), np.empty((block, S, width))
     for t0 in range(0, T, block):
         yield (t0, *sample_steps(rngs, n, width, min(block, T - t0), out))
@@ -175,12 +188,16 @@ class _Chunks:
     x[1 + t % size] (and dist[1 + t % size]), and the step from row t
     computes row t + 1 straight into its slot. On a chunk's last row, before
     the step from it, and at row T + 1, flush tests the chunk's rows for
-    finiteness, snapshots them per seed, copied contiguous so that the
-    snapshot's BLAS calls see lda = d for every S, and adds them to the
-    iterate sums. Chunk bounds depend on n and d alone, so a seed's f and
-    gradient norms never depend on the other seeds of the call. The S seeds
-    are fixed for the whole run: a failed seed steps on, errors holds each
-    seed's first error (fail), and flush snapshots no failed seed."""
+    finiteness, snapshots them, and adds them to the iterate sums. The
+    snapshot takes the seeds that have not failed in groups of `group`,
+    sized so that one call's (G, rows, max(n, d)) operands stay within
+    _GROUP_ELEMENTS: each group is one contiguous (G, rows, d) copy, so the
+    snapshot's BLAS calls see lda = d, and one value_and_full_gradient_batch
+    call, whose slices get the bits of one call per seed. Chunk bounds
+    depend on n and d alone, so a seed's f and gradient norms never depend
+    on the other seeds of the call or on its group. The S seeds are fixed
+    for the whole run: a failed seed steps on, errors holds each seed's
+    first error (fail), and flush snapshots no failed seed."""
 
     def __init__(self, prob: FiniteSumProblem, T: int, S: int, x1: np.ndarray, keep_iterates: bool):
         self.prob, self.T = prob, T
@@ -193,6 +210,7 @@ class _Chunks:
         self.iterates = [np.empty((T, prob.d)) if keep_iterates else None for _ in range(S)]
         self.errors: list[Exception | None] = [None] * S
         self.size = max(1, _SNAPSHOT_ELEMENTS // max(prob.n, prob.d))
+        self.group = max(1, _GROUP_ELEMENTS // (self.size * max(prob.n, prob.d)))  # seeds per snapshot call
         # slot 0 is spare: flush puts the iterate sums there (dist's is unused)
         self.x = np.empty((self.size + 1, S, prob.d))
         self.x[1] = x1
@@ -223,20 +241,24 @@ class _Chunks:
             for s in np.flatnonzero(bad.any(axis=0)):
                 self.fail(s, NonFiniteIterateError(t - c + int(np.argmax(bad[:, s]))))
         rows = slice(t - c, t + 1)
-        for s, error in enumerate(self.errors):
-            self.dist_to_ref[s][rows] = self.dist[1:c + 2, s]
-            if error is not None:
-                continue
-            xs = np.ascontiguousarray(self.x[1:c + 2, s])
+        for s, column in enumerate(self.dist_to_ref):
+            column[rows] = self.dist[1:c + 2, s]
+        live = [s for s, error in enumerate(self.errors) if error is None]
+        seed_major = self.x[1:c + 2].transpose(1, 0, 2)
+        for i in range(0, len(live), self.group):
+            group = live[i:i + self.group]
+            xs = seed_major[group]  # (G, rows, d), a contiguous copy
             fval, grad = self.prob.value_and_full_gradient_batch(xs)
-            self.f[s][rows] = fval
-            np.sqrt(row_dot(grad, grad), out=self.gnorm2[s][rows])
+            gnorm2 = np.sqrt(row_dot(grad, grad))
             ag = np.abs(grad, out=grad)
-            np.add.reduce(ag, axis=1, out=self.gnorm1[s][rows])
-            np.maximum.reduce(ag, axis=1, out=self.gnorm_inf[s][rows])
-            if self.iterates[s] is not None:
+            values = fval, np.add.reduce(ag, axis=-1), gnorm2, np.maximum.reduce(ag, axis=-1)
+            for columns, value in zip((self.f, self.gnorm1, self.gnorm2, self.gnorm_inf), values):
+                for s, seed_value in zip(group, value):
+                    columns[s][rows] = seed_value
+            if self.iterates[0] is not None:  # kept for every seed or for none
                 end = min(t + 1, self.T)  # row T+1 is no iterate
-                self.iterates[s][t - c:end] = xs[:end - t + c]
+                for s, seed_xs in zip(group, xs):
+                    self.iterates[s][t - c:end] = seed_xs[:end - t + c]
         # the sums of [sum; rows] accumulated in place are those of sum += row,
         # row after row (np.add.reduce sums pairwise where the rows are its
         # inner loop, as at S = d = 1); this overwrites every row but the last
@@ -332,7 +354,10 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
     chunk_size = chunks.size
     slots, dists = list(chunks.x), list(chunks.dist)  # the (S, d) and (S,) row of every slot
     draws = () if algo == "signgd" else rngs
-    for t0, idx, noise in _draw_blocks(draws, n, d if plus or variant else 0, T, d):
+    # per seed and step, a block also fills the amplitude, or _both_steps'
+    # rows, targets, down and (but for signsgd_plus) up
+    extra = {1: 1, 2: d}.get(variant, 0) if signed_rows is None else 2 * d + 1 + (0 if plus else d)
+    for t0, idx, noise in _draw_blocks(draws, n, d if plus or variant else 0, T, extra):
         if t0 == 0 and variant:  # the first block is the longest
             amps = np.empty(noise.shape if variant == 2 else idx.shape)
         if plus:

@@ -111,11 +111,14 @@ class FiniteSumProblem(ABC):
 
     @abstractmethod
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f and the full gradient at every row of xs, shapes (m,) and (m, d).
+        """f and the full gradient at every row of xs, an (m, d) block or a
+        stack (..., m, d) of them: shapes (..., m) and (..., m, d).
 
         Matrix products sum in another order than the one-vector methods:
         results may differ in the last ulp, and a row's result may depend on
-        the other rows of the call.
+        the other rows of its (m, d) slice, but not on the other slices of a
+        stack: each slice gets the bits of a call with it alone (a stacked
+        matmul is one product per slice, and every sum runs over axis -1).
         """
 
     def subgradient_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -297,7 +300,7 @@ class LogisticProblem(FiniteSumProblem):
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = xs @ self.ya.T  # read by the values before the sigmoid overwrites it
-        return np.add.reduce(np.logaddexp(0.0, w), axis=1) / self.n, self._sigmoid(w, out=w) @ self.ya / self.n
+        return np.add.reduce(np.logaddexp(0.0, w), axis=-1) / self.n, self._sigmoid(w, out=w) @ self.ya / self.n
 
     def lipschitz_constant(self, q: float) -> float:
         return 0.25 * _row_norm_sq_max(self.ya, q)  # curvature <= 1/4; norms are sign-blind
@@ -347,7 +350,7 @@ class TrigProblem(FiniteSumProblem):
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = xs @ self.a.T
-        vals = np.add.reduce(np.cos(z), axis=1) / self.n + 0.5 * self.lam * row_dot(xs, xs)
+        vals = np.add.reduce(np.cos(z), axis=-1) / self.n + 0.5 * self.lam * row_dot(xs, xs)
         return vals, -(np.sin(z) @ self.a) / self.n + self.lam * xs
 
     def lipschitz_constant(self, q: float) -> float:
@@ -403,7 +406,7 @@ class AbsRegressionProblem(FiniteSumProblem):
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = xs @ self.a.T - self.b
         grad = np.where(r >= 0.0, 1.0, -1.0) @ self.a / self.n
-        return np.add.reduce(np.abs(r, out=r), axis=1) / self.n, grad
+        return np.add.reduce(np.abs(r, out=r), axis=-1) / self.n, grad
 
     def subgradient_rows(self) -> tuple[np.ndarray, np.ndarray]:
         return self.a, self.b
@@ -447,7 +450,7 @@ class CounterexampleProblem(FiniteSumProblem):
         return self.slopes.take(idx)[..., None] + xs
 
     def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = xs[:, 0]
+        x = xs[..., 0]
         return self._mean_slope * x + 0.5 * x * x, xs + self._mean_slope
 
     def lipschitz_constant(self, q: float) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import signopt
+from signopt import optimizers
 from signopt.harness import SCHEDULES
 from signopt.optimizers import (
     ALGORITHMS,
@@ -30,7 +31,7 @@ from signopt.optimizers import (
 )
 from signopt.oracles import reference_run
 from signopt.problems import AbsRegressionProblem, ProblemSpec, make_problem
-from signopt.trace import FLAG_DEGENERATE
+from signopt.trace import FLAG_DEGENERATE, Trace
 from signopt.vecmath import ConjugatePair, RngStream
 
 
@@ -449,9 +450,8 @@ def test_fused_simple_loop_matches_reference_run(algo):
              for T in ((150, 130) if n == 300 else (150,))]
     for kind, d, n, T in cases:
         prob = _problem(kind, d, n)
-        # signgd's step reads no L, which the nonsmooth kinds do not have
         spec = RunSpec(algo=algo, gamma=0.02, x1=0.5 * np.ones(d), g_inf=9.0 if algo == "signsgd_plus" else None,
-                       L=1.0 if algo == "signgd" else None, keep_iterates=True)
+                       keep_iterates=True)
         for seeds in ((13,), BATCH_SEEDS):
             for seed, tr in zip(seeds, run_seeds(spec, prob, T, seeds)):
                 single = run(spec, prob, T, seed)
@@ -459,6 +459,75 @@ def test_fused_simple_loop_matches_reference_run(algo):
                     np.testing.assert_array_equal(getattr(tr, col), getattr(single, col),
                                                   err_msg=f"{kind} {n} {T} {seed} {col}")
                 _assert_matches_reference(tr, spec, prob, seed)
+
+
+class _RecordedChunks(optimizers._Chunks):
+    """_Chunks that keeps every instance, so that a batch's columns can be
+    read after run_seeds has raised its failed seed's error."""
+
+    made: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+def _survivors(spec, prob, T, seeds):
+    """{seed: its columns, x_mean and x_final} of every seed of one batch
+    that does not fail, and the seeds that do."""
+    _RecordedChunks.made.clear()
+    try:
+        run_seeds(spec, prob, T, seeds)
+    except (NonFiniteIterateError, AssertionError):
+        pass
+    chunks, = _RecordedChunks.made
+    x_final = chunks.x[1 + T % chunks.size]
+    live = {seed: {**{name: getattr(chunks, name)[s] for name in Trace.COLUMNS},
+                   "x_mean": chunks.x_sum[s] / T, "x_final": x_final[s]}
+            for s, seed in enumerate(seeds) if chunks.errors[s] is None}
+    return live, [seed for seed in seeds if seed not in live]
+
+
+@pytest.mark.parametrize("case", ["signsvrg_v1", "signsgd_plus", "signsgd"])
+def test_snapshot_groups_and_draw_blocks_never_change_a_seed(case, monkeypatch):
+    # at the default budgets BATCH_SEEDS' 4 seeds make one snapshot group,
+    # and the draw blocks are long. Here 5 seeds go in groups of 2 through
+    # chunks of 5 rows and blocks of 2 steps over an odd horizon, and the
+    # third seed fails mid-run, which regroups the seeds after it: every
+    # other seed's columns must be those of the default budgets and of its
+    # run alone, bit for bit. signsvrg_v1 at a fifth of its smoothness
+    # constant breaks the amplitude premise on seed 6 at step 14;
+    # signsgd_plus on abs_regression (the candidate path) and signsgd on the
+    # cosine family (the general one) at steps of 1e307 leave the floats on
+    # seed 7 at row 60 and seed 2 at row 68
+    monkeypatch.setattr(optimizers, "_Chunks", _RecordedChunks)
+    huge = dict(gamma=1e307, x1=0.5 * np.ones(5))
+    ls = _ls(d=5, n=7, seed=3)
+    spec, prob, T, seeds = {
+        "signsvrg_v1": (RunSpec(algo="signsvrg_v1", gamma=0.03, x1=0.5 * np.ones(5), q=1.0, D=0.6,
+                                L=0.2 * ls.lipschitz_constant(1.0)), ls, 59, (0, 1, 6, 2, 4)),
+        "signsgd_plus": (RunSpec(algo="signsgd_plus", g_inf=10.0, **huge),
+                         make_problem(ProblemSpec(kind="abs_regression", d=5, n=178, seed=3)), 79, (0, 1, 7, 2, 3)),
+        "signsgd": (RunSpec(algo="signsgd", **huge),
+                    make_problem(ProblemSpec(kind="trig_nonconvex", d=5, n=178, seed=3)), 79, (0, 1, 2, 3, 4)),
+    }[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        default, failed = _survivors(spec, prob, T, seeds)
+        assert failed == [seeds[2]]
+        singles = {seed: _survivors(spec, prob, T, (seed,))[0][seed] for seed in default}
+        width = max(prob.n, prob.d)
+        monkeypatch.setattr(optimizers, "_SNAPSHOT_ELEMENTS", 5 * width)
+        monkeypatch.setattr(optimizers, "_GROUP_ELEMENTS", 2 * 5 * width)
+        monkeypatch.setattr(optimizers, "_DRAW_ELEMENTS", 1)
+        small = optimizers._Chunks(prob, T, len(seeds), spec.x1, False)
+        assert (small.size, small.group) == (5, 2)
+        assert next(optimizers._draw_blocks([RngStream(0)], prob.n, 5, T, 16))[1].shape == (2, 1)
+        grouped, failed = _survivors(spec, prob, T, seeds)
+        assert failed == [seeds[2]]
+    for seed, columns in grouped.items():
+        for name, column in columns.items():
+            for other in (default[seed][name], singles[seed][name]):
+                assert column.tobytes() == other.tobytes(), (seed, name)
 
 
 def test_one_row_chunks_match_reference_run():
@@ -723,7 +792,8 @@ RECORDED = {"signsgd": (), "signsgd_plus": ("g_inf",), "signgd": ("L",), "sgd": 
 def test_runspec_takes_exactly_what_its_method_records(algo):
     # RunSpec writes D, L and g_inf into every trace's meta, where the bound
     # evaluators read them: one the method does not read is refused, not
-    # recorded, and one it reads must be given
+    # recorded, and one its step reads must be given; signgd's step reads no
+    # L, so it records None without one
     prob, values = _ls(d=3), {"D": 0.5, "L": 1.0, "g_inf": 1.0}
     needed = {name: values[name] for name in RECORDED[algo]}
     tr = run(RunSpec(algo=algo, gamma=0.1, x1=np.ones(3), **needed), prob, 2, 0)
@@ -732,8 +802,12 @@ def test_runspec_takes_exactly_what_its_method_records(algo):
         with pytest.raises(ValueError, match=f"{name} is not a parameter of {algo}"):
             RunSpec(algo=algo, gamma=0.1, x1=np.ones(3), **needed, **{name: values[name]})
     for name in needed:
+        rest = {k: v for k, v in needed.items() if k != name}
+        if (algo, name) == ("signgd", "L"):
+            assert run(RunSpec(algo=algo, gamma=0.1, x1=np.ones(3), **rest), prob, 2, 0).meta[name] is None
+            continue
         with pytest.raises(ValueError, match=f"{algo} requires {name}"):
-            RunSpec(algo=algo, gamma=0.1, x1=np.ones(3), **{k: v for k, v in needed.items() if k != name})
+            RunSpec(algo=algo, gamma=0.1, x1=np.ones(3), **rest)
 
 
 def test_run_rejects_bad_horizon_and_x1():

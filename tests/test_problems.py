@@ -513,6 +513,22 @@ def test_counterexample_batch_kernels_are_its_one_vector_methods_bit_for_bit():
         assert val.hex() == want_val.hex() and grad.tobytes() == want_grad.tobytes()
 
 
+@pytest.mark.parametrize("G", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 13])  # m = 1: the one-row chunk at n > 2048
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_value_and_full_gradient_batch_of_a_stack_is_its_slices_bit_for_bit(spec, m, G):
+    # the run loop snapshots a group of seeds as one (G, m, d) stack: each
+    # slice must get the bits of calling with it alone, whatever the others
+    prob = make_problem(spec)
+    stack = RngStream(31).generator.standard_normal((G, m, prob.d))
+    vals, grads = prob.value_and_full_gradient_batch(stack)
+    assert vals.shape == (G, m) and grads.shape == (G, m, prob.d)
+    for xs, val, grad in zip(stack, vals, grads):
+        want_val, want_grad = prob.value_and_full_gradient_batch(xs.copy())
+        assert [v.hex() for v in val] == [v.hex() for v in want_val]
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
 def test_value_and_full_gradient_batch_matches_one_vector_route(spec):
     # matrix products sum in another order than matrix-vector ones, so rows
