@@ -126,21 +126,52 @@ def _run_params(traces: list[Trace], bound: str | tuple[str, ...], *names: str) 
     return tuple(meta[key] for key in names)
 
 
+def _descent_rhs(delta, T: int, gamma: float, L: float, q: float, d: int):
+    """The descent bound delta/(T gamma) + L gamma d^{2/q} / 2 behind the
+    smooth rates, where delta is f(x_1) less f(x_{T+1}) or f*."""
+    return delta / (T * gamma) + L * gamma * ConjugatePair(q).dim_root(d) ** 2 / 2.0
+
+
+def _cor1_gamma(L: float, T: int, q: float, d: int) -> float:
+    """cor1's step sqrt(2/(L T)) / d^{1/q}, which minimizes _descent_rhs at
+    delta = 1: harness's cor1 rule sets gamma with it and rate_metrics
+    requires it of its traces, so the two agree exactly."""
+    return math.sqrt(2.0 / (L * T)) / ConjugatePair(q).dim_root(d)
+
+
+def _distance_rhs(dist: float, gamma: float, d: int, T: int) -> float:
+    """The distance bound (dist^2/gamma + gamma d T)/2, dist = ||x_1 - x*||_2."""
+    return (dist**2 / gamma + gamma * d * T) / 2.0
+
+
+def _distance_gamma(alpha: float, d: int, T: int) -> float:
+    """cor2's and sec2's step alpha / sqrt(d T), minimizing _distance_rhs at dist = alpha."""
+    return alpha / math.sqrt(d * T)
+
+
+def _gaps(values, f_star: float) -> np.ndarray:
+    """values - f*, raising a ValueError when a value lies more than 1e-9
+    below f*, which signals a wrong f* or corrupted data."""
+    gap = np.asarray(values, dtype=np.float64) - f_star
+    if np.any(gap < -1e-9):
+        raise ValueError(f"value {np.min(values)} is below the claimed optimum {f_star}; "
+                         "corrupted data or wrong f_star")
+    return gap
+
+
 def svrg_grad_bound_v1(traces: list[Trace]) -> BoundReport:
     """Descent bound of the scalar-amplitude variance-reduced sign method:
 
     E[(1/T) sum_t ||grad f(x_t)||_2^2 / (2 L D + ||grad f(x_t)||_p)]
-        <= E[f(x_1) - f(x_{T+1})]/(T gamma) + L gamma d^{2/q} / 2.
+        <= E[_descent_rhs(f(x_1) - f(x_{T+1}))].
     """
     L, D, q, gamma, T, d = _run_params(traces, "svrg_grad_bound_v1", "L", "D", "q", "gamma", "T", "d")
-    pair = ConjugatePair(q)
-    dim_sq = pair.dim_root(d) ** 2
+    p = ConjugatePair(q).p
     lhs, rhs = [], []
     for tr in traces:
         g2 = tr.gnorm2[:T]
-        gp = tr.gnorm(pair.p)[:T]
-        lhs.append(np.mean(g2 * g2 / (2.0 * L * D + gp)))
-        rhs.append((tr.f[0] - tr.f[T]) / (T * gamma) + L * gamma * dim_sq / 2.0)
+        lhs.append(np.mean(g2 * g2 / (2.0 * L * D + tr.gnorm(p)[:T])))
+        rhs.append(_descent_rhs(tr.f[0] - tr.f[T], T, gamma, L, q, d))
     return _make_report("svrg_grad_bound_v1", lhs, rhs)
 
 
@@ -148,12 +179,11 @@ def svrg_grad_bound_v2(traces: list[Trace]) -> BoundReport:
     """Same rhs as variant 1; lhs uses the l_1 gradient norm against the
     coordinatewise amplitude: ||g||_1^2 / (2 L d D + ||g||_1)."""
     L, D, q, gamma, T, d = _run_params(traces, "svrg_grad_bound_v2", "L", "D", "q", "gamma", "T", "d")
-    dim_sq = ConjugatePair(q).dim_root(d) ** 2
     lhs, rhs = [], []
     for tr in traces:
         g1 = tr.gnorm1[:T]
         lhs.append(np.mean(g1 * g1 / (2.0 * L * d * D + g1)))
-        rhs.append((tr.f[0] - tr.f[T]) / (T * gamma) + L * gamma * dim_sq / 2.0)
+        rhs.append(_descent_rhs(tr.f[0] - tr.f[T], T, gamma, L, q, d))
     return _make_report("svrg_grad_bound_v2", lhs, rhs)
 
 
@@ -161,118 +191,91 @@ def svrg_gap_bound(traces: list[Trace], f_star: float, x_star: np.ndarray) -> Bo
     """Convex optimality-gap bound of the variance-reduced sign method:
 
     E[(1/T) sum_t (f(x_t) - f*) / (2 L D + sqrt(2 L (f(x_t) - f*)))]
-        <= ||x_1 - x*||^2 / (2 T gamma) + gamma d / 2.
+        <= _distance_rhs / T = ||x_1 - x*||^2 / (2 T gamma) + gamma d / 2.
     """
     L, D, gamma, T, d = _run_params(traces, "svrg_gap_bound", "L", "D", "gamma", "T", "d")
     lhs, rhs = [], []
     for tr in traces:
-        gap = tr.f[:T] - f_star
-        if np.any(gap < -1e-9):
-            raise ValueError(
-                f"trace value {tr.f[:T].min()} is below the claimed optimum {f_star}; "
-                "corrupted data or wrong f_star"
-            )
-        gap = np.maximum(gap, 0.0)
+        gap = np.maximum(_gaps(tr.f[:T], f_star), 0.0)
         lhs.append(np.mean(gap / (2.0 * L * D + np.sqrt(2.0 * L * gap))))
-        rhs.append(float(norm(tr.x1 - x_star, 2)) ** 2 / (2.0 * T * gamma) + gamma * d / 2.0)
+        rhs.append(_distance_rhs(float(norm(tr.x1 - x_star, 2)), gamma, d, T) / T)
     return _make_report("svrg_gap_bound", lhs, rhs)
 
 
 def regret_bound(traces: list[Trace], f_star: float, x_star: np.ndarray) -> BoundReport:
     """Regret of the noise-corrupted sign method on convex Lipschitz problems:
 
-    E[sum_t (f(x_t) - f*)] <= (G_inf / 2) (||x_1 - x*||^2 / gamma + gamma d T).
+    E[sum_t (f(x_t) - f*)] <= G_inf _distance_rhs = (G_inf / 2) (||x_1 - x*||^2 / gamma + gamma d T).
     """
     g_inf, gamma, T, d = _run_params(traces, "regret_bound", "g_inf", "gamma", "T", "d")
-    lhs, rhs = [], []
-    for tr in traces:
-        gap = tr.f[:T] - f_star
-        if np.any(gap < -1e-9):
-            raise ValueError(
-                f"trace value {tr.f[:T].min()} is below the claimed optimum {f_star}"
-            )
-        lhs.append(float(gap.sum()))
-        rhs.append(
-            0.5 * g_inf * (float(norm(tr.x1 - x_star, 2)) ** 2 / gamma + gamma * d * T)
-        )
+    lhs = [float(_gaps(tr.f[:T], f_star).sum()) for tr in traces]
+    rhs = [g_inf * _distance_rhs(float(norm(tr.x1 - x_star, 2)), gamma, d, T) for tr in traces]
     return _make_report("regret_bound", lhs, rhs)
 
 
-def final_gap_bound(
-    traces: list[Trace], prob: FiniteSumProblem, f_star: float, x_star: np.ndarray
-) -> BoundReport:
-    """Gap of the averaged iterate under the tuned step gamma = dist/sqrt(dT):
+def final_gap_bound(traces: list[Trace], prob: FiniteSumProblem, f_star: float, x_star: np.ndarray) -> BoundReport:
+    """Gap of the averaged iterate, regret_bound's rhs over T at any gamma:
 
-    E[f(xbar_T) - f*] <= G_inf ||x_1 - x*||_2 sqrt(d / T).
+    E[f(xbar_T) - f*] <= G_inf _distance_rhs / T,
+
+    which at the tuned step gamma = ||x_1 - x*|| / sqrt(dT) is
+    G_inf ||x_1 - x*||_2 sqrt(d / T).
     """
-    g_inf, T, d = _run_params(traces, "final_gap_bound", "g_inf", "T", "d")
-    lhs, rhs = [], []
-    for tr in traces:
-        lhs.append(prob.value(tr.x_mean) - f_star)
-        rhs.append(g_inf * float(norm(tr.x1 - x_star, 2)) * math.sqrt(d / T))
+    g_inf, gamma, T, d = _run_params(traces, "final_gap_bound", "g_inf", "gamma", "T", "d")
+    lhs = _gaps([prob.value(tr.x_mean) for tr in traces], f_star)
+    rhs = [g_inf * _distance_rhs(float(norm(tr.x1 - x_star, 2)), gamma, d, T) / T for tr in traces]
     return _make_report("final_gap_bound", lhs, rhs)
 
 
 def signgd_bound(trace: Trace, f_star: float) -> BoundReport:
     """Deterministic full-gradient sign descent bound (single trace):
 
-    (1/T) sum_t ||grad f(x_t)||_1 <= (f(x_1) - f*) / (T gamma) + L gamma d^{2/q} / 2,
+    (1/T) sum_t ||grad f(x_t)||_1 <= _descent_rhs(f(x_1) - f*),
 
     checked at relative tolerance 1e-8.
     """
     L, q, gamma, T, d = _run_params([trace], "signgd_bound", "L", "q", "gamma", "T", "d")
     lhs = float(np.mean(trace.gnorm1[:T]))
-    dim_sq = ConjugatePair(q).dim_root(d) ** 2
-    rhs = float((trace.f[0] - f_star) / (T * gamma) + L * gamma * dim_sq / 2.0)
+    rhs = float(_descent_rhs(trace.f[0] - f_star, T, gamma, L, q, d))
     tol = 1e-8 * abs(rhs)
     return BoundReport("signgd_bound", lhs, rhs, tol, lhs <= rhs + tol, 1)
 
 
-def _cor1_gamma(L: float, T: int, q: float, d: int) -> float:
-    """cor1's step sqrt(2/(L T)) / d^{1/q}: harness's cor1 rule sets gamma
-    with it and rate_metrics requires it of its traces, so the two agree
-    exactly."""
-    return math.sqrt(2.0 / (L * T)) / ConjugatePair(q).dim_root(d)
-
-
 def rate_metrics(traces: list[Trace], f_star: float) -> tuple[BoundReport, BoundReport]:
     """Rate bounds under the smoothness-scaled schedule cor1, whose step is
-    gamma = sqrt(2/(L T)) / d^{1/q} and whose radius is D = P sqrt(2/(L T))
-    for reference period P. Traces run at any other gamma raise a
-    ValueError naming gamma.
+    _cor1_gamma; traces run at any other gamma raise a ValueError naming
+    gamma. Under cor1, D = P sqrt(2/(L T)) for reference period P.
 
     Returns (rate_v1_either_bound, rate_max_bound). Gradient norms are
     per-seed time-averages, i.e. Monte Carlo estimates of E||grad f(x_out)||
     at a uniformly selected iterate. Variant 1's rate holds when either
     branch does:
 
-        radius: E||g||_p <= 2 P sqrt(2L/T)  (= 2 L D)
-        ratio:  (E||g||_2)^2 / E||g||_p <= d^{1/q} (f(x_1) - f* + 1) sqrt(2L/T)
+        radius: E||g||_p <= 2 L D  (= 2 P sqrt(2L/T))
+        ratio:  (E||g||_2)^2 / E||g||_p <= 2 _descent_rhs(f(x_1) - f*)
+                                          (= d^{1/q} (f(x_1) - f* + 1) sqrt(2L/T))
 
     where the ratio is taken per seed (not debiased). Its report carries the
     radius branch's sides unless only the ratio branch holds. Variant 2's:
 
-        E||g||_1 <= sqrt(2L/T) max(d^{1/q} (f(x_1) - f* + 1), 2 d P).
+        E||g||_1 <= max(2 _descent_rhs(f(x_1) - f*), 2 L D d).
     """
     gamma, D, L, q, T, d = _run_params(traces, ("rate_bounds_v1", "rate_bounds_v2"),
                                        "gamma", "D", "L", "q", "T", "d")
     if gamma != (cor1 := _cor1_gamma(L, T, q, d)):
         raise ValueError(f"the rate bounds are stated at cor1's gamma {cor1!r}, not at the traces' gamma {gamma!r}")
-    pair = ConjugatePair(q)
-    P = D * math.sqrt(L * T / 2.0)
-    rate = math.sqrt(2.0 * L / T)
-    per_p = np.array([float(np.mean(tr.gnorm(pair.p)[:T])) for tr in traces])
+    p = ConjugatePair(q).p
+    per_p = np.array([float(np.mean(tr.gnorm(p)[:T])) for tr in traces])
     per_2 = np.array([float(np.mean(tr.gnorm2[:T])) for tr in traces])
     per_1 = np.array([float(np.mean(tr.gnorm1[:T])) for tr in traces])
     f_x1 = float(np.mean([tr.f[0] for tr in traces]))
-    descent_rhs = pair.dim_root(d) * (f_x1 - f_star + 1.0) * rate
+    descent = 2.0 * _descent_rhs(f_x1 - f_star, T, gamma, L, q, d)
 
-    n = len(traces)
-    radius = _make_report("rate_v1_either_bound", per_p, np.full(n, 2.0 * P * rate))
-    ratio = _make_report("rate_v1_either_bound", per_2**2 / per_p, np.full(n, descent_rhs))
+    n, reach = len(traces), 2.0 * L * D
+    radius = _make_report("rate_v1_either_bound", per_p, np.full(n, reach))
+    ratio = _make_report("rate_v1_either_bound", per_2**2 / per_p, np.full(n, descent))
     v1 = ratio if ratio.holds and not radius.holds else radius
-    v2_rhs = rate * max(pair.dim_root(d) * (f_x1 - f_star + 1.0), 2.0 * d * P)
-    return v1, _make_report("rate_max_bound", per_1, np.full(n, v2_rhs))
+    return v1, _make_report("rate_max_bound", per_1, np.full(n, max(descent, d * reach)))
 
 
 def update_count_bound(trace: Trace, P: float) -> BoundReport:

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .analysis import example1_stats, linf_constant_expected
+from .analysis import example1_stats, final_gap_bound, linf_constant_expected
 from .harness import execute_experiment, load_config
 from .optimizers import NonFiniteIterateError, RunSpec, run
 from .problems import ProblemSpec, make_problem
@@ -166,15 +166,11 @@ def _cmd_nonconvergence_demo(args: argparse.Namespace) -> int:
     print("  plain sign steps drift away from the minimizer" if drift_ok
           else "  expected drift below -0.5 NOT observed")
 
-    x_bar = noisy.x_mean
-    gap = float(prob.value(x_bar) - f_star)
-    dist2 = float((x1[0] - x_star[0]) ** 2)
-    bound = (g_inf / 2.0) * (dist2 / (args.T * args.gamma) + args.gamma * 1.0)
-    noisy_ok = gap <= bound
-    print(f"signsgd_plus average iterate: f(x_bar) - f* = {gap:.6f} <= bound {bound:.6f}: "
-          f"{'yes' if noisy_ok else 'NO'}")
+    rep = final_gap_bound([noisy], prob, f_star, x_star)
+    print(f"signsgd_plus average iterate: f(x_bar) - f* = {rep.lhs:.6f} <= bound {rep.rhs:.6f}: "
+          f"{'yes' if rep.holds else 'NO'}")
 
-    if drift_ok and noisy_ok:
+    if drift_ok and rep.holds:
         print("demo: noise-free sign steps fail where noise-corrupted ones provably work")
         return 0
     return 2

@@ -57,6 +57,7 @@ from . import __version__
 from .analysis import (
     _STATED_FOR,
     _cor1_gamma,
+    _distance_gamma,
     BoundReport,
     comm_bits_bound,
     final_gap_bound,
@@ -104,8 +105,8 @@ def _cor1(cfg, d, L, alpha, P):
 SCHEDULES = {
     "cor1": ((*VR_ALGORITHMS, "signgd"), (), _cor1),
     "cor2": (("signsvrg_v1",), ("alpha",),
-             lambda cfg, d, L, alpha, P: (alpha / math.sqrt(d * cfg.T), P / math.sqrt(cfg.T))),
-    "sec2": (("signsgd_plus",), ("alpha",), lambda cfg, d, L, alpha, P: (alpha / math.sqrt(d * cfg.T), None)),
+             lambda cfg, d, L, alpha, P: (_distance_gamma(alpha, d, cfg.T), P / math.sqrt(cfg.T))),
+    "sec2": (("signsgd_plus",), ("alpha",), lambda cfg, d, L, alpha, P: (_distance_gamma(alpha, d, cfg.T), None)),
     "manual": (ALGORITHMS, ("gamma", "D"), lambda cfg, d, L, alpha, P: (cfg.gamma, cfg.D)),
 }
 

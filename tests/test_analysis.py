@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from signopt.analysis import (
+    BoundReport,
     _make_report,
     comm_bits_bound,
     example1_stats,
@@ -24,6 +25,7 @@ from signopt.analysis import (
     svrg_grad_bound_v2,
     update_count_bound,
 )
+from signopt.harness import CHECKS
 from signopt.optimizers import RunSpec, run, run_seeds
 from signopt.oracles import finite_diff_gradient
 from signopt.problems import ProblemSpec, make_problem
@@ -182,22 +184,40 @@ def test_gap_bound_holds_and_guards_f_star():
         svrg_gap_bound(traces2, f_star + 100.0, x_star)
 
 
-def test_regret_and_final_gap_bounds():
+@pytest.mark.parametrize("scale", [1.0, 0.05, 0.2, 5.0, 20.0])
+def test_regret_and_final_gap_bounds(scale):
+    # at any step, tuned or not, both bounds hold and the final gap's rhs is
+    # the regret's over T
     prob = make_problem(ProblemSpec(kind="abs_regression", d=5, n=12, seed=3))
     x_star, f_star = prob.optimum()
     g_inf = prob.grad_bound_inf()
     x1 = np.ones(5)
     gamma = float(np.linalg.norm(x1 - x_star)) / math.sqrt(5 * 2000)
-    spec = RunSpec(algo="signsgd_plus", gamma=gamma, x1=x1, g_inf=g_inf)
-    traces = [run(spec, prob, 2000, s) for s in range(1, 9)]
+    spec = RunSpec(algo="signsgd_plus", gamma=scale * gamma, x1=x1, g_inf=g_inf)
+    traces = run_seeds(spec, prob, 2000, range(1, 9))
     rep = regret_bound(traces, f_star, x_star)
     assert rep.holds
     rep2 = final_gap_bound(traces, prob, f_star, x_star)
     assert rep2.holds
-    # the final-gap comparison value is dimension-aware
-    assert rep2.rhs == pytest.approx(
-        g_inf * float(np.linalg.norm(x1 - x_star)) * math.sqrt(5 / 2000), rel=1e-12
-    )
+    assert rep2.rhs == pytest.approx(rep.rhs / 2000, rel=1e-12)
+    if scale == 1.0:
+        # at the tuned step the final-gap comparison value is dimension-aware
+        assert rep2.rhs == pytest.approx(
+            g_inf * float(np.linalg.norm(x1 - x_star)) * math.sqrt(5 / 2000), rel=1e-12
+        )
+
+
+def test_final_gap_bound_rejects_a_wrong_f_star():
+    # f(xbar) - f* below -1e-9 signals a wrong f*, as a trace value below
+    # f* does to regret_bound and svrg_gap_bound
+    prob = make_problem(ProblemSpec(kind="abs_regression", d=5, n=12, seed=3))
+    x_star, f_star = prob.optimum()
+    spec = RunSpec(algo="signsgd_plus", gamma=0.01, x1=np.ones(5), g_inf=prob.grad_bound_inf())
+    traces = run_seeds(spec, prob, 50, (1, 2))
+    final_gap_bound(traces, prob, f_star, x_star)
+    for bound in (regret_bound, lambda trs, f, x: final_gap_bound(trs, prob, f, x)):
+        with pytest.raises(ValueError, match="below the claimed optimum"):
+            bound(traces, f_star + 100.0, x_star)
 
 
 def test_signgd_bound_is_deterministic_and_tight_tolerance():
@@ -251,6 +271,70 @@ def test_rate_metrics_reject_traces_off_cor1s_gamma(scale):
     with pytest.raises(ValueError, match="gamma"):
         rate_metrics(run_seeds(spec, prob, 50, (1, 2)), 0.0)
     rate_metrics(traces, 0.0)  # cor1's own gamma
+
+
+def _closed_form_report(check, traces, prob, dv):
+    """The report of `check` from the closed forms the evaluators used
+    before each right-hand side was written once: every rhs spelled out,
+    the tuned ones at their schedule's gamma."""
+    m = traces[0].meta
+    L, D, gamma, T, d, g_inf, n = (m[k] for k in ("L", "D", "gamma", "T", "d", "g_inf", "n"))
+    pair, S = ConjugatePair(m["q"]), len(traces)
+
+    def descent(delta):
+        return delta / (T * gamma) + L * gamma * pair.dim_root(d) ** 2 / 2.0
+
+    dist = [float(np.linalg.norm(tr.x1 - dv.x_star)) for tr in traces] if dv.x_star is not None else []
+    gaps = [np.maximum(tr.f[:T] - dv.f_star, 0.0) for tr in traces] if dv.f_star is not None else []
+    if check in ("update_count_bound", "comm_bits_bound"):  # the worst seed's sides
+        col, per_period = (("k", 1) if check == "update_count_bound"
+                           else ("bits_cum", d * (m["float_bits"] * n + dv.P - 1)))
+        lhs = max(float(getattr(tr, col)[T - 1]) for tr in traces)
+        rhs = float(per_period * math.ceil(T / dv.P))
+        return BoundReport(check, lhs, rhs, 0.0, lhs <= rhs, S)
+    if check == "signgd_bound":
+        lhs, rhs = float(np.mean(traces[0].gnorm1[:T])), float(descent(traces[0].f[0] - dv.f_star))
+        return BoundReport(check, lhs, rhs, 1e-8 * abs(rhs), lhs <= rhs + 1e-8 * abs(rhs), 1)
+    if check == "svrg_grad_bound_v1":
+        return _make_report(check, [np.mean(tr.gnorm2[:T] ** 2 / (2 * L * D + tr.gnorm(pair.p)[:T]))
+                                    for tr in traces], [descent(tr.f[0] - tr.f[T]) for tr in traces])
+    if check == "svrg_grad_bound_v2":
+        return _make_report(check, [np.mean(tr.gnorm1[:T] ** 2 / (2 * L * d * D + tr.gnorm1[:T]))
+                                    for tr in traces], [descent(tr.f[0] - tr.f[T]) for tr in traces])
+    if check == "svrg_gap_bound":
+        return _make_report(check, [np.mean(g / (2 * L * D + np.sqrt(2 * L * g))) for g in gaps],
+                            [r**2 / (2 * T * gamma) + gamma * d / 2 for r in dist])
+    if check == "regret_bound":
+        return _make_report(check, [g.sum() for g in gaps],
+                            [g_inf / 2 * (r**2 / gamma + gamma * d * T) for r in dist])
+    if check == "final_gap_bound":
+        return _make_report(check, [prob.value(tr.x_mean) - dv.f_star for tr in traces],
+                            [g_inf * r * math.sqrt(d / T) for r in dist])
+    # the rates, at cor1's gamma and its radius D = P sqrt(2/(LT))
+    P, rate = D * math.sqrt(L * T / 2), math.sqrt(2 * L / T)
+    per = {p: np.array([np.mean(tr.gnorm(p)[:T]) for tr in traces]) for p in (pair.p, 2.0, 1.0)}
+    f_x1 = float(np.mean([tr.f[0] for tr in traces]))
+    scaled_gap = pair.dim_root(d) * (f_x1 - dv.f_star + 1)
+    if check == "rate_bounds_v2":
+        return _make_report("rate_max_bound", per[1.0], np.full(S, rate * max(scaled_gap, 2 * d * P)))
+    radius = _make_report("rate_v1_either_bound", per[pair.p], np.full(S, 2 * P * rate))
+    ratio = _make_report("rate_v1_either_bound", per[2.0] ** 2 / per[pair.p], np.full(S, scaled_gap * rate))
+    return ratio if ratio.holds and not radius.holds else radius
+
+
+def test_reports_match_their_closed_forms(shipped_runs, workload_runs):
+    # every report of the shipped configs and the benchmark workloads has the
+    # closed form's verdict and, to rounding, its rhs
+    seen = set()
+    for name, (_, result) in {**shipped_runs, **workload_runs}.items():
+        cfg = result.config_echo
+        prob = make_problem(ProblemSpec(**cfg["problem"]))
+        for check, rep in zip(cfg["checks"], result.reports, strict=True):
+            want = _closed_form_report(check, result.traces, prob, result.derived)
+            assert (rep.name, rep.holds) == (want.name, want.holds), (name, check)
+            assert rep.rhs == pytest.approx(want.rhs, rel=1e-12, abs=0), (name, check)
+            seen.add(check)
+    assert seen == set(CHECKS)
 
 
 # ---------------------------------------------------------------- counting bounds

@@ -3,11 +3,11 @@
 The manifest holds the sha256 of every summary.json and trace_seed*.npy
 that `execute_experiment` writes for the five shipped configs in
 scripts/configs/ and for the three benchmark workloads at workload seeds 0
-and 1 (as perfbench/run.py's make_config builds them). The test takes the
-shipped configs' outputs from the session's one run of each (the
-shipped_runs fixture) and runs the workloads itself. A change that keeps
-every output byte-identical keeps this test passing; one that changes an
-output on purpose rewrites the manifest and names the entries it changed.
+and 1 (conftest's workload_configs). The test takes the outputs from the
+session's one run of each (the shipped_runs and workload_runs fixtures). A
+change that keeps every output byte-identical keeps this test passing; one
+that changes an output on purpose rewrites the manifest and names the
+entries it changed.
 
 It also holds a fingerprint of the numeric build: the sha256 of the outputs
 of the numpy kernels the runs rest on, at the shapes they run at. When
@@ -16,41 +16,24 @@ the cause rather than the code.
 
     PYTHONPATH=src python tests/test_golden.py
 
-rewrites the manifest from the current code.
+rewrites the manifest from the current code and prints each run/file entry
+whose hash differs from the manifest it replaces.
 """
 import hashlib
-import importlib.util
 import json
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from signopt.harness import config_from_dict, execute_experiment, load_config
+from conftest import SHIPPED_CONFIGS, workload_configs
+from signopt.harness import execute_experiment, load_config
 
-ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
-CONFIGS = ROOT / "scripts" / "configs"
-PERFBENCH = ROOT / "perfbench"
-WORKLOAD_SEEDS = (0, 1)
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _workload_configs() -> dict:
-    """name -> config of each benchmark workload at each workload seed."""
-    sys.path.insert(0, str(PERFBENCH))  # run.py imports its sibling hostspeed
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return {f"{w}-seed{s}": config_from_dict(bench.make_config(w, s))
-            for w in bench.WORKLOADS for s in WORKLOAD_SEEDS}
 
 
 def output_hashes(out: Path) -> dict:
@@ -59,11 +42,18 @@ def output_hashes(out: Path) -> dict:
             if p.name == "summary.json" or p.name.startswith("trace_seed")}
 
 
-def run_outputs(configs: dict, work: Path) -> dict:
-    """run name -> output_hashes of each config, run into work / name."""
-    for name, cfg in configs.items():
-        execute_experiment(cfg, work / name)
-    return {name: output_hashes(work / name) for name in configs}
+def differing(want: dict, got: dict) -> list[str]:
+    """One "run/file state" line for each output file whose hash in the
+    run -> file -> sha256 map got is not the one in want."""
+    lines = []
+    for name in sorted(set(want) | set(got)):
+        files_want, files_got = want.get(name, {}), got.get(name, {})
+        for fname in sorted(set(files_want) | set(files_got)):
+            if files_want.get(fname) != files_got.get(fname):
+                state = ("missing" if fname not in files_got else "not in the manifest"
+                         if fname not in files_want else "differs")
+                lines.append(f"{name}/{fname} {state}")
+    return lines
 
 
 def build_fingerprint() -> dict:
@@ -90,18 +80,10 @@ def build_fingerprint() -> dict:
     return fingerprint
 
 
-def test_outputs_match_the_manifest(tmp_path, shipped_runs):
+def test_outputs_match_the_manifest(shipped_runs, workload_runs):
     want = json.loads(MANIFEST.read_text())
-    got = run_outputs(_workload_configs(), tmp_path)
-    got.update({name: output_hashes(out) for name, (out, _) in shipped_runs.items()})
-    differ = []
-    for name in sorted(set(want["runs"]) | set(got)):
-        files_want, files_got = want["runs"].get(name, {}), got.get(name, {})
-        for fname in sorted(set(files_want) | set(files_got)):
-            if files_want.get(fname) != files_got.get(fname):
-                state = ("missing" if fname not in files_got else "not in the manifest"
-                         if fname not in files_want else "differs")
-                differ.append(f"{name}/{fname} {state}")
+    got = {name: output_hashes(out) for name, (out, _) in {**shipped_runs, **workload_runs}.items()}
+    differ = differing(want["runs"], got)
     if differ:
         kernels = [k for k, h in build_fingerprint().items() if want["fingerprint"].get(k) != h]
         build = (f"the numeric build's fingerprint differs too ({', '.join(kernels)}), so numpy or "
@@ -111,9 +93,18 @@ def test_outputs_match_the_manifest(tmp_path, shipped_runs):
 
 
 if __name__ == "__main__":
+    old = json.loads(MANIFEST.read_text())["runs"] if MANIFEST.exists() else {}
+    configs = {path.stem: load_config(path) for path in SHIPPED_CONFIGS}
+    configs.update(workload_configs())
     with tempfile.TemporaryDirectory() as tmp:
-        configs = {path.stem: load_config(path) for path in sorted(CONFIGS.glob("*.json"))}
-        configs.update(_workload_configs())
-        manifest = {"fingerprint": build_fingerprint(), "runs": run_outputs(configs, Path(tmp))}
-    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {MANIFEST}: {sum(map(len, manifest['runs'].values()))} files of {len(manifest['runs'])} runs")
+        runs = {}
+        for name, cfg in configs.items():
+            execute_experiment(cfg, Path(tmp) / name)
+            runs[name] = output_hashes(Path(tmp) / name)
+    MANIFEST.write_text(json.dumps({"fingerprint": build_fingerprint(), "runs": runs}, indent=1, sort_keys=True)
+                        + "\n")
+    print(f"wrote {MANIFEST}: {sum(map(len, runs.values()))} files of {len(runs)} runs")
+    changed = differing(old, runs)
+    print(f"{len(changed)} entries changed against the manifest it replaces")
+    for line in changed:
+        print(f"  {line}")
