@@ -1,20 +1,22 @@
 """Evaluators that check convergence/accounting bounds on recorded traces.
 
-Each evaluator computes the bound's two sides from traces (seed-averaged
-where the claim is about expectations) and returns a BoundReport with
+Each evaluator takes a seed batch, computes the bound's two sides per seed
+and returns the BoundReport that _make_report builds from them by one of
+two rules. Monte Carlo, for claims about expectations: the seed means of
+the sides, and holds <=> lhs <= rhs + tol, tol being 3 standard errors of
+the per-seed (lhs - rhs) gap, floored at 1e-12. Exact at relative tolerance
+rel_tol, for claims that hold seed by seed: the worst seed's sides (largest
+lhs - rhs, the first on ties) and its tol = rel_tol |rhs|, holding iff
+every seed has lhs <= rhs + rel_tol |rhs|.
 
-    holds  <=>  lhs <= rhs + tol,
-
-where tol is 3 standard errors of the per-seed (lhs - rhs) gap for Monte
-Carlo checks (floored at 1e-12) and an explicit small tolerance for
-deterministic ones. Evaluators never mutate traces. They read the run's
-parameters (gamma, D, L, q, g_inf, float_bits, T, d, n) from the traces'
-meta, so a bound is only ever evaluated at the parameters the run used, and
-take as arguments only what a trace cannot hold: f*, x*, the reference
-period P and the problem. A batch that is empty, whose traces disagree on a
-recorded parameter, that lacks one the bound needs (traces read back from a
-file carry no meta), or whose algorithm is not one the bound is stated for
-(_STATED_FOR) raises a ValueError naming the cause.
+Evaluators never mutate traces. They read the run's parameters (gamma, D,
+L, q, g_inf, float_bits, T, d, n) from the traces' meta, so a bound is only
+ever evaluated at the parameters the run used, and take as arguments only
+what a trace cannot hold: f*, x*, the reference period P and the problem.
+A batch that is empty, whose traces disagree on a recorded parameter, that
+lacks one the bound needs (traces read back from a file carry no meta), or
+whose algorithm is not one the bound is stated for (_STATED_FOR) raises a
+ValueError naming the cause.
 """
 from __future__ import annotations
 
@@ -73,22 +75,18 @@ class BoundReport:
     holds: bool
     n_seeds: int
 
-    def as_dict(self) -> dict:
-        # plain python scalars so json.dump never sees numpy types
-        return {
-            "name": self.name,
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "tol": float(self.tol),
-            "holds": bool(self.holds),
-            "n_seeds": int(self.n_seeds),
-        }
 
-
-def _make_report(name: str, lhs_per_seed, rhs_per_seed) -> BoundReport:
+def _make_report(name: str, lhs_per_seed, rhs_per_seed, rel_tol: float | None = None) -> BoundReport:
+    """The report of the per-seed sides by the Monte Carlo rule (rel_tol
+    None) or the exact one, in plain python scalars that json.dump takes."""
     lhs_arr = np.asarray(lhs_per_seed, dtype=np.float64)
     rhs_arr = np.asarray(rhs_per_seed, dtype=np.float64)
     n = len(lhs_arr)
+    if rel_tol is not None:
+        slack = rel_tol * np.abs(rhs_arr)
+        i = int(np.argmax(lhs_arr - rhs_arr))
+        return BoundReport(name, float(lhs_arr[i]), float(rhs_arr[i]), float(slack[i]),
+                           bool(np.all(lhs_arr <= rhs_arr + slack)), n)
     lhs = float(lhs_arr.mean())
     rhs = float(rhs_arr.mean())
     if n > 1:
@@ -227,18 +225,17 @@ def final_gap_bound(traces: list[Trace], prob: FiniteSumProblem, f_star: float, 
     return _make_report("final_gap_bound", lhs, rhs)
 
 
-def signgd_bound(trace: Trace, f_star: float) -> BoundReport:
-    """Deterministic full-gradient sign descent bound (single trace):
+def signgd_bound(traces: list[Trace], f_star: float) -> BoundReport:
+    """Deterministic full-gradient sign descent bound, for every seed:
 
     (1/T) sum_t ||grad f(x_t)||_1 <= _descent_rhs(f(x_1) - f*),
 
-    checked at relative tolerance 1e-8.
+    checked by the exact rule at relative tolerance 1e-8.
     """
-    L, q, gamma, T, d = _run_params([trace], "signgd_bound", "L", "q", "gamma", "T", "d")
-    lhs = float(np.mean(trace.gnorm1[:T]))
-    rhs = float(_descent_rhs(trace.f[0] - f_star, T, gamma, L, q, d))
-    tol = 1e-8 * abs(rhs)
-    return BoundReport("signgd_bound", lhs, rhs, tol, lhs <= rhs + tol, 1)
+    L, q, gamma, T, d = _run_params(traces, "signgd_bound", "L", "q", "gamma", "T", "d")
+    lhs = [np.mean(tr.gnorm1[:T]) for tr in traces]
+    rhs = [_descent_rhs(tr.f[0] - f_star, T, gamma, L, q, d) for tr in traces]
+    return _make_report("signgd_bound", lhs, rhs, rel_tol=1e-8)
 
 
 def rate_metrics(traces: list[Trace], f_star: float) -> tuple[BoundReport, BoundReport]:
@@ -278,32 +275,33 @@ def rate_metrics(traces: list[Trace], f_star: float) -> tuple[BoundReport, Bound
     return v1, _make_report("rate_max_bound", per_1, np.full(n, max(descent, d * reach)))
 
 
-def update_count_bound(trace: Trace, P: float) -> BoundReport:
+def update_count_bound(traces: list[Trace], P: float) -> BoundReport:
     """Reference refreshes are rare: k(T) <= ceil(T / P), exactly (tol 0).
 
-    Reads only the k column, so traces read back from a file qualify."""
+    Reads row T, after T - 1 steps, as comm_bits_bound does, and only the k
+    column, so traces read back from a file qualify."""
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    T = trace.T
-    lhs = float(trace.k[T - 1])
-    rhs = float(math.ceil(T / P))
-    return BoundReport("update_count_bound", lhs, rhs, 0.0, lhs <= rhs, 1)
+    return _make_report("update_count_bound", [tr.k[tr.T - 1] for tr in traces],
+                        [math.ceil(tr.T / P) for tr in traces], rel_tol=0.0)
 
 
-def comm_bits_bound(trace: Trace, P: float) -> BoundReport:
-    """Communication after T iterations: bits_cum(T) <= d (F n + P - 1) ceil(T/P).
+def comm_bits_bound(traces: list[Trace], P: float) -> BoundReport:
+    """Communication after T iterations: bits_cum(T) <= d (F n + P - 1) ceil(T/P),
+    exactly (tol 0).
 
     The worst case packs one reference sync (n d F bits) plus P - 1 sign
     vectors (d bits each) into every period of P iterations; the initial
     sync occupies the first period's sync slot.
+
+    Reads row T, after T - 1 steps: at T = P with no refresh, row T meets
+    the cap exactly and row T + 1, after the full run, exceeds it by d bits.
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    float_bits, n, d = _run_params([trace], "comm_bits_bound", "float_bits", "n", "d")
-    T = trace.T
-    lhs = float(trace.bits_cum[T - 1])
-    rhs = float(d * (float_bits * n + P - 1) * math.ceil(T / P))
-    return BoundReport("comm_bits_bound", lhs, rhs, 0.0, lhs <= rhs, 1)
+    float_bits, n, d = _run_params(traces, "comm_bits_bound", "float_bits", "n", "d")
+    return _make_report("comm_bits_bound", [tr.bits_cum[tr.T - 1] for tr in traces],
+                        [d * (float_bits * n + P - 1) * math.ceil(tr.T / P) for tr in traces], rel_tol=0.0)
 
 
 @dataclass(frozen=True)

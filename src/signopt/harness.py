@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -111,15 +111,9 @@ SCHEDULES = {
 }
 
 
-def _worst_seed(reports: list[BoundReport]) -> BoundReport:
-    """Exact per-seed bounds as one report: the worst seed's sides, holding
-    iff every seed's do."""
-    worst = max(reports, key=lambda r: r.lhs)
-    return replace(worst, holds=all(r.holds for r in reports), n_seeds=len(reports))
-
-
 # check name -> (algorithms it applies to, what it needs of the optimum,
-# evaluator(prob, derived, traces) -> BoundReport). The algorithms are those
+# evaluator(prob, derived, traces) -> BoundReport, which takes the whole seed
+# batch and aggregates it by analysis's report rules). The algorithms are those
 # the analysis module states each bound for, and its evaluators reject traces
 # of any other. The need is None, "x_star" (a closed-form minimizer) or
 # "f_star" (f* from any source). The evaluators read the run's parameters
@@ -131,13 +125,12 @@ CHECKS = {name: (_STATED_FOR[name], need, evaluate) for name, (need, evaluate) i
     "svrg_gap_bound": ("x_star", lambda prob, dv, trs: svrg_gap_bound(trs, dv.f_star, dv.x_star)),
     "regret_bound": ("x_star", lambda prob, dv, trs: regret_bound(trs, dv.f_star, dv.x_star)),
     "final_gap_bound": ("x_star", lambda prob, dv, trs: final_gap_bound(trs, prob, dv.f_star, dv.x_star)),
-    "signgd_bound": ("f_star", lambda prob, dv, trs: signgd_bound(trs[0], dv.f_star)),
+    "signgd_bound": ("f_star", lambda prob, dv, trs: signgd_bound(trs, dv.f_star)),
     # under cor1 only (_COR1_ONLY): their right-hand sides take cor1's gamma and D
     "rate_bounds_v1": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)[0]),
     "rate_bounds_v2": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)[1]),
-    "update_count_bound": (None, lambda prob, dv, trs: _worst_seed(
-        [update_count_bound(tr, dv.P) for tr in trs])),
-    "comm_bits_bound": (None, lambda prob, dv, trs: _worst_seed([comm_bits_bound(tr, dv.P) for tr in trs])),
+    "update_count_bound": (None, lambda prob, dv, trs: update_count_bound(trs, dv.P)),
+    "comm_bits_bound": (None, lambda prob, dv, trs: comm_bits_bound(trs, dv.P)),
 }.items()}
 _COR1_ONLY = ("rate_bounds_v1", "rate_bounds_v2")
 
@@ -409,7 +402,7 @@ class ExperimentResult:
             "config": self.config_echo,
             "derived": self.derived.as_dict(),
             "traces": self.trace_paths,
-            "reports": [r.as_dict() for r in self.reports],
+            "reports": [asdict(r) for r in self.reports],
             "all_hold": self.all_hold,
             "meta": {"package_version": __version__},
         }

@@ -179,7 +179,7 @@ def test_criterion_06_reference_update_cap(grad_batches, shipped_runs, rate_batc
     for b in _all_vr_batches(grad_batches, shipped_runs, rate_batches):
         for tr in b.traces:
             total += 1
-            if not update_count_bound(tr, b.derived.P).holds:
+            if not update_count_bound([tr], b.derived.P).holds:
                 violations += 1
     ok = violations == 0
     assert _line(6, "reference_update_cap", ok,
@@ -194,7 +194,7 @@ def test_criterion_07_comm_bits_cap(grad_batches, shipped_runs, rate_batches):
     for b in _all_vr_batches(grad_batches, shipped_runs, rate_batches):
         for tr in b.traces:
             total += 1
-            if not comm_bits_bound(tr, b.derived.P).holds:
+            if not comm_bits_bound([tr], b.derived.P).holds:
                 violations += 1
     worked = _run({"kind": "least_squares", "d": 5, "n": 4, "seed": 9}, "signsvrg_v1", 1.0, 16, 8.0,
                   seeds=(1,), checks=["comm_bits_bound"])

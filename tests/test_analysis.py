@@ -5,7 +5,7 @@ n=4, P=8 the per-epoch budget is d(Fn + P - 1) bits, so two epochs give
 5 * 135 * 2 = 1350, and at T = P the accounting is exactly tight.
 """
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -66,11 +66,25 @@ def test_make_report_tol_floor_single_seed():
     assert rep.holds  # inside the floor
 
 
-def test_report_serialization_plain_types():
-    rep = _make_report("demo", [np.float64(1.0)], [np.float64(2.0)])
-    d = rep.as_dict()
-    assert type(d["holds"]) is bool and type(d["lhs"]) is float
-    assert d["name"] == "demo"
+def _assert_plain(rep):
+    assert [type(v) for v in (rep.lhs, rep.rhs, rep.tol, rep.holds, rep.n_seeds)] == [float] * 3 + [bool, int]
+
+
+@pytest.mark.parametrize("rel_tol", [None, 0.0, 1e-8])
+def test_report_serialization_plain_types(rel_tol):
+    # numpy scalars in, python scalars out, under either rule, so the
+    # summary writes asdict(report) as it stands
+    rep = _make_report("demo", [np.float64(1.0), np.int64(3)], [np.float64(2.0), np.float32(4.0)], rel_tol)
+    _assert_plain(rep)
+    assert asdict(rep)["name"] == "demo" and asdict(rep)["n_seeds"] == 2
+
+
+def test_make_report_exact_rule_reports_the_worst_seed():
+    # largest lhs - rhs, the first seed on ties, with that seed's tolerance
+    rep = _make_report("demo", [1.0, 5.0, 3.0, 7.0], [2.0, 4.0, 4.0, 6.0], rel_tol=0.25)
+    assert (rep.lhs, rep.rhs, rep.tol, rep.holds, rep.n_seeds) == (5.0, 4.0, 1.0, True, 4)
+    rep = _make_report("demo", [1.0, 5.0, 3.0], [2.0, 4.0, 1.0], rel_tol=0.25)
+    assert (rep.lhs, rep.rhs, rep.tol, rep.holds) == (3.0, 1.0, 0.25, False)
 
 
 # ---------------------------------------------------------------- bound evaluators
@@ -155,19 +169,22 @@ def test_traces_of_another_algorithm_rejected():
 
 def test_traces_without_meta_name_the_missing_parameter(tmp_path):
     # read_trace gives back the metric columns only, not the run's parameters
-    _, traces, *_ = _vr_batch(T=20, seeds=(1,))
-    traces[0].to_npy(str(tmp_path / "t.npy"))
-    back = read_trace(tmp_path / "t.npy")
+    _, traces, *_ = _vr_batch(T=20, P=4.0, seeds=(1, 2, 3))
+    for s, tr in enumerate(traces):
+        tr.to_npy(str(tmp_path / f"t{s}.npy"))
+    back = [read_trace(tmp_path / f"t{s}.npy") for s in range(len(traces))]
     with pytest.raises(ValueError, match="do not record the run's L"):
-        svrg_grad_bound_v1([back])
+        svrg_grad_bound_v1(back)
     with pytest.raises(ValueError, match="do not record the run's float_bits"):
         comm_bits_bound(back, 8.0)
-    assert update_count_bound(back, 8.0) == update_count_bound(traces[0], 8.0)
+    assert update_count_bound(back, 8.0) == update_count_bound(traces, 8.0)
 
 
 def test_empty_trace_list_rejected():
-    with pytest.raises(ValueError):
-        svrg_grad_bound_v1([])
+    for bound in (svrg_grad_bound_v1, lambda trs: update_count_bound(trs, 8.0),
+                  lambda trs: comm_bits_bound(trs, 8.0)):
+        with pytest.raises(ValueError):
+            bound([])
 
 
 def test_gap_bound_holds_and_guards_f_star():
@@ -224,10 +241,14 @@ def test_signgd_bound_is_deterministic_and_tight_tolerance():
     prob = make_problem(ProblemSpec(kind="trig_nonconvex", d=5, n=8, seed=3, lam=0.1))
     L = prob.lipschitz_constant(2.0)
     gamma = math.sqrt(2.0 / (L * 400)) / math.sqrt(5)  # cor1 at q = 2
-    tr = run(RunSpec(algo="signgd", gamma=gamma, x1=np.ones(5), q=2.0, L=L), prob, 400, 0)
-    rep = signgd_bound(tr, -1.0)
+    spec = RunSpec(algo="signgd", gamma=gamma, x1=np.ones(5), q=2.0, L=L)
+    rep = signgd_bound([run(spec, prob, 400, 0)], -1.0)
     assert rep.holds
     assert rep.tol == pytest.approx(1e-8 * abs(rep.rhs))
+    # every seed is checked, and a deterministic method's seeds agree
+    batch = signgd_bound(run_seeds(spec, prob, 400, (0, 1, 2)), -1.0)
+    assert batch.n_seeds == 3 and rep.n_seeds == 1
+    assert (batch.lhs, batch.rhs, batch.tol, batch.holds) == (rep.lhs, rep.rhs, rep.tol, rep.holds)
 
 
 def _branch(per_seed_lhs, rhs):
@@ -292,9 +313,10 @@ def _closed_form_report(check, traces, prob, dv):
         lhs = max(float(getattr(tr, col)[T - 1]) for tr in traces)
         rhs = float(per_period * math.ceil(T / dv.P))
         return BoundReport(check, lhs, rhs, 0.0, lhs <= rhs, S)
-    if check == "signgd_bound":
-        lhs, rhs = float(np.mean(traces[0].gnorm1[:T])), float(descent(traces[0].f[0] - dv.f_star))
-        return BoundReport(check, lhs, rhs, 1e-8 * abs(rhs), lhs <= rhs + 1e-8 * abs(rhs), 1)
+    if check == "signgd_bound":  # every seed at 1e-8 relative, the worst seed's sides
+        sides = [(float(np.mean(tr.gnorm1[:T])), float(descent(tr.f[0] - dv.f_star))) for tr in traces]
+        lhs, rhs = max(sides, key=lambda side: side[0] - side[1])
+        return BoundReport(check, lhs, rhs, 1e-8 * abs(rhs), all(a <= b + 1e-8 * abs(b) for a, b in sides), S)
     if check == "svrg_grad_bound_v1":
         return _make_report(check, [np.mean(tr.gnorm2[:T] ** 2 / (2 * L * D + tr.gnorm(pair.p)[:T]))
                                     for tr in traces], [descent(tr.f[0] - tr.f[T]) for tr in traces])
@@ -337,33 +359,56 @@ def test_reports_match_their_closed_forms(shipped_runs, workload_runs):
     assert seen == set(CHECKS)
 
 
+def test_every_report_holds_plain_python_scalars(shipped_runs, workload_runs):
+    # so summary.json's asdict(report) is the JSON of python floats, bools and ints
+    for _, result in {**shipped_runs, **workload_runs}.values():
+        for rep in result.reports:
+            _assert_plain(rep)
+
+
 # ---------------------------------------------------------------- counting bounds
 
 def test_update_count_bound_on_batch():
     _, traces, *_ = _vr_batch(T=400, P=64.0)
-    for tr in traces:
-        rep = update_count_bound(tr, 64.0)
-        assert rep.holds and rep.tol == 0.0
-        assert rep.rhs == math.ceil(400 / 64.0)
+    rep = update_count_bound(traces, 64.0)
+    assert rep.holds and rep.tol == 0.0 and rep.n_seeds == len(traces)
+    assert rep.rhs == math.ceil(400 / 64.0)
+    assert rep.lhs == max(tr.k[399] for tr in traces)
+
+
+@pytest.mark.parametrize("bound, column", [(update_count_bound, "k"), (comm_bits_bound, "bits_cum")])
+def test_counting_caps_report_the_worst_seed(bound, column):
+    # every seed under the cap: the largest lhs; one seed past it: that
+    # seed's sides and a failed verdict
+    _, traces, *_ = _vr_batch(d=5, n=4, T=16, P=8.0, prob_seed=2, seeds=(1, 2, 3))
+    rep = bound(traces, 8.0)
+    assert rep.holds and rep.n_seeds == 3
+    assert rep.lhs == max(float(getattr(tr, column)[15]) for tr in traces)
+    over = getattr(traces[1], column).copy()
+    over[15] = rep.rhs + 1
+    bad = bound([traces[0], replace(traces[1], **{column: over}), traces[2]], 8.0)
+    assert (bad.lhs, bad.rhs, bad.tol, bad.holds, bad.n_seeds) == (rep.rhs + 1, rep.rhs, 0.0, False, 3)
 
 
 def test_comm_budget_worked_example():
     # two reference periods of the worked budget: 5 * (32*4 + 8 - 1) * 2 = 1350
     _, traces, *_ = _vr_batch(d=5, n=4, T=16, P=8.0, prob_seed=2, seeds=(1, 2, 3))
-    for tr in traces:
-        rep = comm_bits_bound(tr, 8.0)
-        assert rep.rhs == 1350.0
-        assert rep.holds
+    rep = comm_bits_bound(traces, 8.0)
+    assert rep.rhs == 1350.0
+    assert rep.holds
 
 
 def test_comm_budget_exactly_tight_at_one_period():
     # T = P under the coupled schedule: no refresh can trigger, so the count
-    # is the initial broadcast plus P-1 sign steps, meeting the budget exactly
+    # is the initial broadcast plus P-1 sign steps, meeting the budget exactly.
+    # The cap reads row T, after T - 1 steps; row T + 1, after the last sign
+    # step, is d bits past it
     _, traces, *_ = _vr_batch(d=5, n=4, T=8, P=8.0, prob_seed=2, seeds=(1, 2, 3, 4))
     for tr in traces:
-        rep = comm_bits_bound(tr, 8.0)
+        rep = comm_bits_bound([tr], 8.0)
         assert rep.lhs == rep.rhs == 5 * (32 * 4 + 8 - 1)
         assert tr.k[-1] == 1
+        assert tr.bits_cum[-1] == rep.rhs + 5
 
 
 def test_comm_budget_symbolic_form():
@@ -373,18 +418,17 @@ def test_comm_budget_symbolic_form():
     P = (F * n - 1) / beta  # 127
     T = int(10 * P)
     _, traces, *_ = _vr_batch(d=d, n=n, T=T, P=P, prob_seed=7, seeds=(1, 2))
-    for tr in traces:
-        rep = comm_bits_bound(tr, P)
-        assert rep.rhs == (1 + beta) * d * T
-        assert rep.holds
+    rep = comm_bits_bound(traces, P)
+    assert rep.rhs == (1 + beta) * d * T
+    assert rep.holds
 
 
 def test_counting_bound_validation():
     _, traces, *_ = _vr_batch(T=50, P=16.0, seeds=(1,))
     with pytest.raises(ValueError):
-        update_count_bound(traces[0], 0.5)
+        update_count_bound(traces, 0.5)
     with pytest.raises(ValueError):
-        comm_bits_bound(traces[0], 0.5)
+        comm_bits_bound(traces, 0.5)
 
 
 # ---------------------------------------------------------------- sphere statistics

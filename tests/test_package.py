@@ -1,4 +1,6 @@
-"""The package's public surface: what `from signopt.<module> import *` gets."""
+"""The package's public surface: what `from signopt.<module> import *` gets,
+and the imports each module makes."""
+import ast
 import importlib
 import os
 import pkgutil
@@ -21,6 +23,28 @@ def test_every_all_name_exists_in_its_module():
                 missing.append(f"signopt.{info.name}.{name}")
     assert declared > 0
     assert missing == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names an import in source binds that the module never reads, nor
+    lists in __all__; an import statement whose first line carries
+    `# noqa: F401` is kept on purpose."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}  # __all__, string annotations
+    return [f"line {node.lineno}: {bound}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" not in lines[node.lineno - 1]
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            if (bound := alias.asname or alias.name.split(".")[0]) not in used]
+
+
+def test_every_import_is_used():
+    found = {path.name: unused for path in sorted(Path(signopt.__file__).parent.glob("*.py"))
+             if (unused := unused_imports(path.read_text()))}
+    assert found == {}
 
 
 def test_cli_import_leaves_the_oracles_unloaded():
