@@ -47,12 +47,14 @@ finiteness, snapshots f and the gradient norms of the seeds that have not
 failed, a group of a few seeds per call as one contiguous (G, rows, d)
 stack, into each seed's trace columns (one 1-D array per seed and column,
 named as in Trace), and adds the rows to the iterate sums, in the order of
-one row after another. A stacked snapshot gives each seed the bits of a call
-with its rows alone, so neither the groups nor the blocks reach a trace. A
-seed that fails (a non-finite iterate or a broken amplitude premise) steps
-on with the others; seed 0's error is raised at once, any other after the
-last step, that of the first failed seed in seed order, as running the
-seeds one after another would. When a problem's component
+one row after another. A wide problem's chunk takes more rows and its calls
+fewer seeds, since each seed's product streams the whole (n, d) data. A
+stacked snapshot gives each seed the bits of a call with its rows alone, so
+neither the groups nor the blocks reach a trace. A seed that fails (a
+non-finite iterate or a broken amplitude premise) steps on with the others;
+seed 0's error is raised at once, any other after the last step, that of
+the first failed seed in seed order, as running the seeds one after another
+would. When a problem's component
 subgradients are +-a_i (FiniteSumProblem.subgradient_rows), signsgd,
 signsgd_plus and sgd compute both steps that each draw of a block can give
 before the iterates are known, and a step picks one by the sign of
@@ -157,6 +159,12 @@ VR_ALGORITHMS = tuple(algo for algo, params in RunSpec.PARAMS.items() if "D" in 
 _DRAW_ELEMENTS = 1 << 16
 _SNAPSHOT_ELEMENTS = 1 << 12
 _GROUP_ELEMENTS = 1 << 14
+# the rows a snapshot chunk takes at least, as far as the last two budgets
+# allow. A stacked matmul is one BLAS product per seed, and each product
+# streams the whole (n, d) data: at n = 500, d = 100 one 8-row product took
+# 28 us and one 32-row product 62 us (2-core Xeon, BLAS at 1 thread), so
+# 32 rows of one seed per call beat 8 rows of each of 4 seeds
+_SNAPSHOT_ROWS = 32
 
 
 def _sign_steps(gamma: float) -> np.ndarray:
@@ -186,7 +194,12 @@ class _Chunks:
     the step loop keeps the iterates (and distances) of all S seeds,
     step-major. Row t of all seeds is the contiguous (S, d) block
     x[1 + t % size] (and dist[1 + t % size]), and the step from row t
-    computes row t + 1 straight into its slot. On a chunk's last row, before
+    computes row t + 1 straight into its slot. A chunk holds
+    _SNAPSHOT_ELEMENTS // max(n, d) rows; where that is fewer than
+    _SNAPSHOT_ROWS, it holds more, up to _SNAPSHOT_ROWS, as long as one
+    seed's rows stay within _SNAPSHOT_ELEMENTS (rows * d) and its snapshot
+    operands within _GROUP_ELEMENTS (rows * max(n, d)). So a chunk has one
+    row only at max(n, d) > 8192 or d > 2048. On a chunk's last row, before
     the step from it, and at row T + 1, flush tests the chunk's rows for
     finiteness, snapshots them, and adds them to the iterate sums. The
     snapshot takes the seeds that have not failed in groups of `group`,
@@ -209,8 +222,10 @@ class _Chunks:
             [np.zeros(size, dtype=np.int64) for _ in range(S)] for _ in range(4))
         self.iterates = [np.empty((T, prob.d)) if keep_iterates else None for _ in range(S)]
         self.errors: list[Exception | None] = [None] * S
-        self.size = max(1, _SNAPSHOT_ELEMENTS // max(prob.n, prob.d))
-        self.group = max(1, _GROUP_ELEMENTS // (self.size * max(prob.n, prob.d)))  # seeds per snapshot call
+        width = max(prob.n, prob.d)
+        self.size = max(1, _SNAPSHOT_ELEMENTS // width,
+                        min(_SNAPSHOT_ROWS, _GROUP_ELEMENTS // width, _SNAPSHOT_ELEMENTS // prob.d))
+        self.group = max(1, _GROUP_ELEMENTS // (self.size * width))  # seeds per snapshot call
         # slot 0 is spare: flush puts the iterate sums there (dist's is unused)
         self.x = np.empty((self.size + 1, S, prob.d))
         self.x[1] = x1

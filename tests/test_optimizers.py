@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import signopt
+from conftest import workload_configs
 from signopt import optimizers
 from signopt.harness import SCHEDULES
 from signopt.optimizers import (
@@ -127,7 +128,9 @@ def test_frozen_logistic_vr_run_at_benchmark_shape():
     # pinned before the logistic rows were stored signed: at vr_logistic_wide's
     # d = 100, n = 500, P = 2 and cor1 schedule, BLAS takes other kernels for
     # the snapshots' matrix products and the refreshes' (n, d) products than
-    # at the d = 6, n = 9 pin above; the run refreshes every few steps
+    # at the d = 6, n = 9 pin above; the run refreshes every few steps.
+    # f(T) and ||grad f||^2(T) also depend on the snapshot's 32 rows per
+    # call at this shape, which x_final and k(T) do not
     prob = make_problem(ProblemSpec(kind="logistic", d=100, n=500, seed=101))
     L = prob.lipschitz_constant(2.0)
     root = math.sqrt(2.0 / (L * 800))
@@ -137,14 +140,14 @@ def test_frozen_logistic_vr_run_at_benchmark_shape():
                    q=2.0, D=2 * root, L=L)
     expect = [  # sha256 of x_final's bytes, k(T), f(T), ||grad f||^2(T)
         ("c5f8c347336ce1d6b527b1704e1c842eaea975bc4ac029541c2e8d539895f064", 10,
-         "0x1.759af7fed152ep-1", "0x1.8df84998950bbp-5"),
+         "0x1.759af7fed152ep-1", "0x1.8df84998950bap-5"),
         ("bb8932fcff599eba8b9dc17d06b7d6cefdecbc0a6599070defa04959074d69e1", 10,
-         "0x1.7651828fecea3p-1", "0x1.8f1697cf68601p-5"),
+         "0x1.7651828fecea2p-1", "0x1.8f1697cf68601p-5"),
     ]
-    for tr, (xf, k, f, g2) in zip(run_seeds(spec, prob, 40, (1, 2)), expect):
-        assert hashlib.sha256(tr.x_final.tobytes()).hexdigest() == xf
-        assert int(tr.k[-1]) == k
-        assert (float(tr.f[-1]).hex(), float(tr.gnorm2[-1]).hex()) == (f, g2)
+    # one comparison that prints every pin, so that a moved pin cannot hide another
+    got = [(hashlib.sha256(tr.x_final.tobytes()).hexdigest(), int(tr.k[-1]), float(tr.f[-1]).hex(),
+            float(tr.gnorm2[-1]).hex()) for tr in run_seeds(spec, prob, 40, (1, 2))]
+    assert got == expect, got
 
 
 # ---------------------------------------------------------------- the cor1 rule
@@ -188,7 +191,7 @@ ORACLE_COLUMNS = ("x_final", "iterates", "k", "dist_to_ref", "bits_cum", "grad_e
 RADII = {"reject_heavy": 1 / 3, "mixed": 5.5, "accept_only": 333.0}
 
 # (d, n) of each problem kind in the step loop tests. At n = 7 the horizon
-# lies inside one snapshot chunk of 585 rows; at n = 300 chunks hold 13
+# lies inside one snapshot chunk of 585 rows; at n = 300 chunks hold 32
 # rows, so chunks are flushed mid-horizon. sphere_quadratic (a one-row
 # least-squares problem, whose single component's draw, integers(1, 1),
 # consumes no word) runs on the least-squares kernels and the d = 1
@@ -200,6 +203,11 @@ KINDS = ("least_squares", "abs_regression", "trig_nonconvex", "logistic", "spher
 
 def _problem(kind, d, n):
     return make_problem(ProblemSpec(kind=kind, d=d, n=n, seed=3, lam=0.1 if kind == "trig_nonconvex" else 0.0))
+
+
+def _chunk_rows(prob):
+    """The rows of one snapshot chunk of run_seeds on prob."""
+    return optimizers._Chunks(prob, 1, 1, np.zeros(prob.d), False).size
 
 
 def _assert_matches_reference(tr, spec, prob, seed):
@@ -218,12 +226,13 @@ def _assert_matches_reference(tr, spec, prob, seed):
 @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
 @pytest.mark.parametrize("algo", ["signsvrg_v1", "signsvrg_v2", "svrg"])
 def test_seed_batch_matches_steppers_and_single_runs(algo, q, kind):
-    T = 120  # no multiple of 13, so at n = 300 the last chunk is partial
+    T = 120  # no multiple of 32, so at n = 300 the last chunk is partial
     for (d, n), (radius, steps) in itertools.product(SHAPES.get(kind, DATA_SHAPES), RADII.items()):
         # the unsigned steps need a longer stride to refresh as often, and a
         # longer one still at n = 300, whose full gradients are smaller
         gamma = {1: 1.0, 3: 1.0, 7: 0.3, 300: 0.5}[n] if algo == "svrg" else 0.03
         prob = _problem(kind, d, n)
+        assert n != 300 or T % _chunk_rows(prob) and T > _chunk_rows(prob)
         L = prob.lipschitz_constant(q)
         D = steps * 0.03 * ConjugatePair(q).dim_root(d)
         spec = RunSpec(algo=algo, gamma=gamma, x1=0.5 * np.ones(d), q=q, D=D, L=L, keep_iterates=True)
@@ -254,29 +263,33 @@ def test_seed_batch_raises_first_failing_seed_in_seed_order():
     # - sgd: an unstable unsigned step overflows, each seed at its own
     #   iteration; seed 3 runs twice, so two seeds fail at one step
     # - signsgd, signsgd_plus: sign steps of 1e307 on the cosine family
-    #   without its ridge walk the iterates off the floats. At n = 178 a
-    #   chunk holds 4096 // 178 = 23 rows, so seed 2's row 68 is the last
-    #   row of a chunk, and seed 6 (signsgd) or 7 (signsgd_plus) fails
-    #   earlier in the same chunk; all of it falls inside one block of
-    #   draws, the whole horizon of 80 steps
+    #   without its ridge walk the iterates off the floats, each seed at an
+    #   even row. At n = 178 a chunk holds 32 rows, so over a horizon of 68
+    #   steps seed 2's row 68 is the last row of the last chunk, rows
+    #   64..68, and seed 33 (signsgd, row 66) or 14 (signsgd_plus, row 64)
+    #   fails earlier in the same chunk; all of it falls inside one block
+    #   of draws, the whole horizon
     # - signsgd_plus on abs_regression, whose +-a_i subgradients take the
     #   per-block candidate steps: seed 7 fails at row 60, inside the chunk
-    #   of rows 46..68, and seed 8 earlier in it, at row 50
-    # - signsgd_plus on the cosine family over 120 steps: seed 12 fails at
-    #   row 104, in the chunk of rows 92..114, and seed 15 two chunks
+    #   of rows 32..63, and seed 8 earlier in it, at row 50
+    # - signsgd_plus on the cosine family over 140 steps: seed 12 fails at
+    #   row 104, in the chunk of rows 96..127, and seed 15 three chunks
     #   earlier, at row 24. Seed 15 steps on, and both stay non-finite
-    #   through the last chunk, rows 115..120, whose test must keep each
+    #   through the last chunk, rows 128..140, whose test must keep each
     #   seed's first non-finite row
     ls = _ls(d=5, n=7, seed=3)
     trig = make_problem(ProblemSpec(kind="trig_nonconvex", d=5, n=178, seed=3))
     absr = make_problem(ProblemSpec(kind="abs_regression", d=5, n=178, seed=3))
+    assert _chunk_rows(trig) == 32
     huge = dict(gamma=1e307, x1=0.5 * np.ones(5))
+    # expected: the first failed seed, its row, whether the later seed
+    # fails in the same chunk, and whether the row is its chunk's last
     cases = (
         (RunSpec(algo="sgd", gamma=6.0, x1=0.5 * np.ones(5)), ls, 1090, (0, 2, 3, 3, 6), None),
-        (RunSpec(algo="signsgd", **huge), trig, 80, (0, 2, 6, 7), (2, 68, True)),
-        (RunSpec(algo="signsgd_plus", g_inf=10.0, **huge), trig, 80, (0, 2, 6, 7), (2, 68, True)),
-        (RunSpec(algo="signsgd_plus", g_inf=10.0, **huge), absr, 80, (0, 2, 7, 8), (7, 60, True)),
-        (RunSpec(algo="signsgd_plus", g_inf=10.0, **huge), trig, 120, (1, 12, 15), (12, 104, False)),
+        (RunSpec(algo="signsgd", **huge), trig, 68, (0, 2, 14, 33), (2, 68, True, True)),
+        (RunSpec(algo="signsgd_plus", g_inf=10.0, **huge), trig, 68, (0, 2, 14, 33), (2, 68, True, True)),
+        (RunSpec(algo="signsgd_plus", g_inf=10.0, **huge), absr, 80, (0, 2, 7, 8), (7, 60, True, False)),
+        (RunSpec(algo="signsgd_plus", g_inf=10.0, **huge), trig, 140, (1, 12, 15), (12, 104, False, False)),
     )
     for spec, prob, T, seeds, expected in cases:
         case = f"{spec.algo} {type(prob).__name__}"
@@ -295,9 +308,11 @@ def test_seed_batch_raises_first_failing_seed_in_seed_order():
             assert seeds.index(first) > 0 and later and min(later) < outcome[first], case
             if expected is not None:
                 assert (first, outcome[first]) == expected[:2], case
-                chunk_start = outcome[first] - outcome[first] % (4096 // prob.n)
+                rows = _chunk_rows(prob)
+                chunk_start = outcome[first] - outcome[first] % rows
                 # both in one chunk, or the later seed in an earlier chunk
                 assert (chunk_start <= min(later)) == expected[2], case
+                assert (outcome[first] == min(chunk_start + rows - 1, T)) == expected[3], case
             with pytest.raises(NonFiniteIterateError) as caught:
                 run_seeds(spec, prob, T, seeds)
         assert caught.value.iteration == outcome[first], case
@@ -445,11 +460,12 @@ def test_run_seeds_rejects_an_empty_batch():
 
 @pytest.mark.parametrize("algo", ["signsgd", "signsgd_plus", "sgd", "signgd"])
 def test_fused_simple_loop_matches_reference_run(algo):
-    # at n = 300, 150 is no multiple of the chunk's 13 rows while 130 is
+    # at n = 300, 150 is no multiple of the chunk's 32 rows while 160 is
     cases = [(kind, d, n, T) for kind in KINDS for d, n in SHAPES.get(kind, DATA_SHAPES)
-             for T in ((150, 130) if n == 300 else (150,))]
+             for T in ((150, 160) if n == 300 else (150,))]
     for kind, d, n, T in cases:
         prob = _problem(kind, d, n)
+        assert n != 300 or (T % _chunk_rows(prob) == 0) == (T == 160)
         spec = RunSpec(algo=algo, gamma=0.02, x1=0.5 * np.ones(d), g_inf=9.0 if algo == "signsgd_plus" else None,
                        keep_iterates=True)
         for seeds in ((13,), BATCH_SEEDS):
@@ -490,12 +506,13 @@ def _survivors(spec, prob, T, seeds):
 
 @pytest.mark.parametrize("case", ["signsvrg_v1", "signsgd_plus", "signsgd"])
 def test_snapshot_groups_and_draw_blocks_never_change_a_seed(case, monkeypatch):
-    # at the default budgets BATCH_SEEDS' 4 seeds make one snapshot group,
-    # and the draw blocks are long. Here 5 seeds go in groups of 2 through
-    # chunks of 5 rows and blocks of 2 steps over an odd horizon, and the
-    # third seed fails mid-run, which regroups the seeds after it: every
-    # other seed's columns must be those of the default budgets and of its
-    # run alone, bit for bit. signsvrg_v1 at a fifth of its smoothness
+    # at the default budgets the draw blocks are long, and the seeds go in
+    # groups of 4 through chunks of 585 rows (n = 7) or in groups of 2
+    # through chunks of 32 rows (n = 178). Here 5 seeds go in groups of 2
+    # through chunks of 5 rows and blocks of 2 steps over an odd horizon,
+    # and the third seed fails mid-run, which regroups the seeds after it:
+    # every other seed's columns must be those of the default budgets and
+    # of its run alone, bit for bit. signsvrg_v1 at a fifth of its smoothness
     # constant breaks the amplitude premise on seed 6 at step 14;
     # signsgd_plus on abs_regression (the candidate path) and signsgd on the
     # cosine family (the general one) at steps of 1e307 leave the floats on
@@ -518,6 +535,7 @@ def test_snapshot_groups_and_draw_blocks_never_change_a_seed(case, monkeypatch):
         width = max(prob.n, prob.d)
         monkeypatch.setattr(optimizers, "_SNAPSHOT_ELEMENTS", 5 * width)
         monkeypatch.setattr(optimizers, "_GROUP_ELEMENTS", 2 * 5 * width)
+        monkeypatch.setattr(optimizers, "_SNAPSHOT_ROWS", 5)
         monkeypatch.setattr(optimizers, "_DRAW_ELEMENTS", 1)
         small = optimizers._Chunks(prob, T, len(seeds), spec.x1, False)
         assert (small.size, small.group) == (5, 2)
@@ -531,10 +549,11 @@ def test_snapshot_groups_and_draw_blocks_never_change_a_seed(case, monkeypatch):
 
 
 def test_one_row_chunks_match_reference_run():
-    # at n > 4096 // 2 a snapshot chunk holds one row, so every step writes
+    # at max(n, d) > 8192 a snapshot chunk holds one row, so every step writes
     # its new iterates over the row it steps from: a rejected
     # variance-reduced candidate must still restore the iterate it replaced
-    prob = _ls(d=3, n=4200, seed=3)
+    prob = _ls(d=3, n=8200, seed=3)
+    assert _chunk_rows(prob) == 1
     for algo in ALGORITHMS:
         vr = algo in ("signsvrg_v1", "signsvrg_v2", "svrg")
         spec = RunSpec(algo=algo, gamma=0.5 if algo == "svrg" else 0.05, x1=np.ones(3), q=1.0,
@@ -544,6 +563,59 @@ def test_one_row_chunks_match_reference_run():
         assert not vr or min(tr.k[-1] for tr in batch) > 5, algo  # every seed refreshes
         for seed, tr in zip((1, 2), batch):
             _assert_matches_reference(tr, spec, prob, seed)
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_snapshot_rows_never_reach_the_trajectory(n, monkeypatch):
+    # vr_logistic_wide's problem and schedule at n = 500 and 2000, where
+    # the row floor gives a snapshot call 32 and 8 rows in place of
+    # 4096 // n = 8 and 2. No step reads a snapshot, so the trajectory keeps
+    # its bits; f and the gradient norms may move in their last bits, since
+    # BLAS sums a product of another row count in another order
+    prob = make_problem(ProblemSpec(kind="logistic", d=100, n=n, seed=101))
+    L = prob.lipschitz_constant(2.0)
+    root = math.sqrt(2.0 / (L * 800))
+    spec = RunSpec(algo="signsvrg_v2", gamma=root / ConjugatePair(2.0).dim_root(100),
+                   x1=RngStream(0).generator.standard_normal(100), q=2.0, D=2 * root, L=L)
+    seeds, T = (1, 2, 3, 4), 100
+    default = run_seeds(spec, prob, T, seeds)
+    assert _chunk_rows(prob) == {500: 32, 2000: 8}[n]
+    monkeypatch.setattr(optimizers, "_SNAPSHOT_ROWS", 1)
+    assert _chunk_rows(prob) == 4096 // n
+    floorless = run_seeds(spec, prob, T, seeds)
+    assert min(int(tr.k[-1]) for tr in default) > 10  # the run refreshes
+    for seed, tr, other in zip(seeds, default, floorless):
+        for name in ("t", "k", "dist_to_ref", "bits_cum", "grad_evals_cum", "flags", "x_final", "x_mean"):
+            assert getattr(tr, name).tobytes() == getattr(other, name).tobytes(), (seed, name)
+        for name in ("f", "gnorm1", "gnorm2", "gnorm_inf"):
+            np.testing.assert_allclose(getattr(tr, name), getattr(other, name), rtol=1e-13, atol=0,
+                                       err_msg=f"{seed} {name}")
+
+
+def test_snapshot_chunks_take_the_row_floor_within_both_budgets():
+    # a chunk takes 4096 // max(n, d) rows, or more, up to 32, as long as a
+    # seed's rows * d stay within 4096 float64s and a call's
+    # (G, rows, max(n, d)) operands within 2^14; the seeds per call keep
+    # their formula, and only a wide problem's one-row chunk exceeds a budget
+    for n, d, S in itertools.product((1, 7, 20, 50, 127, 128, 129, 178, 300, 500, 512, 513, 2000, 4200,
+                                      8192, 8193, 20000), (1, 5, 100, 2048, 2049, 5000), (1, 4, 20)):
+        chunks = optimizers._Chunks(SimpleNamespace(n=n, d=d), 1, S, np.zeros(d), False)
+        rows, group, width = chunks.size, chunks.group, max(n, d)
+        assert group == max(1, (1 << 14) // (rows * width)), (n, d, S)
+        assert rows == 1 or group * rows * width <= 1 << 14 and rows * d <= 4096, (n, d, S)
+        if 4096 // width >= 32:
+            assert rows == 4096 // width, (n, d, S)
+        else:  # one more row would break the floor or a budget
+            assert rows == 32 or (rows + 1) * width > 1 << 14 or (rows + 1) * d > 4096, (n, d, S)
+        assert (rows == 1) == (width > 8192 or d > 2048), (n, d, S)
+
+
+def test_workload_snapshot_shapes():
+    # (rows, seeds per call) of the benchmark workloads' snapshots
+    want = {"vr_trig": (81, 4), "plus_abs": (204, 4), "vr_logistic_wide": (32, 1)}
+    for name, cfg in workload_configs().items():
+        chunks = optimizers._Chunks(cfg.problem, 1, len(cfg.seeds), np.zeros(cfg.problem.d), False)
+        assert (chunks.size, chunks.group) == want[name.rsplit("-", 1)[0]], name
 
 
 def test_candidate_steps_take_a_zero_residual_as_plus():

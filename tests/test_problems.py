@@ -514,7 +514,7 @@ def test_counterexample_batch_kernels_are_its_one_vector_methods_bit_for_bit():
 
 
 @pytest.mark.parametrize("G", [1, 3])
-@pytest.mark.parametrize("m", [1, 2, 13])  # m = 1: the one-row chunk at n > 2048
+@pytest.mark.parametrize("m", [1, 2, 13])  # m = 1: the one-row chunk at max(n, d) > 8192
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
 def test_value_and_full_gradient_batch_of_a_stack_is_its_slices_bit_for_bit(spec, m, G):
     # the run loop snapshots a group of seeds as one (G, m, d) stack: each
