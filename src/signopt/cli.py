@@ -7,8 +7,9 @@ Subcommands:
   nonconvergence-demo   plain sign steps stall on a crafted instance; noisy ones don't
 
 Exit codes: 0 success / all checks hold, 2 a check failed (or an iterate left
-the declared box in the demo), 1 bad configuration or arguments, or a run
-whose iterates left the finite floats.
+the declared box in the demo), 1 bad configuration or arguments (argument
+errors included), an output directory that cannot be written, or a run whose
+iterates left the finite floats.
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
         result = execute_experiment(cfg, args.out)
-    except (ValueError, ArithmeticError, NonFiniteIterateError) as exc:  # a ConfigError is a ValueError
+    # a ConfigError is a ValueError; an OSError is an --out that cannot be written
+    except (ValueError, ArithmeticError, NonFiniteIterateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for rep in result.reports:
@@ -67,8 +69,8 @@ def _cmd_verify_key_identity(args: argparse.Namespace) -> int:
         print("error: --G-values is empty", file=sys.stderr)
         return 1
     for g_amp in g_values:
-        if g_amp <= 0:
-            print(f"error: noise amplitude must be positive, got G={g_amp}", file=sys.stderr)
+        if not 0 < g_amp < math.inf:  # also when it is NaN
+            print(f"error: noise amplitude must be finite and positive, got G={g_amp}", file=sys.stderr)
             return 1
 
     ratios = np.linspace(-1.0, 1.0, 9)  # -1, -0.75, ..., 1
@@ -176,8 +178,28 @@ def _cmd_nonconvergence_demo(args: argparse.Namespace) -> int:
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on an argument error, as on any other bad input: argparse's
+    own status 2 means a check failed here. Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2**64), as RngStream takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"need an integer in [0, 2**64), got {text!r}")
+    return seed
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="signopt",
         description="sign-based finite-sum optimization experiments and bound checks",
     )
@@ -193,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         help="Monte Carlo check of E[sign(g + G u)] = g/G over a (g, G) grid",
     )
     p_vki.add_argument("--N", type=int, default=1_000_000, help="samples per grid point")
-    p_vki.add_argument("--seed", type=int, default=0)
+    p_vki.add_argument("--seed", type=_seed, default=0)
     p_vki.add_argument(
         "--G-values", dest="G_values", default="0.5,1,3",
         help="comma-separated noise amplitudes (must be positive)",
@@ -206,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_ex1.add_argument("--d", type=int, required=True)
     p_ex1.add_argument("--samples", type=int, default=10_000)
-    p_ex1.add_argument("--seed", type=int, default=0)
+    p_ex1.add_argument("--seed", type=_seed, default=0)
     p_ex1.set_defaults(func=_cmd_example1)
 
     p_ncd = sub.add_parser(
@@ -215,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_ncd.add_argument("--T", type=int, default=10_000)
     p_ncd.add_argument("--gamma", type=float, default=0.01)
-    p_ncd.add_argument("--seed", type=int, default=0)
+    p_ncd.add_argument("--seed", type=_seed, default=0)
     p_ncd.set_defaults(func=_cmd_nonconvergence_demo)
 
     args = parser.parse_args(argv)

@@ -215,7 +215,7 @@ class ExperimentConfig:
             raise ConfigError("seeds", "need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds", "seeds must be distinct")
-        # RngStream keys on a seed mod 2**64, so seeds outside the range alias
+        # the seeds RngStream takes, checked here to name the field
         if not all(0 <= s < 1 << 64 for s in self.seeds):
             raise ConfigError("seeds", f"seeds must lie in [0, 2**64), got {list(self.seeds)}")
         if isinstance(self.x1, tuple) and len(self.x1) != self.problem.d:

@@ -31,13 +31,13 @@ step still consumes its draws, so traces are bitwise reproducible from
 (config, seed). run_seeds steps all S seeds of a call as one fixed batch, from
 the first step to the last, in one step loop for every method: a step forms
 one gradient estimate, takes the sign or the unsigned step from it, and only
-a reference-point method then checks its radius and refreshes. A block of
-steps at a time, one vecmath.sample_steps call decodes the draws of every
-seed at once from the raw Philox words of its own stream, bit for bit the
-same as those calls; a seed's trace never depends on the other seeds of the
-batch. A block is as long as keeps all it fills per seed and step (the
-indices, the noise, and the amplitudes or precomputed steps below) within
-one budget of float64s. The signed variance-reduced methods check the
+a reference-point method then checks its radius and refreshes.
+vecmath.draw_blocks decodes the draws of every seed a block of steps at a
+time from the raw Philox words of its own stream, bit for bit the same as
+those calls; a seed's trace never depends on the other seeds of the batch.
+A block is as long as keeps all it fills per seed and step (the indices,
+the noise, and the amplitudes or precomputed steps below) within one budget
+of float64s. The signed variance-reduced methods check the
 amplitude premise and flag degenerate steps once per block of draws, not
 inside the step; a violation raises AssertionError, also under python -O.
 The iterates live in the rows of a step-major snapshot chunk, one contiguous
@@ -79,10 +79,10 @@ from .trace import FLAG_DEGENERATE, Trace
 from .vecmath import (
     ConjugatePair,
     RngStream,
+    draw_blocks,
     norm,
     norm_rows,
     row_dot,
-    sample_steps,
 )
 
 __all__ = [
@@ -151,15 +151,13 @@ ALGORITHMS = tuple(RunSpec.PARAMS)
 VR_ALGORITHMS = tuple(algo for algo, params in RunSpec.PARAMS.items() if "D" in params)
 
 
-# float64 elements per buffer of the step loop: every per-seed-step buffer
-# that one block of draws fills, taken together (the indices, the noise and
-# what the block precomputes from them), one seed's iterates of one snapshot
-# chunk (or the premise tolerances of a few steps of a block), and one
-# snapshot call's (G, rows, max(n, d)) operands
-_DRAW_ELEMENTS = 1 << 16
+# float64 elements per buffer of the step loop (the draw blocks have theirs
+# in vecmath): one seed's iterates of one snapshot chunk (or the premise
+# tolerances of a few steps of a block), and one snapshot call's
+# (G, rows, max(n, d)) operands
 _SNAPSHOT_ELEMENTS = 1 << 12
 _GROUP_ELEMENTS = 1 << 14
-# the rows a snapshot chunk takes at least, as far as the last two budgets
+# the rows a snapshot chunk takes at least, as far as those two budgets
 # allow. A stacked matmul is one BLAS product per seed, and each product
 # streams the whole (n, d) data: at n = 500, d = 100 one 8-row product took
 # 28 us and one 32-row product 62 us (2-core Xeon, BLAS at 1 thread), so
@@ -170,22 +168,6 @@ _SNAPSHOT_ROWS = 32
 def _sign_steps(gamma: float) -> np.ndarray:
     """[-gamma, gamma]: its take(g >= 0) is where(g >= 0, gamma, -gamma)."""
     return np.array([-gamma, gamma])
-
-
-def _draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, extra: int):
-    """Yields (t0, idx, noise) per block of steps t0, t0 + 1, ...: the
-    0-based component indices (steps, S) and noise cubes (steps, S, width)
-    of every seed, decoded from its own stream, all seeds of a block in one
-    vecmath.sample_steps call. A block is as long as keeps its index, its
-    noise and the caller's `extra` float64s per seed and step within
-    _DRAW_ELEMENTS."""
-    S = len(rngs)
-    # even blocks start with no buffered half-word, so the streams stay on
-    # the batched decoder from one block to the next
-    block = max(2, min(T, _DRAW_ELEMENTS // (max(S, 1) * (1 + width + extra))) & ~1)
-    out = np.empty((block, S), dtype=np.int64), np.empty((block, S, width))
-    for t0 in range(0, T, block):
-        yield (t0, *sample_steps(rngs, n, width, min(block, T - t0), out))
 
 
 class _Chunks:
@@ -372,7 +354,7 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
     # per seed and step, a block also fills the amplitude, or _both_steps'
     # rows, targets, down and (but for signsgd_plus) up
     extra = {1: 1, 2: d}.get(variant, 0) if signed_rows is None else 2 * d + 1 + (0 if plus else d)
-    for t0, idx, noise in _draw_blocks(draws, n, d if plus or variant else 0, T, extra):
+    for t0, idx, noise in draw_blocks(draws, n, d if plus or variant else 0, T, extra):
         if t0 == 0 and variant:  # the first block is the longest
             amps = np.empty(noise.shape if variant == 2 else idx.shape)
         if plus:

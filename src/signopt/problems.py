@@ -175,7 +175,7 @@ class ProblemSpec:
             object.__setattr__(self, name, parse(f"problem.{name}", getattr(self, name)))
         if self.kind not in _KINDS:
             raise ConfigError("problem.kind", f"unknown problem kind {self.kind!r}; known: {sorted(_KINDS)}")
-        # RngStream keys on a seed mod 2**64, so seeds outside the range alias
+        # seed: the seeds RngStream takes, checked here to name the field
         for name, ok, rule in (("d", self.d >= 1, ">= 1"), ("n", self.n >= 1, ">= 1"),
                                ("seed", 0 <= self.seed < 1 << 64, "in [0, 2**64)"), ("lam", self.lam >= 0, ">= 0"),
                                ("label_noise", 0 <= self.label_noise <= 1, "in [0, 1]")):

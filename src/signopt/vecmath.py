@@ -18,7 +18,7 @@ __all__ = [
     "ConjugatePair",
     "RngStream",
     "norm",
-    "sample_steps",
+    "draw_blocks",
     "sample_unit_sphere",
     "row_dot",
     "norm_rows",
@@ -64,7 +64,7 @@ def _derive_child_seed(seed: int, label: str) -> int:
 
 
 class RngStream:
-    """Deterministic random stream keyed by a 64-bit seed.
+    """Deterministic random stream keyed by a seed in [0, 2**64).
 
     Backed by the Philox counter-based bit generator, which produces the same
     sequence on every platform for a given key. ``child(label)`` derives an
@@ -77,7 +77,9 @@ class RngStream:
     def __init__(self, seed: int):
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-        self.seed = int(seed) % (1 << 64)
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self.seed = int(seed)
         self.generator = np.random.Generator(np.random.Philox(key=self.seed))
 
     def child(self, label: str) -> "RngStream":
@@ -135,8 +137,9 @@ _CAST_WORDS = 1 << 12
 
 
 def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np.ndarray) -> None:
-    """Fill idx (steps, S) and noise (steps, S, width) with the draws of
-    `steps` steps of every generator gens[s], decoded from raw Philox words.
+    """Fill idx (steps, S) and noise (steps, S, width), steps even, with the
+    draws of `steps` steps of every generator gens[s], decoded from raw
+    Philox words.
 
     Generator's rules for these calls: a bounded integer with range n - 1 <
     2^32 is Lemire's multiply-shift on a 32-bit half-word (low half of a
@@ -146,20 +149,17 @@ def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np
     2k + 1 are [int][noise 2k][noise 2k + 1]: each stream's noise words go
     from its random_raw output straight into its column of noise, viewed as
     uint64, and are made doubles there for every stream at once; its int
-    words go into one small (S, ints) array whose indices are decoded for
-    every stream at once, and an odd block leaves its last high half
-    buffered. A stream goes through the calls themselves when it has no
-    Philox bit generator (or n > 2^32), when it starts on a buffered
-    half-word, or, rewound, when one of its half-words falls in Lemire's
-    rejection zone: that rare draw consumes extra half-words.
+    words go into one small (S, steps / 2) array whose indices are decoded
+    for every stream at once. A stream goes through the calls themselves
+    when it has no Philox bit generator (or n > 2^32), when it starts on a
+    buffered half-word, or, rewound, when one of its half-words falls in
+    Lemire's rejection zone: that rare draw consumes extra half-words.
     """
     steps, S = idx.shape
     int_words = int(n > 1)  # integers(1, 1) consumes nothing
     period = int_words + 2 * width  # words per pair of steps
-    n_int = int_words * ((steps + 1) // 2)
-    n_words = steps * width + n_int
     pairs = steps // 2
-    ints = np.empty((S, n_int), dtype="<u8")
+    ints = np.empty((S, int_words * pairs), dtype="<u8")
     bits = noise.view(np.uint64)  # the noise words, before they become doubles
     slow, saved = [], {}
     for s, gen in enumerate(gens):
@@ -172,32 +172,21 @@ def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np
             slow.append(s)
             continue
         saved[s] = state
-        words = bitgen.random_raw(n_words)
+        words = bitgen.random_raw(pairs * period).reshape(pairs, period)
         if int_words:
-            ints[s] = words[::period]
+            ints[s] = words[:, 0]
         if width:
-            even = words[:pairs * period].reshape(pairs, period)[:, int_words:]
-            bits[:2 * pairs, s].reshape(pairs, 2, width)[...] = even.reshape(pairs, 2, width)
-            if steps % 2:
-                bits[-1, s] = words[n_words - width:]
+            bits[:, s].reshape(pairs, 2, width)[...] = words[:, int_words:].reshape(pairs, 2, width)
     if int_words:
         # little-endian half-words of the int words: low, high, low, ...
-        halves = ints.view("<u4")
-        m = halves[:, :steps] * np.uint64(n)
+        m = ints.view("<u4") * np.uint64(n)
         np.right_shift(m.T, 32, out=idx, casting="unsafe")
         threshold = (0x100000000 - n) % n
         rejected = ((m & 0xFFFFFFFF) < threshold).any(axis=1) if threshold else ()
         for s in map(int, np.flatnonzero(rejected)):
             if s in saved:  # rewound, and replayed below
-                gens[s].bit_generator.state = saved.pop(s)
+                gens[s].bit_generator.state = saved[s]
                 slow.append(s)
-        if steps % 2:  # the last high half stays buffered for the next draw
-            for s in saved:
-                bitgen = gens[s].bit_generator
-                state = bitgen.state
-                state["has_uint32"] = 1
-                state["uinteger"] = int(halves[s, steps])
-                bitgen.state = state
     else:
         idx[...] = 0
     if width:
@@ -212,31 +201,36 @@ def _decode_steps(gens: Sequence, n: int, width: int, idx: np.ndarray, noise: np
         idx[:, s], noise[:, s] = _steps_by_calls(gens[s], n, width, steps)
 
 
-def sample_steps(
-    rngs: Sequence[RngStream],
-    n: int,
-    width: int,
-    steps: int,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of `steps` optimizer steps of every stream in rngs, decoded
-    as one block.
+# float64 elements that one block of draws fills, over all its streams and
+# steps taken together: the indices, the noise and what the caller
+# precomputes from them
+_DRAW_ELEMENTS = 1 << 16
 
-    Step j of a stream draws `integers(1, n, endpoint=True)` and then, if
-    width > 0, `uniform(-1, 1, width)`. Returns the 0-based indices
-    (steps, S) and the noise (steps, S, width), column s bit-identical to
-    making those calls in that order on rngs[s], and leaves every stream
-    where the calls would. With `out`, a pair of arrays of those shapes and
-    at least `steps` rows, the draws fill its first `steps` rows.
+
+def draw_blocks(rngs: Sequence[RngStream], n: int, width: int, T: int, extra: int = 0):
+    """Yields (t0, idx, noise) per block of steps t0, t0 + 1, ... < T: the
+    0-based component indices (steps, S) and noise cubes (steps, S, width)
+    of every stream in rngs, column s bit-identical to calling
+    `integers(1, n, endpoint=True)` and then, if width > 0,
+    `uniform(-1, 1, width)` on rngs[s] once per step. The arrays are views
+    of buffers that the next block reuses. A block is as long as keeps its
+    index, its noise and the caller's `extra` float64s per stream and step
+    within _DRAW_ELEMENTS, rounded down to even, so each block starts on no
+    buffered half-word. An odd last block decodes one step more than it
+    yields: only after an even T is each stream where the calls leave it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if out is None:
-        out = np.empty((steps, len(rngs)), dtype=np.int64), np.empty((steps, len(rngs), width))
-    idx, noise = out[0][:steps], out[1][:steps]
     _check_philox_decoder()
-    _decode_steps([rng.generator for rng in rngs], n, width, idx, noise)
-    return idx, noise
+    gens = [rng.generator for rng in rngs]
+    S = len(gens)
+    block = max(2, min(T, _DRAW_ELEMENTS // (max(S, 1) * (1 + width + extra))) & ~1)
+    idx, noise = np.empty((block, S), dtype=np.int64), np.empty((block, S, width))
+    for t0 in range(0, T, block):
+        steps = min(block, T - t0)
+        decoded = steps + steps % 2
+        _decode_steps(gens, n, width, idx[:decoded], noise[:decoded])
+        yield t0, idx[:steps], noise[:steps]
 
 
 @functools.cache
@@ -249,9 +243,8 @@ def _check_philox_decoder() -> None:
     calls = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
     blocks = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
     ok = True
-    # an even block, an odd one that leaves a half-word buffered, and one
-    # that starts on it
-    for steps in (4, 3, 4):
+    # two even blocks, then a call that continues from them
+    for steps in (4, 6):
         idx, noise = np.empty((steps, 2), dtype=np.int64), np.empty((steps, 2, 3))
         _decode_steps(blocks, 50, 3, idx, noise)
         for s, gen in enumerate(calls):

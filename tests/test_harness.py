@@ -127,7 +127,7 @@ REJECTIONS = [
     (_Replace(g_inf=math.nan), "g_inf"),
     (_Replace(x1=(0.0, math.inf, 0.0, 0.0, 0.0, 0.0)), "x1"),
     (_Replace(x1={"gaussian": math.nan}), "x1"),
-    # the random streams key on a seed mod 2**64, so these two would alias
+    # the random streams take seeds in [0, 2**64) only
     ({"seeds": [-1, 2**64 - 1]}, "seeds"),
     ({"problem": dict(BASE["problem"], seed=2**64)}, "problem.seed"),
     # a field the run would ignore: cor1 derives gamma and D, only
@@ -764,6 +764,16 @@ def test_cli_run_non_finite_iterate_prints_only_the_error(tmp_path):
     assert proc.stderr == "error: non-finite iterate produced at iteration 120\n"
 
 
+def test_cli_run_unwritable_out_exits_one(tmp_path, capsys):
+    # --out under a regular file: the run reports the OSError in one line
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["run", "--config", _write(tmp_path, _cfg()), "--out", str(blocker / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_run_missing_file_exits_one(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "out")])
@@ -783,7 +793,8 @@ def test_cli_verify_key_identity_small(capsys):
 
 
 def test_cli_verify_key_identity_rejects_zero_amplitude(capsys):
-    assert main(["verify-key-identity", "--N", "1000", "--G-values", "0,1"]) == 1
+    for values in ("0,1", "nan,1", "inf", "1,-0.5"):
+        assert main(["verify-key-identity", "--N", "1000", "--G-values", values]) == 1, values
 
 
 def test_cli_example1(capsys):
@@ -798,11 +809,24 @@ def test_cli_nonconvergence_demo(capsys):
     assert main(["nonconvergence-demo", "--T", "200", "--gamma", "3.0", "--seed", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["run"], ["example1"], ["verify-key-identity", "--N", "abc"],
+    ["example1", "--d", "3", "--seed", "-1"], ["verify-key-identity", "--seed", str(2**64)],
+])
+def test_cli_argument_errors_exit_one(argv, capsys):
+    # argparse's own status 2 would read as a failed check
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: signopt" in capsys.readouterr().err
+
+
 def test_cli_subcommands_are_the_documented_four(capsys):
     # no hidden entry points: the parser offers exactly the subcommands that
     # the module docstring and the README list
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["--help"])
+    assert exc.value.code == 0
     offered = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
     doc = signopt.cli.__doc__.split("Subcommands:")[1].split("\n\n")[0]
     docstring = [line.split()[0] for line in doc.strip().splitlines()]

@@ -21,7 +21,7 @@ import pytest
 
 import signopt
 from conftest import workload_configs
-from signopt import optimizers
+from signopt import optimizers, vecmath
 from signopt.harness import SCHEDULES
 from signopt.optimizers import (
     ALGORITHMS,
@@ -399,7 +399,8 @@ def test_block_premise_check_raises_exactly_when_a_seed_does():
     # horizon, odd ones ending on a one-step block, it must raise exactly
     # when some seed's step-by-step reference run does, and a single seed
     # exactly when its own does. Seeds 6, 7 and 3 first break the premise
-    # at steps 14, 36 and 59 (seed 3's falls in the one-step block of T = 59)
+    # at steps 14, 36 and 59 (seed 3's falls in the one-step block of T = 59,
+    # which decodes two steps and yields one)
     prob = _ls(d=5, n=7, seed=3)
     spec = RunSpec(algo="signsvrg_v1", gamma=0.03, x1=0.5 * np.ones(5), q=1.0, D=0.6,
                    L=0.2 * prob.lipschitz_constant(1.0))
@@ -456,6 +457,12 @@ def test_amplitude_premise_is_checked_under_python_O():
 def test_run_seeds_rejects_an_empty_batch():
     with pytest.raises(ValueError):
         run_seeds(RunSpec(algo="signsgd", gamma=0.1, x1=np.ones(4)), _ls(), 5, ())
+
+
+def test_run_seeds_rejects_a_seed_outside_64_bits():
+    # seed -1 would otherwise run on the stream of 2**64 - 1
+    with pytest.raises(ValueError, match="seed"):
+        run_seeds(RunSpec(algo="signsgd", gamma=0.1, x1=np.ones(4)), _ls(), 5, (0, -1))
 
 
 @pytest.mark.parametrize("algo", ["signsgd", "signsgd_plus", "sgd", "signgd"])
@@ -536,10 +543,10 @@ def test_snapshot_groups_and_draw_blocks_never_change_a_seed(case, monkeypatch):
         monkeypatch.setattr(optimizers, "_SNAPSHOT_ELEMENTS", 5 * width)
         monkeypatch.setattr(optimizers, "_GROUP_ELEMENTS", 2 * 5 * width)
         monkeypatch.setattr(optimizers, "_SNAPSHOT_ROWS", 5)
-        monkeypatch.setattr(optimizers, "_DRAW_ELEMENTS", 1)
+        monkeypatch.setattr(vecmath, "_DRAW_ELEMENTS", 1)
         small = optimizers._Chunks(prob, T, len(seeds), spec.x1, False)
         assert (small.size, small.group) == (5, 2)
-        assert next(optimizers._draw_blocks([RngStream(0)], prob.n, 5, T, 16))[1].shape == (2, 1)
+        assert next(vecmath.draw_blocks([RngStream(0)], prob.n, 5, T, 16))[1].shape == (2, 1)
         grouped, failed = _survivors(spec, prob, T, seeds)
         assert failed == [seeds[2]]
     for seed, columns in grouped.items():

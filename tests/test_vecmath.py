@@ -19,8 +19,8 @@ from signopt.vecmath import (
     RngStream,
     norm,
     norm_rows,
+    draw_blocks,
     row_dot,
-    sample_steps,
     sample_unit_sphere,
 )
 
@@ -30,7 +30,7 @@ vectors = st.lists(finite_floats, min_size=1, max_size=12).map(np.asarray)
 
 def _cube(rng, d):
     """One step's noise, uniform(-1, 1, d); with n = 1 no index is drawn."""
-    return sample_steps([rng], 1, d, 1)[1][0, 0]
+    return next(draw_blocks([rng], 1, d, 1))[2][0, 0]
 
 
 # ---------------------------------------------------------------- pairs
@@ -73,8 +73,8 @@ def test_uniform_cube_frozen_sequence_seed0():
     np.testing.assert_allclose(got, expect, rtol=0, atol=0)
 
 
-def test_sample_steps_index_frozen_sequence():
-    got = sample_steps([RngStream(123)], 7, 0, 8)[0][:, 0] + 1
+def test_draw_blocks_index_frozen_sequence():
+    got = next(draw_blocks([RngStream(123)], 7, 0, 8))[1][:, 0] + 1
     assert got.tolist() == [2, 4, 3, 2, 2, 2, 1, 2]
 
 
@@ -88,6 +88,14 @@ def test_child_seeds_frozen():
     root = RngStream(123)
     assert root.child("data").seed == 4881396823979292876
     assert root.child("x1").seed == 1940047060139360423
+
+
+def test_rng_stream_takes_seeds_in_64_bits():
+    # a seed outside [0, 2**64) would alias one inside it
+    assert RngStream(2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            RngStream(seed)
 
 
 def test_same_seed_same_stream():
@@ -106,8 +114,10 @@ def test_children_are_decorrelated():
     np.testing.assert_array_equal(a, c)
 
 
-def test_sample_steps_index_range_and_coverage():
-    draws = sample_steps([RngStream(7)], 5, 0, 20_000)[0][:, 0] + 1
+def test_draw_blocks_index_range_and_coverage():
+    t0, idx, _ = next(draw_blocks([RngStream(7)], 5, 0, 20_000))
+    assert (t0, len(idx)) == (0, 20_000)
+    draws = idx[:, 0] + 1
     assert draws.min() == 1 and draws.max() == 5
     freqs = np.bincount(draws, minlength=6)[1:] / len(draws)
     # uniform to within ~5 sigma of the binomial stderr
@@ -228,39 +238,59 @@ def _words_consumed(gen, key):
     return int(np.flatnonzero(fresh == nxt)[0])
 
 
-# odd lengths leave a buffered high half-word for the next block, even ones
-# starting on a buffered half end on one too
-BLOCKS = (1, 2, 3, 5, 4, 7, 1, 6, 2, 8)
+def _check_blocks(streams, calls, n, width, T, block, monkeypatch):
+    """Runs draw_blocks over T steps in blocks of `block` steps (even) with
+    the budget forced to that length, and holds every yielded block to the
+    calls on calls[s], which it advances; returns the block lengths."""
+    monkeypatch.setattr(vecmath, "_DRAW_ELEMENTS", block * len(streams) * (1 + width))
+    lengths = []
+    for t0, idx, noise in draw_blocks(streams, n, width, T):
+        assert t0 == sum(lengths)
+        assert idx.shape == (len(idx), len(streams)) and noise.shape == (len(idx), len(streams), width)
+        for s, gen in enumerate(calls):
+            want_idx, want_noise = _draws_by_calls(gen, n, width, len(idx))
+            np.testing.assert_array_equal(idx[:, s], want_idx)
+            np.testing.assert_array_equal(noise[:, s], want_noise)
+        lengths.append(len(idx))
+    assert lengths == [block] * (T // block) + [T % block] * (T % block > 0)
+    return lengths
+
+
+# (T, block) of draw_blocks runs one after another on one stream: even
+# horizons, some ending on a shorter last block
+RUNS = ((6, 2), (10, 4), (8, 6), (8, 8), (2, 2), (14, 8))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 2**32])
 @pytest.mark.parametrize("width", [0, 1, 3])
-def test_sample_steps_matches_generator_calls(n, width):
+def test_draw_blocks_match_generator_calls(n, width, monkeypatch):
     blocks, calls = RngStream(99), RngStream(99)
-    for steps in BLOCKS:
-        idx, noise = sample_steps([blocks], n, width, steps)
-        want_idx, want_noise = _draws_by_calls(calls.generator, n, width, steps)
-        np.testing.assert_array_equal(idx[:, 0], want_idx)
-        np.testing.assert_array_equal(noise[:, 0], want_noise)
-        assert idx.shape == (steps, 1) and noise.shape == (steps, 1, width)
-    # the stream continues where the calls leave it, buffered half included
+    for T, block in RUNS:
+        _check_blocks([blocks], [calls.generator], n, width, T, block, monkeypatch)
+    # after an even T the stream continues where the calls leave it
     assert blocks.generator.integers(1, 9, endpoint=True) == calls.generator.integers(1, 9, endpoint=True)
     assert blocks.generator.random() == calls.generator.random()
+    # an odd T yields exactly T steps; its last block decodes one more
+    for T, block, lengths in ((7, 4, [4, 3]), (1, 2, [1])):
+        calls = RngStream(100).generator
+        assert _check_blocks([RngStream(100)], [calls], n, width, T, block, monkeypatch) == lengths
 
 
-def test_sample_steps_exact_under_lemire_rejection():
+def test_draw_blocks_exact_under_lemire_rejection(monkeypatch):
     # range 2^31: about half of all 32-bit half-words land in Lemire's
-    # rejection zone, so most blocks hit a rejection and must be replayed
+    # rejection zone, so most blocks hit a rejection and must be replayed;
+    # a replay that consumed an odd number of extra half-words leaves one
+    # buffered, and the next block starts on it
     n, width, key = 2**31 + 1, 3, 4242
     blocks = RngStream(key)
     calls = np.random.Generator(np.random.Philox(key=key))
-    for steps in BLOCKS + BLOCKS:
-        idx, noise = sample_steps([blocks], n, width, steps)
-        want_idx, want_noise = _draws_by_calls(calls, n, width, steps)
-        np.testing.assert_array_equal(idx[:, 0], want_idx)
-        np.testing.assert_array_equal(noise[:, 0], want_noise)
+    buffered = []
+    for T, block in RUNS + RUNS:
+        _check_blocks([blocks], [calls], n, width, T, block, monkeypatch)
+        buffered.append(blocks.generator.bit_generator.state["has_uint32"])
+    assert any(buffered)
     assert blocks.generator.integers(1, n, endpoint=True) == calls.integers(1, n, endpoint=True)
-    draws = 2 * sum(BLOCKS) + 1
+    draws = 2 * sum(T for T, _ in RUNS) + 1
     no_rejection_words = (draws - 1) * width + (draws + 1) // 2
     assert _words_consumed(calls, key) > no_rejection_words  # rejections did occur
 
@@ -279,24 +309,22 @@ class _ProxyStream:
         self.generator = _ProxyGenerator(seed)
 
 
-def test_sample_steps_goes_through_calls_without_a_philox_generator():
-    idx, noise = sample_steps([_ProxyStream(5)], 50, 4, 9)
-    want_idx, want_noise = _draws_by_calls(RngStream(5).generator, 50, 4, 9)
-    np.testing.assert_array_equal(idx[:, 0], want_idx)
-    np.testing.assert_array_equal(noise[:, 0], want_noise)
+def test_draw_blocks_go_through_calls_without_a_philox_generator(monkeypatch):
+    calls = RngStream(5).generator
+    assert _check_blocks([_ProxyStream(5)], [calls], 50, 4, 9, 4, monkeypatch) == [4, 4, 1]
 
 
-def test_sample_steps_decodes_a_mixed_batch_like_the_calls(monkeypatch):
+def test_draw_blocks_decode_a_mixed_batch_like_the_calls(monkeypatch):
     # range 2^31: a half-word is rejected with probability about 1/2. Seeds
     # 22 and 155 draw no rejected half-word in their first 7 draws, seed 0
     # draws one in its first 4.
     n, width = 2**31 + 1, 3
     buffered = RngStream(5)
-    sample_steps([buffered], n, width, 1)  # an odd block leaves a half-word buffered
+    buffered.generator.integers(1, n, endpoint=True)  # leaves a half-word buffered
     streams = [RngStream(22), buffered, RngStream(0), _ProxyStream(6), RngStream(155)]
     calls = [RngStream(22).generator, RngStream(5).generator, RngStream(0).generator,
              RngStream(6).generator, RngStream(155).generator]
-    _draws_by_calls(calls[1], n, width, 1)
+    calls[1].integers(1, n, endpoint=True)
 
     by_calls = []
     real = vecmath._steps_by_calls
@@ -306,25 +334,20 @@ def test_sample_steps_decodes_a_mixed_batch_like_the_calls(monkeypatch):
         return real(gen, *args)
 
     monkeypatch.setattr(vecmath, "_steps_by_calls", spy)
-    # through the calls: the buffered stream (which 4 steps leave buffered
-    # again), the rejecting one in its first block, and the proxy. The odd
-    # second block leaves the decoded streams on a buffered half-word.
-    for steps, want_by_calls in ((4, [1, 2, 3]), (3, [1, 3])):
-        by_calls.clear()
-        idx, noise = sample_steps(streams, n, width, steps)
-        for s, gen in enumerate(calls):
-            want_idx, want_noise = _draws_by_calls(gen, n, width, steps)
-            np.testing.assert_array_equal(idx[:, s], want_idx)
-            np.testing.assert_array_equal(noise[:, s], want_noise)
-        assert sorted(by_calls) == want_by_calls
+    # through the calls in the first block: the buffered stream, the proxy,
+    # and seed 0, rewound at its rejection. A rejected half-word of seed 5
+    # leaves it on no buffered half after those 4 steps, so it starts the
+    # second block on the decoder and is rewound at its next rejection.
+    _check_blocks(streams, calls, n, width, 6, 4, monkeypatch)
+    assert by_calls == [1, 3, 2, 3, 1]
     for stream, gen in zip(streams, calls):
         assert stream.generator.integers(1, n, endpoint=True) == gen.integers(1, n, endpoint=True)
         assert np.array_equal(stream.generator.uniform(-1.0, 1.0, 2), gen.uniform(-1.0, 1.0, 2))
 
 
-def test_sample_steps_rejects_empty_range():
+def test_draw_blocks_reject_empty_range():
     with pytest.raises(ValueError):
-        sample_steps([RngStream(0)], 0, 3, 4)
+        next(draw_blocks([RngStream(0)], 0, 3, 4))
 
 
 def test_decoder_self_check(monkeypatch):
