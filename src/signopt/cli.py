@@ -131,8 +131,8 @@ def _cmd_example1(args: argparse.Namespace) -> int:
 
 
 def _cmd_nonconvergence_demo(args: argparse.Namespace) -> int:
-    if args.gamma <= 0:
-        print(f"error: gamma must be positive, got {args.gamma}", file=sys.stderr)
+    if not 0 < args.gamma < math.inf:  # also when it is NaN
+        print(f"error: gamma must be finite and positive, got {args.gamma}", file=sys.stderr)
         return 1
     if args.T < 10:
         print("error: need T >= 10", file=sys.stderr)

@@ -54,12 +54,13 @@ neither the groups nor the blocks reach a trace. A seed that fails (a
 non-finite iterate or a broken amplitude premise) steps on with the others;
 seed 0's error is raised at once, any other after the last step, that of
 the first failed seed in seed order, as running the seeds one after another
-would. When a problem's component
-subgradients are +-a_i (FiniteSumProblem.subgradient_rows), signsgd,
-signsgd_plus and sgd compute both steps that each draw of a block can give
-before the iterates are known, and a step picks one by the sign of
-a_i^T x - b_i. oracles.reference_run steps one seed at a time with the calls
-themselves, and tests hold the two to the bit.
+would. When a problem's component subgradients are +-a_i
+(FiniteSumProblem.subgradient_rows), signsgd_plus computes both steps that
+each draw of a block can give before the iterates are known, and a step
+picks one by the sign of a_i^T x - b_i. The loop runs numpy's bundled BLAS
+on one thread, so no product's bits depend on the host's thread count.
+oracles.reference_run steps one seed at a time with the calls themselves,
+and tests hold the two to the bit.
 
 Communication accounting (bits): a sign step uploads d bits; an unsigned
 stochastic gradient uploads d * float_bits; a reference refresh (and the
@@ -68,7 +69,11 @@ n * d * float_bits.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -268,29 +273,23 @@ class _Chunks:
             np.add(x[k - 1], x[k], out=self.x_sum)
 
 
-def _both_steps(a: np.ndarray, b: np.ndarray, algo: str, gamma: float, idx: np.ndarray, noise: np.ndarray,
-                bufs: tuple[np.ndarray | None, ...]) -> tuple[np.ndarray, ...]:
-    """The rows a_i, the targets b_i and the two steps (up, down) that a
-    block of draws idx can give, (steps, S[, d]) each, for a problem whose
-    subgradients are +-a_i (FiniteSumProblem.subgradient_rows): up is the
-    step from +a_i, down the one from -a_i, each with the float operations
-    of the step from component_gradient_batch's +a_i or -a_i. bufs holds
-    rows, targets, down and up, at least `steps` long; signsgd_plus has no
-    up buffer and computes up in the noise, which is then used up."""
-    rows, targets, down, up = (None if buf is None else buf[:len(idx)] for buf in bufs)
+def _both_steps(a: np.ndarray, b: np.ndarray, gamma: float, idx: np.ndarray, noise: np.ndarray,
+                bufs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The rows a_i, the targets b_i and the two signsgd_plus steps (up,
+    down) that a block of draws idx with its scaled noise can give,
+    (steps, S[, d]) each, for a problem whose subgradients are +-a_i
+    (FiniteSumProblem.subgradient_rows): up is the step from +a_i, down the
+    one from -a_i, each with the float operations of the step from
+    component_gradient_batch's +a_i or -a_i. bufs holds rows, targets and
+    down, at least `steps` long; up is computed in the noise, which is then
+    used up."""
+    rows, targets, down = (buf[:len(idx)] for buf in bufs)
     # the draws are valid indices, and clip takes no buffered copy
     a.take(idx, axis=0, out=rows, mode="clip")
     b.take(idx, out=targets, mode="clip")
     np.negative(rows, out=down)
-    if algo == "sgd":
-        np.multiply(rows, gamma, out=up)
-        down *= gamma
-        return rows, targets, up, down
-    if algo == "signsgd_plus":
-        down += noise
-        up = np.add(noise, rows, out=noise)
-    else:
-        np.copyto(up, rows)
+    down += noise
+    up = np.add(noise, rows, out=noise)
     sign_steps = _sign_steps(gamma)
     for g in (up, down):
         sign_steps.take(g >= 0.0, out=g, mode="clip")
@@ -309,10 +308,9 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
     x - [-gamma, gamma].take(v + amp u >= 0), where signsgd_plus scales a
     block's noise u by amp = g_inf in one multiply. When the problem's
     subgradients are +-a_i (subgradient_rows), both steps of every draw of
-    signsgd, signsgd_plus and sgd are computed once per block
-    (_both_steps), and a step is one row dot, one a_i^T x >= b_i (which is
-    a_i^T x - b_i >= 0 bit for bit, NaN included, for finite b_i), one
-    select and one subtract.
+    signsgd_plus are computed once per block (_both_steps), and a step is
+    one row dot, one a_i^T x >= b_i (which is a_i^T x - b_i >= 0 bit for
+    bit, NaN included, for finite b_i), one select and one subtract.
 
     The reference-point methods keep the iterates and the references in one
     (2, S, d) buffer, so a step takes both component gradients in one call,
@@ -335,7 +333,7 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
     pair = ConjugatePair(spec.q)
     comp_grads = prob.component_gradient_batch
     sign_steps = _sign_steps(gamma)
-    signed_rows = None if vr or algo == "signgd" else prob.subgradient_rows()
+    signed_rows = prob.subgradient_rows() if plus else None
 
     # what the amplitude adds to L ||x - ref||_q at a reference with full gradient g
     amp_floor = np.abs if variant == 2 else lambda g: norm(g, pair.p)
@@ -352,8 +350,8 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
     slots, dists = list(chunks.x), list(chunks.dist)  # the (S, d) and (S,) row of every slot
     draws = () if algo == "signgd" else rngs
     # per seed and step, a block also fills the amplitude, or _both_steps'
-    # rows, targets, down and (but for signsgd_plus) up
-    extra = {1: 1, 2: d}.get(variant, 0) if signed_rows is None else 2 * d + 1 + (0 if plus else d)
+    # rows, targets and down
+    extra = {1: 1, 2: d}.get(variant, 0) if signed_rows is None else 2 * d + 1
     for t0, idx, noise in draw_blocks(draws, n, d if plus or variant else 0, T, extra):
         if t0 == 0 and variant:  # the first block is the longest
             amps = np.empty(noise.shape if variant == 2 else idx.shape)
@@ -362,9 +360,8 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
         if signed_rows is not None:
             if t0 == 0:
                 shape = (*idx.shape, d)
-                bufs = (np.empty(shape), np.empty(idx.shape), np.empty(shape),
-                        None if plus else np.empty(shape))
-            rows, targets, up, down = _both_steps(*signed_rows, algo, gamma, idx, noise, bufs)
+                bufs = np.empty(shape), np.empty(idx.shape), np.empty(shape)
+            rows, targets, up, down = _both_steps(*signed_rows, gamma, idx, noise, bufs)
         for j in range(len(idx)):
             t = t0 + j
             slot = 1 + t % chunk_size
@@ -452,6 +449,40 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
         k += vr  # the initial reference is k's first
 
 
+@functools.cache
+def _blas_threads() -> tuple | None:
+    """The thread count getter and setter of the scipy-openblas that numpy
+    bundles (numpy.libs/libscipy_openblas64_*), or None where it has none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    # listdir, not pathlib's glob: a run pays this lookup once per process
+    for name in sorted(os.listdir(libs) if os.path.isdir(libs) else ()):
+        if name.startswith("libscipy_openblas64_"):
+            lib = ctypes.CDLL(os.path.join(libs, name))  # the library numpy has loaded already
+            with contextlib.suppress(AttributeError):
+                return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's BLAS on one thread, and restore its
+    thread count after it. This BLAS sums some products (a 32-row snapshot
+    chunk at n = 500, d = 100) in another order on 1 thread than on 2, so
+    without the pin a trace's f and gradient norms would depend on the
+    host's thread count. Where no setter is found, the block runs as is."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_threads = blas
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int]) -> list[Trace]:
     """Execute T iterations for every seed, all seeds stepped as one fixed
     batch, and record one trace per seed (see the trace module for the row
@@ -475,7 +506,7 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
     chunks = _Chunks(prob, T, len(seeds), x1, spec.keep_iterates)
     # a diverging seed passes through inf and NaN before its row raises
     # NonFiniteIterateError, which says all that numpy's warnings would
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         _step_loop(spec, prob, T, rngs, chunks)
         chunks.flush(T)
     for error in chunks.errors:  # the first failed seed's, in seed order

@@ -71,7 +71,7 @@ def counterexample_drift(x: float) -> float:
     """Mean of sign(x + a_i) over the slopes a = (-3, 1, 1), sign(0) = +1.
 
     This is the expected descent direction (up to the -gamma factor) of
-    stochastic sign descent on the instance f_i(x) = a_i x + x^2/2. It is +1/3
+    stochastic sign descent on the instance f_i(x) = (x + a_i)^2 / 2. It is +1/3
     on (-1, 3), so the method drifts away from the optimum x* = 1/3.
     """
     total = 0.0

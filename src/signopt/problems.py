@@ -32,7 +32,6 @@ __all__ = [
     "LogisticProblem",
     "TrigProblem",
     "AbsRegressionProblem",
-    "CounterexampleProblem",
     "make_problem",
     "numeric_f_star",
 ]
@@ -125,9 +124,8 @@ class FiniteSumProblem(ABC):
         """(a, b), rows (n, d) and finite targets (n,), when the (sub)gradient
         of component i is +a_i where a_i^T x - b_i >= 0 and -a_i otherwise
         (NaN included), bit for bit as component_gradient returns it; else
-        None. With it, the run loop computes both possible steps of a block
-        of draws of signsgd, signsgd_plus and sgd before its iterates are
-        known."""
+        None. With it, the run loop computes both possible signsgd_plus
+        steps of a block of draws before its iterates are known."""
         return None
 
     def lipschitz_constant(self, q: float) -> float | None:
@@ -207,6 +205,11 @@ class LeastSquaresProblem(FiniteSumProblem):
     The sphere_quadratic kind is its one-row instance a = zeta^T, b = 0 with
     ||zeta||_2 = 1: f(x) = (zeta^T x)^2 / 2, whose every smoothness constant
     L_q = ||zeta||_p^2 is exact (L_2 = 1), and whose optimum is (0, 0).
+
+    The counterexample kind is its three-row instance a = 1, b = (3, -1, -1)
+    at d = 1: f_i(x) = (x + a_i)^2 / 2 with slopes a = (-3, 1, 1) and optimum
+    x* = 1/3, on which plain stochastic sign descent fails, as the majority
+    of component gradient signs points away from x* everywhere on (-1, 3).
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
@@ -420,47 +423,6 @@ class AbsRegressionProblem(FiniteSumProblem):
         return self._planted, 0.0
 
 
-class CounterexampleProblem(FiniteSumProblem):
-    """d=1, n=3 instance on which plain stochastic sign descent fails.
-
-    f_i(x) = a_i x + x^2/2 with a = (-3, 1, 1), so f(x) = -x/3 + x^2/2 with
-    optimum x* = 1/3, yet the majority of component gradient signs points
-    away from x* everywhere on (-1, 3).
-    """
-
-    slopes = _frozen((-3.0, 1.0, 1.0))
-    n, d = 3, 1
-    _mean_slope = float(slopes.sum()) / 3.0  # -1/3
-
-    def component_value(self, i: int, x: np.ndarray) -> float:
-        xv = float(x[0])
-        return float(self.slopes[i]) * xv + 0.5 * xv * xv
-
-    def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return np.array([self.slopes[i] + float(x[0])])
-
-    def value(self, x: np.ndarray) -> float:
-        xv = float(x[0])
-        return self._mean_slope * xv + 0.5 * xv * xv
-
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.array([float(x[0]) + self._mean_slope])
-
-    def component_gradient_batch(self, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return self.slopes.take(idx)[..., None] + xs
-
-    def value_and_full_gradient_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = xs[..., 0]
-        return self._mean_slope * x + 0.5 * x * x, xs + self._mean_slope
-
-    def lipschitz_constant(self, q: float) -> float:
-        ConjugatePair(q)  # validate q
-        return 1.0  # Hessian is the 1x1 identity in every operator norm
-
-    def optimum(self) -> tuple[np.ndarray, float]:
-        return np.array([1.0 / 3.0]), -1.0 / 18.0
-
-
 def _make_least_squares(spec: ProblemSpec) -> LeastSquaresProblem:
     a = _gaussian_rows(spec)
     target = RngStream(spec.seed).child("target").generator.standard_normal(spec.d)
@@ -500,7 +462,8 @@ _KINDS = {
     "trig_nonconvex": (_make_trig, {}),
     "abs_regression": (_make_abs_regression, {}),
     "sphere_quadratic": (_make_sphere_quadratic, {"n": 1}),
-    "counterexample": (lambda spec: CounterexampleProblem(), {"d": 1, "n": 3}),
+    "counterexample": (lambda spec: LeastSquaresProblem(np.ones((3, 1)), np.array([3.0, -1.0, -1.0])),
+                       {"d": 1, "n": 3}),
 }
 
 

@@ -24,9 +24,9 @@ PERFBENCH = ROOT / "perfbench"
 WORKLOAD_SEEDS = (0, 1)
 
 
-def workload_configs() -> dict:
-    """name -> config of each benchmark workload at workload seeds 0 and 1,
-    as perfbench/run.py's make_config builds them."""
+def workload_docs() -> dict:
+    """name -> JSON config of each benchmark workload at workload seeds 0
+    and 1, as perfbench/run.py's make_config builds them."""
     sys.path.insert(0, str(PERFBENCH))  # run.py imports its sibling hostspeed
     try:
         spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
@@ -34,8 +34,12 @@ def workload_configs() -> dict:
         spec.loader.exec_module(bench)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return {f"{w}-seed{s}": config_from_dict(bench.make_config(w, s))
-            for w in bench.WORKLOADS for s in WORKLOAD_SEEDS}
+    return {f"{w}-seed{s}": bench.make_config(w, s) for w in bench.WORKLOADS for s in WORKLOAD_SEEDS}
+
+
+def workload_configs() -> dict:
+    """name -> config of each workload_docs entry."""
+    return {name: config_from_dict(doc) for name, doc in workload_docs().items()}
 
 
 @pytest.fixture(scope="session")

@@ -18,16 +18,24 @@ the cause rather than the code.
 
 rewrites the manifest from the current code and prints each run/file entry
 whose hash differs from the manifest it replaces.
+
+A second test runs one workload at 1 and at 2 BLAS threads and asserts
+byte-identical outputs: the run loop pins numpy's bundled BLAS to one
+thread, so the manifest holds on any thread count.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from conftest import SHIPPED_CONFIGS, workload_configs
+from conftest import ROOT, SHIPPED_CONFIGS, workload_configs, workload_docs
 from signopt.harness import execute_experiment, load_config
+from signopt.optimizers import _Chunks, _one_blas_thread
 
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
 
@@ -56,25 +64,34 @@ def differing(want: dict, got: dict) -> list[str]:
     return lines
 
 
+def configs() -> dict:
+    """name -> config of every run the manifest holds."""
+    return {**{path.stem: load_config(path) for path in SHIPPED_CONFIGS}, **workload_configs()}
+
+
 def build_fingerprint() -> dict:
     """kernel -> sha256 of its outputs on fixed inputs: the snapshot's two
-    matrix products at vr_logistic_wide's and vr_trig's shapes (a chunk of
-    8 rows at d = 100, n = 500, and of 81 rows at d = 10, n = 50, with the
-    data matrix read transposed as the snapshot reads it), logaddexp, sin
-    and cos of the first product, vecdot on its rows and a block of Philox
-    words."""
+    matrix products at the shape of a full snapshot chunk of every run in
+    the manifest, rows as optimizers._Chunks sizes them (32 rows at d = 100,
+    n = 500, 81 at d = 10, n = 50, ...), with the data matrix read
+    transposed as the snapshot reads it and BLAS pinned to one thread as
+    run_seeds pins it; logaddexp, sin and cos of the first product, vecdot
+    on its rows and a block of Philox words."""
     gen = np.random.Generator(np.random.Philox(key=2023))
     out = {"gemm": hashlib.sha256(), "logaddexp": hashlib.sha256(), "sin_cos": hashlib.sha256(),
            "vecdot": hashlib.sha256()}
-    for rows, d, n in ((8, 100, 500), (81, 10, 50)):
-        xs, a = gen.standard_normal((rows, d)), gen.standard_normal((n, d))
-        w = xs @ a.T
-        out["gemm"].update(w.tobytes())
-        out["gemm"].update((w @ a).tobytes())
-        out["logaddexp"].update(np.logaddexp(0.0, w).tobytes())
-        out["sin_cos"].update(np.sin(w).tobytes())
-        out["sin_cos"].update(np.cos(w).tobytes())
-        out["vecdot"].update(np.vecdot(w, w).tobytes())
+    specs = [cfg.problem for cfg in configs().values()]  # _Chunks reads n and d alone
+    shapes = {(_Chunks(spec, 1, 1, np.zeros(spec.d), False).size, spec.d, spec.n) for spec in specs}
+    with _one_blas_thread():
+        for rows, d, n in sorted(shapes):
+            xs, a = gen.standard_normal((rows, d)), gen.standard_normal((n, d))
+            w = xs @ a.T
+            out["gemm"].update(w.tobytes())
+            out["gemm"].update((w @ a).tobytes())
+            out["logaddexp"].update(np.logaddexp(0.0, w).tobytes())
+            out["sin_cos"].update(np.sin(w).tobytes())
+            out["sin_cos"].update(np.cos(w).tobytes())
+            out["vecdot"].update(np.vecdot(w, w).tobytes())
     fingerprint = {kernel: h.hexdigest() for kernel, h in out.items()}
     fingerprint["philox"] = _sha(np.random.Philox(key=2023).random_raw(4096).tobytes())
     return fingerprint
@@ -92,13 +109,28 @@ def test_outputs_match_the_manifest(shipped_runs, workload_runs):
                              + "\n".join(differ))
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # vr_logistic_wide's 32-row snapshot products (n = 500, d = 100) are the
+    # ones OpenBLAS sums in another order on 1 thread than on 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workload_docs()["vr_logistic_wide-seed0"]))
+    hashes = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "signopt", "run", "--config", str(config), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hashes[threads] = output_hashes(out)
+    assert len(hashes["1"]) == 5  # summary.json and four traces
+    assert hashes["1"] == hashes["2"]
+
+
 if __name__ == "__main__":
     old = json.loads(MANIFEST.read_text())["runs"] if MANIFEST.exists() else {}
-    configs = {path.stem: load_config(path) for path in SHIPPED_CONFIGS}
-    configs.update(workload_configs())
     with tempfile.TemporaryDirectory() as tmp:
         runs = {}
-        for name, cfg in configs.items():
+        for name, cfg in configs().items():
             execute_experiment(cfg, Path(tmp) / name)
             runs[name] = output_hashes(Path(tmp) / name)
     MANIFEST.write_text(json.dumps({"fingerprint": build_fingerprint(), "runs": runs}, indent=1, sort_keys=True)

@@ -804,7 +804,11 @@ def test_cli_example1(capsys):
 
 def test_cli_nonconvergence_demo(capsys):
     assert main(["nonconvergence-demo", "--T", "3000", "--gamma", "0.01", "--seed", "0"]) == 0
-    assert main(["nonconvergence-demo", "--T", "100", "--gamma", "-1", "--seed", "0"]) == 1
+    capsys.readouterr()
+    for gamma in ("-1", "nan", "inf"):
+        assert main(["nonconvergence-demo", "--T", "100", "--gamma", gamma, "--seed", "0"]) == 1, gamma
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma must be finite and positive") and err.count("\n") == 1, err
     # a huge step escapes the region where the gradient bound is valid
     assert main(["nonconvergence-demo", "--T", "200", "--gamma", "3.0", "--seed", "0"]) == 2
 

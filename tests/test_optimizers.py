@@ -194,8 +194,8 @@ RADII = {"reject_heavy": 1 / 3, "mixed": 5.5, "accept_only": 333.0}
 # lies inside one snapshot chunk of 585 rows; at n = 300 chunks hold 32
 # rows, so chunks are flushed mid-horizon. sphere_quadratic (a one-row
 # least-squares problem, whose single component's draw, integers(1, 1),
-# consumes no word) runs on the least-squares kernels and the d = 1
-# counterexample on its own, each at its one shape.
+# consumes no word) and the d = 1 counterexample (a three-row one) run on
+# the least-squares kernels, each at its one shape.
 SHAPES = {"sphere_quadratic": ((5, 1),), "counterexample": ((1, 3),)}
 DATA_SHAPES = ((5, 7), (5, 300))
 KINDS = ("least_squares", "abs_regression", "trig_nonconvex", "logistic", "sphere_quadratic", "counterexample")
@@ -627,7 +627,9 @@ def test_workload_snapshot_shapes():
 
 def test_candidate_steps_take_a_zero_residual_as_plus():
     # |x - 0| from x1 = +-0.0 with steps of 0.5: the residual is exactly 0
-    # on every other step, where the +a_i subgradient must be the one taken
+    # on every other step, where the +a_i subgradient must be the one taken,
+    # by signsgd_plus's precomputed steps (_both_steps) as by the general
+    # path of signsgd and sgd
     prob = AbsRegressionProblem(np.array([[1.0]]), np.array([0.0]))
     assert prob.subgradient_rows() is not None
     for algo, x1 in itertools.product(("signsgd", "signsgd_plus", "sgd"), (0.0, -0.0)):
