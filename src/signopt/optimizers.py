@@ -43,14 +43,17 @@ inside the step; a violation raises AssertionError, also under python -O.
 The iterates live in the rows of a step-major snapshot chunk, one contiguous
 (S, d) block per row, and each step computes the next row straight into its
 slot. Once per chunk of rows, not per step, the loop tests the rows for
-finiteness, snapshots f and the gradient norms of the seeds that have not
-failed, a group of a few seeds per call as one contiguous (G, rows, d)
-stack, into each seed's trace columns (one 1-D array per seed and column,
-named as in Trace), and adds the rows to the iterate sums, in the order of
-one row after another. A wide problem's chunk takes more rows and its calls
-fewer seeds, since each seed's product streams the whole (n, d) data. A
-stacked snapshot gives each seed the bits of a call with its rows alone, so
-neither the groups nor the blocks reach a trace. A seed that fails (a
+finiteness, snapshots f and the gradient norms of the distinct rows of the
+seeds that have not failed, a group of a few seeds per call as one
+contiguous (G, rows, d) stack, into each seed's trace columns (one 1-D
+array per seed and column, named as in Trace), and adds the rows to the
+iterate sums, in the order of one row after another. A row that a rejected
+step repeated is not evaluated again: it copies its source row's values. A
+wide problem's chunk takes more rows and its calls fewer seeds, since each
+seed's product streams the whole (n, d) data. A stacked snapshot gives
+each seed the bits of a call with its distinct rows alone, so a seed's f
+bits depend on its own rejections, and neither the groups nor the blocks
+reach a trace. A seed that fails (a
 non-finite iterate or a broken amplitude premise) steps on with the others;
 seed 0's error is raised at once, any other after the last step, that of
 the first failed seed in seed order, as running the seeds one after another
@@ -189,15 +192,19 @@ class _Chunks:
     row only at max(n, d) > 8192 or d > 2048. On a chunk's last row, before
     the step from it, and at row T + 1, flush tests the chunk's rows for
     finiteness, snapshots them, and adds them to the iterate sums. The
-    snapshot takes the seeds that have not failed in groups of `group`,
-    sized so that one call's (G, rows, max(n, d)) operands stay within
-    _GROUP_ELEMENTS: each group is one contiguous (G, rows, d) copy, so the
-    snapshot's BLAS calls see lda = d, and one value_and_full_gradient_batch
-    call, whose slices get the bits of one call per seed. Chunk bounds
-    depend on n and d alone, so a seed's f and gradient norms never depend
-    on the other seeds of the call or on its group. The S seeds are fixed
-    for the whole run: a failed seed steps on, errors holds each seed's
-    first error (fail), and flush snapshots no failed seed."""
+    snapshot evaluates a seed's distinct rows alone, those where k (still
+    the 0/1 refresh marks, not yet summed) is 0: it takes the seeds that
+    have not failed and have the same count of distinct rows in groups of
+    `group`, sized so that one call's (G, rows, max(n, d)) operands stay
+    within _GROUP_ELEMENTS: each group is one contiguous (G, rows, d) copy
+    of those rows, so the snapshot's BLAS calls see lda = d, and one
+    value_and_full_gradient_batch call, whose slices get the bits of one
+    call per seed. A repeated row takes the values of its source. Chunk
+    bounds depend on n and d alone, so a seed's f and gradient norms
+    depend on its own rows and rejections, never on the other seeds of the
+    call or on its group. The S seeds are fixed for the whole run: a
+    failed seed steps on, errors holds each seed's first error (fail), and
+    flush snapshots no failed seed."""
 
     def __init__(self, prob: FiniteSumProblem, T: int, S: int, x1: np.ndarray, keep_iterates: bool):
         self.prob, self.T = prob, T
@@ -235,7 +242,9 @@ class _Chunks:
         reference-free step, so a seed's first non-finite row is the
         iteration at which stepping that seed alone fails; a reference-point
         method's row never is one, since a non-finite candidate has a
-        non-finite radius and is rejected."""
+        non-finite radius and is rejected. A repeated row takes the values
+        of the last row before it that is no repeat, which may be the
+        previous chunk's last row."""
         c = t % self.size
         finite = np.isfinite(self.x[1:c + 2])
         if not finite.all():  # a whole-array test is far cheaper than one per row
@@ -247,20 +256,40 @@ class _Chunks:
             column[rows] = self.dist[1:c + 2, s]
         live = [s for s, error in enumerate(self.errors) if error is None]
         seed_major = self.x[1:c + 2].transpose(1, 0, 2)
-        for i in range(0, len(live), self.group):
-            group = live[i:i + self.group]
-            xs = seed_major[group]  # (G, rows, d), a contiguous copy
-            fval, grad = self.prob.value_and_full_gradient_batch(xs)
-            gnorm2 = np.sqrt(row_dot(grad, grad))
-            ag = np.abs(grad, out=grad)
-            values = fval, np.add.reduce(ag, axis=-1), gnorm2, np.maximum.reduce(ag, axis=-1)
-            for columns, value in zip((self.f, self.gnorm1, self.gnorm2, self.gnorm_inf), values):
-                for s, seed_value in zip(group, value):
-                    columns[s][rows] = seed_value
-            if self.iterates[0] is not None:  # kept for every seed or for none
-                end = min(t + 1, self.T)  # row T+1 is no iterate
-                for s, seed_xs in zip(group, xs):
-                    self.iterates[s][t - c:end] = seed_xs[:end - t + c]
+        distinct = np.array([k[rows] for k in self.k]) == 0  # (S, rows)
+        # a call takes the seeds of one count of distinct rows, so a seed's
+        # values depend on its own rows and rejections alone
+        counts = np.count_nonzero(distinct, axis=1).tolist()
+        by_count: dict[int, list[int]] = {}
+        for s in live:
+            by_count.setdefault(counts[s], []).append(s)
+        columns = self.f, self.gnorm1, self.gnorm2, self.gnorm_inf
+        for m, seeds in by_count.items():
+            for i in range(0, len(seeds) if m else 0, self.group):  # no call where every row repeats
+                group = seeds[i:i + self.group]
+                if m == c + 1:  # no repeats: a copy and slice writes (the gather cost vr_trig 5% of run_s)
+                    xs, at = seed_major[group], [rows] * len(group)  # (G, rows, d), a contiguous copy
+                else:  # the distinct rows alone, (G, m, d), also a contiguous copy
+                    keep = np.nonzero(distinct[group])[1].reshape(len(group), m)
+                    xs, at = seed_major[np.array(group)[:, None], keep], keep + (t - c)
+                fval, grad = self.prob.value_and_full_gradient_batch(xs)
+                gnorm2 = np.sqrt(row_dot(grad, grad))
+                ag = np.abs(grad, out=grad)
+                values = fval, np.add.reduce(ag, axis=-1), gnorm2, np.maximum.reduce(ag, axis=-1)
+                for column, value in zip(columns, values):
+                    for s, where, seed_value in zip(group, at, value):
+                        column[s][where] = seed_value
+        for s in live:
+            if counts[s] <= c:
+                # each row's source row, t - c - 1 (the previous chunk's last
+                # row) for the repeats that open the chunk
+                source = np.maximum.accumulate(np.where(distinct[s], np.arange(c + 1), -1)) + (t - c)
+                for column in columns:
+                    column[s][rows] = column[s][source]
+        if self.iterates[0] is not None:  # kept for every seed or for none
+            end = min(t + 1, self.T)  # row T+1 is no iterate
+            for s in live:
+                self.iterates[s][t - c:end] = seed_major[s, :end - t + c]
         # the sums of [sum; rows] accumulated in place are those of sum += row,
         # row after row (np.add.reduce sums pairwise where the rows are its
         # inner loop, as at S = d = 1); this overwrites every row but the last
@@ -321,8 +350,9 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
     keeps its amplitude in a block buffer and its v in the noise slot it has
     just used; after each block of draws, one pass over them sets
     FLAG_DEGENERATE where some coordinate's amplitude is 0 and checks the
-    amplitude premise of every step of every seed (_Chunks.fail). k,
-    bits_cum and grad_evals_cum follow from the refresh steps after the loop.
+    amplitude premise of every step of every seed (_Chunks.fail). A refresh
+    sets its row of k to 1; the snapshot reads these marks, and k, bits_cum
+    and grad_evals_cum follow from them after the last flush.
     """
     S, n, d = len(rngs), prob.n, prob.d
     algo, gamma, D, L = spec.algo, spec.gamma, spec.D, spec.L
@@ -410,7 +440,7 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
                     ref_grad[s] = g
                     if variant:
                         floor[s] = amp_floor(g)
-                    chunks.k[s][t + 1] = 1  # summed into k below
+                    chunks.k[s][t + 1] = 1  # read by flush, summed into k below
         if variant:
             steps = len(idx)
             amp, v = amps[:steps], noise[:steps]
@@ -432,6 +462,7 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
                 held[r:r + span] = np.maximum.reduce(w, axis=2) <= tol if variant == 1 else (w <= tol).all(axis=2)
             for s in np.flatnonzero(~held.all(axis=0)):
                 chunks.fail(s, AssertionError("noise amplitude violated"))
+    chunks.flush(T)
     # every seed pays the initial reference sync (reference-point methods
     # only) and its steps; a refresh pays the sync in place of its step's
     # upload, and n gradient evaluations on top of its step's
@@ -508,7 +539,6 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
     # NonFiniteIterateError, which says all that numpy's warnings would
     with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         _step_loop(spec, prob, T, rngs, chunks)
-        chunks.flush(T)
     for error in chunks.errors:  # the first failed seed's, in seed order
         if error is not None:
             raise error

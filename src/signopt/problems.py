@@ -276,10 +276,11 @@ class LogisticProblem(FiniteSumProblem):
     @staticmethod
     def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # 1/(1 + e) for z >= 0, else e/(1 + e), e = exp(-|z|): stable on both tails, the bits
-        # of two masked branches (oracles.masked_sigmoid); the mask is taken first, so out may be z
+        # of two masked branches (oracles.masked_sigmoid); the mask is taken first, so out may be z.
+        # e lies in [0, 1] or is NaN, so max(e, pos) is where(pos, 1, e) bit for bit
         pos = z >= 0
         e = np.exp(np.negative(np.abs(z, out=out), out=out), out=out)
-        return np.divide(np.where(pos, 1.0, e), np.add(e, 1.0, out=out), out=out)
+        return np.divide(np.maximum(e, pos), np.add(e, 1.0, out=out), out=out)
 
     def component_value(self, i: int, x: np.ndarray) -> float:
         return float(np.logaddexp(0.0, self.ya[i] @ x))

@@ -35,7 +35,7 @@ import numpy as np
 
 from conftest import ROOT, SHIPPED_CONFIGS, workload_configs, workload_docs
 from signopt.harness import execute_experiment, load_config
-from signopt.optimizers import _Chunks, _one_blas_thread
+from signopt.optimizers import VR_ALGORITHMS, _Chunks, _one_blas_thread
 
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
 
@@ -107,6 +107,22 @@ def test_outputs_match_the_manifest(shipped_runs, workload_runs):
                  "BLAS may explain it" if kernels else "the numeric build's fingerprint matches")
         raise AssertionError(f"{len(differ)} output files differ from tests/golden.json; {build}:\n"
                              + "\n".join(differ))
+
+
+def test_repeated_rows_take_their_source_snapshot(shipped_runs, workload_runs):
+    # a rejected step repeats its iterate where k steps up, and the snapshot
+    # takes the f and gradient norms of the row it repeats, bit for bit
+    repeats = 0
+    for name, (_, result) in {**shipped_runs, **workload_runs}.items():
+        for tr in result.traces:
+            if tr.meta["algo"] not in VR_ALGORITHMS:
+                continue
+            repeated = np.flatnonzero(np.diff(tr.k)) + 1
+            repeats += len(repeated)
+            for column in ("f", "gnorm1", "gnorm2", "gnorm_inf"):
+                values = getattr(tr, column)
+                assert values[repeated].tobytes() == values[repeated - 1].tobytes(), (name, tr.meta["seed"], column)
+    assert repeats > 0
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -22,7 +22,7 @@ import pytest
 import signopt
 from conftest import workload_configs
 from signopt import optimizers, vecmath
-from signopt.harness import SCHEDULES
+from signopt.harness import SCHEDULES, config_from_dict, execute_experiment
 from signopt.optimizers import (
     ALGORITHMS,
     NonFiniteIterateError,
@@ -130,7 +130,9 @@ def test_frozen_logistic_vr_run_at_benchmark_shape():
     # the snapshots' matrix products and the refreshes' (n, d) products than
     # at the d = 6, n = 9 pin above; the run refreshes every few steps.
     # f(T) and ||grad f||^2(T) also depend on the snapshot's 32 rows per
-    # call at this shape, which x_final and k(T) do not
+    # chunk at this shape and on which of them a refresh repeated (a call
+    # takes a seed's distinct rows alone), which x_final and k(T) do not.
+    # Evaluating the distinct rows alone moved neither pin
     prob = make_problem(ProblemSpec(kind="logistic", d=100, n=500, seed=101))
     L = prob.lipschitz_constant(2.0)
     root = math.sqrt(2.0 / (L * 800))
@@ -220,6 +222,24 @@ def _assert_matches_reference(tr, spec, prob, seed):
     for x in ref["iterates"]:
         x_sum += x
     np.testing.assert_array_equal(tr.x_mean, x_sum / tr.T, err_msg=f"{seed} x_mean")
+
+
+def _assert_repeats_take_their_source(tr, prob):
+    """A row where k steps up repeats the iterate before it, and its f and
+    gradient norms are that row's, bit for bit; every row's are those of
+    the one-vector kernels at its iterate, to 1e-12 relative. tr keeps its
+    iterates."""
+    x = np.vstack([tr.iterates, tr.x_final])
+    repeated = np.flatnonzero(np.diff(tr.k)) + 1
+    np.testing.assert_array_equal(x[repeated], x[repeated - 1])
+    f, grad = zip(*map(prob.value_and_full_gradient, x))
+    grad = np.abs(grad)
+    want = {"f": f, "gnorm1": grad.sum(axis=1), "gnorm2": np.sqrt((grad * grad).sum(axis=1)),
+            "gnorm_inf": grad.max(axis=1)}
+    for name, value in want.items():
+        column = getattr(tr, name)
+        assert column[repeated].tobytes() == column[repeated - 1].tobytes(), name
+        np.testing.assert_allclose(column, value, rtol=1e-12, atol=0, err_msg=name)
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "trig_nonconvex", "logistic", "sphere_quadratic", "counterexample"])
@@ -549,6 +569,12 @@ def test_snapshot_groups_and_draw_blocks_never_change_a_seed(case, monkeypatch):
         assert next(vecmath.draw_blocks([RngStream(0)], prob.n, 5, T, 16))[1].shape == (2, 1)
         grouped, failed = _survivors(spec, prob, T, seeds)
         assert failed == [seeds[2]]
+    if case == "signsvrg_v1":
+        # every seed refreshes, and in some 5-row chunks seed 4 does while
+        # seed 2, its group-mate in seed order, does not; seed 0 and seed 1
+        # likewise. A call takes the seeds of one count of distinct rows
+        chunks = {seed: set((np.flatnonzero(np.diff(columns["k"])) + 1) // 5) for seed, columns in grouped.items()}
+        assert chunks[4] - chunks[2] and chunks[1] - chunks[0] and chunks[0] - chunks[1]
     for seed, columns in grouped.items():
         for name, column in columns.items():
             for other in (default[seed][name], singles[seed][name]):
@@ -570,6 +596,50 @@ def test_one_row_chunks_match_reference_run():
         assert not vr or min(tr.k[-1] for tr in batch) > 5, algo  # every seed refreshes
         for seed, tr in zip((1, 2), batch):
             _assert_matches_reference(tr, spec, prob, seed)
+            # a repeated row is a chunk of its own, whose source is the
+            # previous chunk's one row
+            _assert_repeats_take_their_source(tr, prob)
+
+
+def test_a_repeated_row_takes_its_source_snapshot():
+    # a rejected step repeats its iterate, and the snapshot takes the f and
+    # gradient norms of the row it repeats rather than evaluating it again.
+    # Logistic at n = 300 takes chunks of 32 rows, and at a radius of 2.5
+    # sign steps every seed refreshes, some on a chunk's first row, whose
+    # source is the previous chunk's last row. The kept iterates are
+    # reference_run's, the repeated rows included
+    prob = _problem("logistic", 5, 300)
+    size = _chunk_rows(prob)
+    spec = RunSpec(algo="signsvrg_v2", gamma=0.03, x1=0.5 * np.ones(5), q=2.0,
+                   D=2.5 * 0.03 * ConjugatePair(2.0).dim_root(5), L=prob.lipschitz_constant(2.0),
+                   keep_iterates=True)
+    batch = run_seeds(spec, prob, 120, BATCH_SEEDS)
+    firsts = [r for tr in batch for r in np.flatnonzero(np.diff(tr.k)) + 1 if r % size == 0]
+    assert size == 32 and len(firsts) >= 3
+    for seed, tr in zip(BATCH_SEEDS, batch):
+        _assert_repeats_take_their_source(tr, prob)
+        _assert_matches_reference(tr, spec, prob, seed)
+
+
+def test_a_radius_below_one_step_repeats_every_row():
+    # a manual-schedule run whose D lies below one sign step rejects every
+    # candidate: every row repeats x1, so no chunk after the first has a
+    # distinct row, and every row takes the first row's f and gradient norms
+    doc = {"problem": {"kind": "logistic", "d": 5, "n": 300, "seed": 3}, "algo": "signsvrg_v1",
+           "schedule": "manual", "gamma": 0.03, "D": 0.01, "q": 2, "T": 100, "seeds": [1, 2],
+           "x1": {"gaussian": 1.0}, "checks": []}
+    cfg = config_from_dict(doc)
+    prob = make_problem(cfg.problem)
+    assert _chunk_rows(prob) == 32 and 0.03 * math.sqrt(5) > 0.01
+    for tr in execute_experiment(cfg).traces:
+        assert tr.k.tolist() == list(range(1, 102))
+        np.testing.assert_array_equal(tr.x_final, tr.x1)
+        f, grad = prob.value_and_full_gradient(tr.x1)
+        for name, value in (("f", f), ("gnorm1", np.abs(grad).sum()), ("gnorm2", math.sqrt(grad @ grad)),
+                            ("gnorm_inf", np.abs(grad).max())):
+            column = getattr(tr, name)
+            assert column.tobytes() == np.full(101, column[0]).tobytes(), name
+            assert column[0] == pytest.approx(value, rel=1e-12, abs=0), name
 
 
 @pytest.mark.parametrize("n", [500, 2000])

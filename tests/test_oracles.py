@@ -99,10 +99,13 @@ def test_signgd_closed_form_recursion():
         assert b == pytest.approx(abs(a - 0.07), abs=1e-15)
 
 
+SIGMOID_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                          1e-17, -1e-17, 36.7, -36.7, 709.7, -709.7, 710.0, -710.0,
+                          745.1, -745.1, 746.0, -746.0, 1e308, -1e308, np.inf, -np.inf])
+
+
 def test_sigmoid_matches_masked_oracle_bit_for_bit():
-    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
-                      1e-17, -1e-17, 36.7, -36.7, 709.7, -709.7, 710.0, -710.0,
-                      745.1, -745.1, 746.0, -746.0, 1e308, -1e308, np.inf, -np.inf])
+    edges = SIGMOID_EDGES
     rng = np.random.default_rng(5)
     cases = [edges, np.float64(-3.5), np.array(0.0), np.array(-746.0), np.array([-0.0]),
              rng.standard_normal(4) * 40, rng.standard_normal(500) * 40,
@@ -121,6 +124,27 @@ def test_sigmoid_matches_masked_oracle_bit_for_bit():
         z = z.copy()
         assert LogisticProblem._sigmoid(z, out=z) is z
         assert z.tobytes() == want.tobytes()
+
+
+def test_sigmoid_numerator_is_the_where_form_bit_for_bit_at_nan():
+    # _sigmoid's numerator max(e, z >= 0) must give the bits of
+    # where(z >= 0, 1, e), e = exp(-|z|), NaNs of either sign and any payload
+    # included. masked_sigmoid already differs from both at +NaN, so the
+    # where form is the reference here
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000123],
+                    dtype=np.uint64).view(np.float64)
+    assert np.isnan(nans).all() and np.signbit(nans).tolist() == [False, True, False, True]
+
+    def where_form(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0, e) / (e + 1.0)
+
+    z = np.concatenate([nans, SIGMOID_EDGES])
+    for case in (z, z[::-1], np.tile(z, (3, 1)), np.repeat(z, 17)):
+        want = where_form(case)
+        assert LogisticProblem._sigmoid(case.copy()).tobytes() == want.tobytes(), case
+        buf = case.copy()
+        assert LogisticProblem._sigmoid(buf, out=buf).tobytes() == want.tobytes(), case
 
 
 def test_logistic_values_match_libm_softplus_bit_for_bit():

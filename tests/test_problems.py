@@ -503,6 +503,25 @@ def test_subgradient_rows_match_component_gradient_bitwise():
         AbsRegressionProblem(np.ones((2, 2)), np.array([1.0, np.inf]))
 
 
+def test_abs_regression_full_gradient_signs_at_signed_zero_and_nan():
+    # the full-gradient kernels take the sign of each residual r by
+    # where(r >= 0, 1, -1): +1 at +0.0 and -0.0 and -1 at NaN. The rule is
+    # checked at a -0.0 residual itself, since the kernels' BLAS products
+    # give +0.0 where the exact product is -0.0; the kernels at x = +-0.0
+    # (zero residuals) and at NaN
+    r = np.array([-0.0, 0.0, np.nan, -np.nan, -1.0, 1.0])
+    with np.errstate(invalid="ignore"):
+        assert np.where(r >= 0.0, 1.0, -1.0).tolist() == [1.0, 1.0, -1.0, -1.0, -1.0, 1.0]
+        prob = AbsRegressionProblem(np.array([[1.0], [-2.0]]), np.zeros(2))
+        for x, grad in ((0.0, -0.5), (-0.0, -0.5), (np.nan, 0.5), (-np.nan, 0.5)):
+            xs = np.array([[x]])
+            want = prob.a.T @ np.where(prob.a @ xs[0] - prob.b >= 0.0, 1.0, -1.0) / prob.n
+            assert want.tolist() == [grad]
+            assert prob.full_gradient(xs[0]).tobytes() == want.tobytes(), x
+            assert prob.value_and_full_gradient_batch(xs)[1].tobytes() == want.tobytes(), x
+            assert prob.value_and_full_gradient_batch(xs[None])[1][0].tobytes() == want.tobytes(), x
+
+
 @pytest.mark.parametrize("G", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 13])  # m = 1: the one-row chunk at max(n, d) > 8192
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
