@@ -238,15 +238,16 @@ def signgd_bound(traces: list[Trace], f_star: float) -> BoundReport:
     return _make_report("signgd_bound", lhs, rhs, rel_tol=1e-8)
 
 
-def rate_metrics(traces: list[Trace], f_star: float) -> tuple[BoundReport, BoundReport]:
-    """Rate bounds under the smoothness-scaled schedule cor1, whose step is
-    _cor1_gamma; traces run at any other gamma raise a ValueError naming
-    gamma. Under cor1, D = P sqrt(2/(L T)) for reference period P.
+def rate_metrics(traces: list[Trace], f_star: float) -> BoundReport:
+    """The rate bound of the batch's variant under the smoothness-scaled
+    schedule cor1, whose step is _cor1_gamma; traces run at any other gamma
+    raise a ValueError naming gamma. Under cor1, D = P sqrt(2/(L T)) for
+    reference period P.
 
-    Returns (rate_v1_either_bound, rate_max_bound). Gradient norms are
-    per-seed time-averages, i.e. Monte Carlo estimates of E||grad f(x_out)||
-    at a uniformly selected iterate. Variant 1's rate holds when either
-    branch does:
+    Returns rate_v1_either_bound for signsvrg_v1 traces and rate_max_bound
+    for signsvrg_v2 ones. Gradient norms are per-seed time-averages, i.e.
+    Monte Carlo estimates of E||grad f(x_out)|| at a uniformly selected
+    iterate. Variant 1's rate holds when either branch does:
 
         radius: E||g||_p <= 2 L D  (= 2 P sqrt(2L/T))
         ratio:  (E||g||_2)^2 / E||g||_p <= 2 _descent_rhs(f(x_1) - f*)
@@ -257,22 +258,22 @@ def rate_metrics(traces: list[Trace], f_star: float) -> tuple[BoundReport, Bound
 
         E||g||_1 <= max(2 _descent_rhs(f(x_1) - f*), 2 L D d).
     """
-    gamma, D, L, q, T, d = _run_params(traces, ("rate_bounds_v1", "rate_bounds_v2"),
-                                       "gamma", "D", "L", "q", "T", "d")
+    algo, gamma, D, L, q, T, d = _run_params(traces, ("rate_bounds_v1", "rate_bounds_v2"),
+                                             "algo", "gamma", "D", "L", "q", "T", "d")
     if gamma != (cor1 := _cor1_gamma(L, T, q, d)):
         raise ValueError(f"the rate bounds are stated at cor1's gamma {cor1!r}, not at the traces' gamma {gamma!r}")
+    f_x1 = float(np.mean([tr.f[0] for tr in traces]))
+    descent = 2.0 * _descent_rhs(f_x1 - f_star, T, gamma, L, q, d)
+    n, reach = len(traces), 2.0 * L * D
+    if algo == "signsvrg_v2":
+        per_1 = np.array([float(np.mean(tr.gnorm1[:T])) for tr in traces])
+        return _make_report("rate_max_bound", per_1, np.full(n, max(descent, d * reach)))
     p = ConjugatePair(q).p
     per_p = np.array([float(np.mean(tr.gnorm(p)[:T])) for tr in traces])
     per_2 = np.array([float(np.mean(tr.gnorm2[:T])) for tr in traces])
-    per_1 = np.array([float(np.mean(tr.gnorm1[:T])) for tr in traces])
-    f_x1 = float(np.mean([tr.f[0] for tr in traces]))
-    descent = 2.0 * _descent_rhs(f_x1 - f_star, T, gamma, L, q, d)
-
-    n, reach = len(traces), 2.0 * L * D
     radius = _make_report("rate_v1_either_bound", per_p, np.full(n, reach))
     ratio = _make_report("rate_v1_either_bound", per_2**2 / per_p, np.full(n, descent))
-    v1 = ratio if ratio.holds and not radius.holds else radius
-    return v1, _make_report("rate_max_bound", per_1, np.full(n, max(descent, d * reach)))
+    return ratio if ratio.holds and not radius.holds else radius
 
 
 def update_count_bound(traces: list[Trace], P: float) -> BoundReport:

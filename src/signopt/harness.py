@@ -127,8 +127,8 @@ CHECKS = {name: (_STATED_FOR[name], need, evaluate) for name, (need, evaluate) i
     "final_gap_bound": ("x_star", lambda prob, dv, trs: final_gap_bound(trs, prob, dv.f_star, dv.x_star)),
     "signgd_bound": ("f_star", lambda prob, dv, trs: signgd_bound(trs, dv.f_star)),
     # under cor1 only (_COR1_ONLY): their right-hand sides take cor1's gamma and D
-    "rate_bounds_v1": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)[0]),
-    "rate_bounds_v2": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)[1]),
+    "rate_bounds_v1": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)),
+    "rate_bounds_v2": ("f_star", lambda prob, dv, trs: rate_metrics(trs, dv.f_star)),
     "update_count_bound": (None, lambda prob, dv, trs: update_count_bound(trs, dv.P)),
     "comm_bits_bound": (None, lambda prob, dv, trs: comm_bits_bound(trs, dv.P)),
 }.items()}

@@ -13,13 +13,13 @@ Methods (all with constant step size gamma, sign(0) = +1 throughout):
                 reference point: the sign is taken of
                 grad f_i(x) - grad f_i(ref) + grad f(ref) + G_t (.) U
                 where the noise amplitude G_t dominates the first three terms
-                coordinatewise. Variant 1 uses the scalar amplitude
-                L ||x - ref||_q + ||grad f(ref)||_p on every coordinate;
-                variant 2 uses L ||x - ref||_q + |grad f(ref)^j| per
-                coordinate. A candidate step is accepted only while it stays
-                within l_q distance D of the reference; otherwise the iterate
-                stands still and the reference is refreshed at x with a full
-                gradient.
+                coordinatewise. G_t is L ||x - ref||_q plus a floor: the
+                scalar ||grad f(ref)||_p on every coordinate (variant 1) or
+                |grad f(ref)^j| per coordinate (variant 2), so variant 1 is
+                variant 2 with one coordinate that all share. A candidate
+                step is accepted only while it stays within l_q distance D
+                of the reference; otherwise the iterate stands still and the
+                reference is refreshed at x with a full gradient.
   sgd, svrg     unsigned baselines; svrg shares the radius-triggered
                 reference logic and accounting, stepping along the
                 variance-reduced gradient itself.
@@ -37,9 +37,10 @@ time from the raw Philox words of its own stream, bit for bit the same as
 those calls; a seed's trace never depends on the other seeds of the batch.
 A block is as long as keeps all it fills per seed and step (the indices,
 the noise, and the amplitudes or precomputed steps below) within one budget
-of float64s. The signed variance-reduced methods check the
-amplitude premise and flag degenerate steps once per block of draws, not
-inside the step; a violation raises AssertionError, also under python -O.
+of float64s. The signed variance-reduced methods keep their amplitudes in
+one (steps, S, w) block buffer, check the amplitude premise and flag
+degenerate steps once per block of draws, not inside the step; a violation
+raises AssertionError naming the seed and the step, also under python -O.
 The iterates live in the rows of a step-major snapshot chunk, one contiguous
 (S, d) block per row, and each step computes the next row straight into its
 slot. Once per chunk of rows, not per step, the loop tests the rows for
@@ -103,11 +104,11 @@ __all__ = [
 ]
 
 class NonFiniteIterateError(RuntimeError):
-    """Raised when an iterate leaves the finite floats; carries the row index."""
+    """Raised when an iterate leaves the finite floats; carries its row and seed."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite iterate produced at iteration {iteration}")
-        self.iteration = iteration
+    def __init__(self, iteration: int, seed: int):
+        super().__init__(f"non-finite iterate produced at iteration {iteration} of seed {seed}")
+        self.iteration, self.seed = iteration, seed
 
 
 @dataclass(frozen=True)
@@ -159,6 +160,10 @@ ALGORITHMS = tuple(RunSpec.PARAMS)
 VR_ALGORITHMS = tuple(algo for algo, params in RunSpec.PARAMS.items() if "D" in params)
 
 
+# a signed variance-reduced method's amplitude floor at a reference with full gradient
+# g: ||g||_p, a scalar that every coordinate shares (w = 1), or |g^j| per coordinate (w = d)
+_AMP_FLOORS = {"signsvrg_v1": norm, "signsvrg_v2": lambda g, p: np.abs(g)}
+
 # float64 elements per buffer of the step loop (the draw blocks have theirs
 # in vecmath): one seed's iterates of one snapshot chunk (or the premise
 # tolerances of a few steps of a block), and one snapshot call's
@@ -206,9 +211,9 @@ class _Chunks:
     failed seed steps on, errors holds each seed's first error (fail), and
     flush snapshots no failed seed."""
 
-    def __init__(self, prob: FiniteSumProblem, T: int, S: int, x1: np.ndarray, keep_iterates: bool):
-        self.prob, self.T = prob, T
-        size = T + 1
+    def __init__(self, prob: FiniteSumProblem, T: int, seeds: Sequence[int], x1: np.ndarray, keep_iterates: bool):
+        self.prob, self.T, self.seeds = prob, T, seeds
+        S, size = len(seeds), T + 1
         self.t = [np.arange(1, size + 1, dtype=np.int64) for _ in range(S)]
         self.f, self.gnorm1, self.gnorm2, self.gnorm_inf = ([np.empty(size) for _ in range(S)] for _ in range(4))
         self.dist_to_ref = [np.zeros(size) for _ in range(S)]
@@ -250,7 +255,7 @@ class _Chunks:
         if not finite.all():  # a whole-array test is far cheaper than one per row
             bad = ~finite.all(axis=2)  # (rows, S)
             for s in np.flatnonzero(bad.any(axis=0)):
-                self.fail(s, NonFiniteIterateError(t - c + int(np.argmax(bad[:, s]))))
+                self.fail(s, NonFiniteIterateError(t - c + int(np.argmax(bad[:, s])), self.seeds[s]))
         rows = slice(t - c, t + 1)
         for s, column in enumerate(self.dist_to_ref):
             column[rows] = self.dist[1:c + 2, s]
@@ -347,33 +352,32 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
     its seed's reference with the one-vector full_gradient.
     ||x - ref||_q is carried across iterations: the accepted candidate's
     radius check IS the next step's distance. A signed variance-reduced step
-    keeps its amplitude in a block buffer and its v in the noise slot it has
-    just used; after each block of draws, one pass over them sets
-    FLAG_DEGENERATE where some coordinate's amplitude is 0 and checks the
-    amplitude premise of every step of every seed (_Chunks.fail). A refresh
-    sets its row of k to 1; the snapshot reads these marks, and k, bits_cum
-    and grad_evals_cum follow from them after the last flush.
+    keeps its amplitude L ||x - ref||_q + floor (_AMP_FLOORS) in a
+    (steps, S, w) block buffer and its v in the noise slot it has just used;
+    after each block of draws, one pass over them sets FLAG_DEGENERATE where
+    some amplitude is 0 and fails a seed at its first step that breaks the
+    amplitude premise (_Chunks.fail). A refresh sets its row of k to 1; the
+    snapshot reads these marks, and k, bits_cum and grad_evals_cum follow
+    from them after the last flush.
     """
     S, n, d = len(rngs), prob.n, prob.d
     algo, gamma, D, L = spec.algo, spec.gamma, spec.D, spec.L
     vr = algo in VR_ALGORITHMS
     signed = algo not in ("sgd", "svrg")
     plus = algo == "signsgd_plus"
-    variant = {"signsvrg_v1": 1, "signsvrg_v2": 2}.get(algo, 0)  # 0: no amplitude
+    amp_floor = _AMP_FLOORS.get(algo)  # None: no amplitude
     pair = ConjugatePair(spec.q)
     comp_grads = prob.component_gradient_batch
     sign_steps = _sign_steps(gamma)
     signed_rows = prob.subgradient_rows() if plus else None
 
-    # what the amplitude adds to L ||x - ref||_q at a reference with full gradient g
-    amp_floor = np.abs if variant == 2 else lambda g: norm(g, pair.p)
     if vr:
         xr = np.empty((2, S, d))  # row 0: this step's iterates, row 1: the references
         xr[1] = spec.x1
         ref = xr[1]
         g = prob.full_gradient(np.array(spec.x1, dtype=np.float64))
         ref_grad = np.tile(g, (S, 1))
-        floor = np.array([amp_floor(g)] * S)  # (S,) for variant 1, (S, d) for 2
+        floor = np.tile(amp_floor(g, pair.p), (S, 1)) if amp_floor else None  # (S, w)
         diff = np.empty((S, d))  # candidate minus reference
 
     chunk_size = chunks.size
@@ -381,10 +385,10 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
     draws = () if algo == "signgd" else rngs
     # per seed and step, a block also fills the amplitude, or _both_steps'
     # rows, targets and down
-    extra = {1: 1, 2: d}.get(variant, 0) if signed_rows is None else 2 * d + 1
-    for t0, idx, noise in draw_blocks(draws, n, d if plus or variant else 0, T, extra):
-        if t0 == 0 and variant:  # the first block is the longest
-            amps = np.empty(noise.shape if variant == 2 else idx.shape)
+    extra = 2 * d + 1 if signed_rows is not None else floor.shape[1] if amp_floor else 0
+    for t0, idx, noise in draw_blocks(draws, n, d if plus or amp_floor else 0, T, extra):
+        if t0 == 0 and amp_floor:  # the first block is the longest
+            amps = np.empty((*idx.shape, floor.shape[1]))
         if plus:
             noise *= spec.g_inf
         if signed_rows is not None:
@@ -410,14 +414,10 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
                 xr[0] = x
                 x = xr[0]  # a copy: at one row per chunk, x_next is x's own slot
                 g = comp_grads(idx[j], xr)
-                if variant:
-                    drift = L * dists[slot]
-                    if variant == 1:
-                        amp = np.add(drift, floor, out=amps[j])[:, None]
-                    else:
-                        amp = np.add(drift[:, None], floor, out=amps[j])
+                if amp_floor:
+                    amp = np.add((L * dists[slot])[:, None], floor, out=amps[j])
                     w = amp * noise[j]
-                v = np.subtract(g[0], g[1], out=noise[j] if variant else g[0])  # into the used-up noise slot
+                v = np.subtract(g[0], g[1], out=noise[j] if amp_floor else g[0])  # into the used-up noise slot
                 v += ref_grad
             else:
                 v = comp_grads(idx[j], x)
@@ -426,7 +426,7 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
                 v *= gamma
                 np.subtract(x, v, out=x_next)
             else:
-                if plus or variant:
+                if plus or amp_floor:
                     v = np.add(v, w, out=w)
                 np.subtract(x, sign_steps.take(v >= 0.0), out=x_next)
             if not vr:
@@ -438,14 +438,13 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
                     rad[s] = 0.0
                     g = prob.full_gradient(ref[s])
                     ref_grad[s] = g
-                    if variant:
-                        floor[s] = amp_floor(g)
+                    if amp_floor:
+                        floor[s] = amp_floor(g, pair.p)
                     chunks.k[s][t + 1] = 1  # read by flush, summed into k below
-        if variant:
+        if amp_floor:
             steps = len(idx)
             amp, v = amps[:steps], noise[:steps]
-            zero = amp == 0.0
-            degenerate = zero if variant == 1 else zero.any(axis=2)
+            degenerate = (amp == 0.0).any(axis=2)
             for s in np.flatnonzero(degenerate.any(axis=0)):
                 chunks.flags[s][t0:t0 + steps][degenerate[:, s]] = FLAG_DEGENERATE
             # the premise |v| <= amp + 1e-9 (1 + amp), coordinatewise, as an
@@ -455,13 +454,10 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
             span = max(1, _SNAPSHOT_ELEMENTS // amp[0].size)
             for r in range(0, steps, span):
                 a, w = amp[r:r + span], v[r:r + span]
-                tol = a + 1.0
-                tol *= 1e-9
-                tol += a
-                w = np.abs(w, out=w)
-                held[r:r + span] = np.maximum.reduce(w, axis=2) <= tol if variant == 1 else (w <= tol).all(axis=2)
+                held[r:r + span] = (np.abs(w, out=w) <= (a + 1.0) * 1e-9 + a).all(axis=2)
             for s in np.flatnonzero(~held.all(axis=0)):
-                chunks.fail(s, AssertionError("noise amplitude violated"))
+                step, seed = t0 + int(np.argmin(held[:, s])), chunks.seeds[s]
+                chunks.fail(s, AssertionError(f"noise amplitude violated at iteration {step} of seed {seed}"))
     chunks.flush(T)
     # every seed pays the initial reference sync (reference-point methods
     # only) and its steps; a refresh pays the sync in place of its step's
@@ -534,7 +530,7 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
         raise ValueError("x1 must be finite")
 
     rngs = [RngStream(seed) for seed in seeds]
-    chunks = _Chunks(prob, T, len(seeds), x1, spec.keep_iterates)
+    chunks = _Chunks(prob, T, seeds, x1, spec.keep_iterates)
     # a diverging seed passes through inf and NaN before its row raises
     # NonFiniteIterateError, which says all that numpy's warnings would
     with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():

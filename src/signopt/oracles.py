@@ -236,7 +236,7 @@ def reference_run(spec: RunSpec, prob: FiniteSumProblem, T: int, seed: int) -> d
                 amp = spec.L * dist + np.abs(ref_grad)
             # an explicit raise, so that the premise is also checked under -O
             if not np.all(np.abs(g) <= amp + 1e-9 * (1.0 + amp)):
-                raise AssertionError("noise amplitude violated")
+                raise AssertionError(f"noise amplitude violated at iteration {t} of seed {seed}")
             flag = FLAG_DEGENERATE if np.any(amp == 0.0) else 0
             g = g + amp * u
         flags.append(flag)

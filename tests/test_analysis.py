@@ -273,14 +273,26 @@ def test_rate_metrics_disjunction_consistency():
         for f_star in (0.0, 1e6):
             radius = _branch(per_p, 2.0 * P * rate)
             ratio = _branch(per_2**2 / per_p, Q1.dim_root(6) * (f_x1 - f_star + 1.0) * rate)
-            v1, v2 = rate_metrics(traces, f_star)
-            assert (v1.name, v2.name) == ("rate_v1_either_bound", "rate_max_bound")
+            v1 = rate_metrics(traces, f_star)
+            assert v1.name == "rate_v1_either_bound"
             assert v1.holds == (radius[2] or ratio[2])
             lhs, rhs, _ = ratio if ratio[2] and not radius[2] else radius
             assert v1.lhs == lhs
             assert v1.rhs == pytest.approx(rhs, rel=1e-12)
             seen.add((radius[2], ratio[2]))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_rate_metrics_reports_the_batchs_variant_only():
+    # each variant's batch gets the one rate bound stated for it, and a
+    # batch of another reference-point method none
+    for algo, name in (("signsvrg_v1", "rate_v1_either_bound"), ("signsvrg_v2", "rate_max_bound")):
+        _, traces, *_ = _vr_batch(algo=algo, T=50, seeds=(1, 2))
+        report = rate_metrics(traces, 0.0)
+        assert isinstance(report, BoundReport) and report.name == name, algo
+    _, traces, *_ = _vr_batch(algo="svrg", T=50, seeds=(1, 2))
+    with pytest.raises(ValueError, match="not for traces of 'svrg'"):
+        rate_metrics(traces, 0.0)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 30.0])

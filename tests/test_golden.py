@@ -81,7 +81,7 @@ def build_fingerprint() -> dict:
     out = {"gemm": hashlib.sha256(), "logaddexp": hashlib.sha256(), "sin_cos": hashlib.sha256(),
            "vecdot": hashlib.sha256()}
     specs = [cfg.problem for cfg in configs().values()]  # _Chunks reads n and d alone
-    shapes = {(_Chunks(spec, 1, 1, np.zeros(spec.d), False).size, spec.d, spec.n) for spec in specs}
+    shapes = {(_Chunks(spec, 1, (0,), np.zeros(spec.d), False).size, spec.d, spec.n) for spec in specs}
     with _one_blas_thread():
         for rows, d, n in sorted(shapes):
             xs, a = gen.standard_normal((rows, d)), gen.standard_normal((n, d))

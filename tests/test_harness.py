@@ -747,7 +747,7 @@ def test_cli_run_non_finite_iterate_exits_one(tmp_path, capsys):
     code = main(["run", "--config", _write(tmp_path, DIVERGING), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err == "error: non-finite iterate produced at iteration 120\n"
+    assert err == "error: non-finite iterate produced at iteration 120 of seed 0\n"
     assert not out.exists()
 
 
@@ -761,7 +761,7 @@ def test_cli_run_non_finite_iterate_prints_only_the_error(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "signopt", *args], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 1
-    assert proc.stderr == "error: non-finite iterate produced at iteration 120\n"
+    assert proc.stderr == "error: non-finite iterate produced at iteration 120 of seed 0\n"
 
 
 def test_cli_run_unwritable_out_exits_one(tmp_path, capsys):

@@ -209,7 +209,7 @@ def _problem(kind, d, n):
 
 def _chunk_rows(prob):
     """The rows of one snapshot chunk of run_seeds on prob."""
-    return optimizers._Chunks(prob, 1, 1, np.zeros(prob.d), False).size
+    return optimizers._Chunks(prob, 1, (0,), np.zeros(prob.d), False).size
 
 
 def _assert_matches_reference(tr, spec, prob, seed):
@@ -335,7 +335,8 @@ def test_seed_batch_raises_first_failing_seed_in_seed_order():
                 assert (outcome[first] == min(chunk_start + rows - 1, T)) == expected[3], case
             with pytest.raises(NonFiniteIterateError) as caught:
                 run_seeds(spec, prob, T, seeds)
-        assert caught.value.iteration == outcome[first], case
+        assert (caught.value.iteration, caught.value.seed) == (outcome[first], first), case
+        assert str(caught.value).endswith(f"at iteration {outcome[first]} of seed {first}"), case
 
 
 def test_reference_run_steps_on_past_a_non_finite_iterate():
@@ -470,8 +471,10 @@ def test_amplitude_premise_is_checked_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                          text=True, env=env, check=True, timeout=60)
-    assert out.stdout.splitlines() == ["oracle: noise amplitude violated",
-                                       "batch: noise amplitude violated"]
+    # seed 3 is the first in seed order to break the premise, at the step
+    # from row 58; the batch names the seed and step that the oracle does
+    assert out.stdout.splitlines() == ["oracle: noise amplitude violated at iteration 58 of seed 3",
+                                       "batch: noise amplitude violated at iteration 58 of seed 3"]
 
 
 def test_run_seeds_rejects_an_empty_batch():
@@ -564,7 +567,7 @@ def test_snapshot_groups_and_draw_blocks_never_change_a_seed(case, monkeypatch):
         monkeypatch.setattr(optimizers, "_GROUP_ELEMENTS", 2 * 5 * width)
         monkeypatch.setattr(optimizers, "_SNAPSHOT_ROWS", 5)
         monkeypatch.setattr(vecmath, "_DRAW_ELEMENTS", 1)
-        small = optimizers._Chunks(prob, T, len(seeds), spec.x1, False)
+        small = optimizers._Chunks(prob, T, seeds, spec.x1, False)
         assert (small.size, small.group) == (5, 2)
         assert next(vecmath.draw_blocks([RngStream(0)], prob.n, 5, T, 16))[1].shape == (2, 1)
         grouped, failed = _survivors(spec, prob, T, seeds)
@@ -676,7 +679,7 @@ def test_snapshot_chunks_take_the_row_floor_within_both_budgets():
     # their formula, and only a wide problem's one-row chunk exceeds a budget
     for n, d, S in itertools.product((1, 7, 20, 50, 127, 128, 129, 178, 300, 500, 512, 513, 2000, 4200,
                                       8192, 8193, 20000), (1, 5, 100, 2048, 2049, 5000), (1, 4, 20)):
-        chunks = optimizers._Chunks(SimpleNamespace(n=n, d=d), 1, S, np.zeros(d), False)
+        chunks = optimizers._Chunks(SimpleNamespace(n=n, d=d), 1, range(S), np.zeros(d), False)
         rows, group, width = chunks.size, chunks.group, max(n, d)
         assert group == max(1, (1 << 14) // (rows * width)), (n, d, S)
         assert rows == 1 or group * rows * width <= 1 << 14 and rows * d <= 4096, (n, d, S)
@@ -691,7 +694,7 @@ def test_workload_snapshot_shapes():
     # (rows, seeds per call) of the benchmark workloads' snapshots
     want = {"vr_trig": (81, 4), "plus_abs": (204, 4), "vr_logistic_wide": (32, 1)}
     for name, cfg in workload_configs().items():
-        chunks = optimizers._Chunks(cfg.problem, 1, len(cfg.seeds), np.zeros(cfg.problem.d), False)
+        chunks = optimizers._Chunks(cfg.problem, 1, cfg.seeds, np.zeros(cfg.problem.d), False)
         assert (chunks.size, chunks.group) == want[name.rsplit("-", 1)[0]], name
 
 
@@ -873,28 +876,52 @@ def test_degenerate_flag_on_stationary_reference():
     assert tr.flags[0] & FLAG_DEGENERATE
 
 
-def test_v2_degenerate_flags_across_mid_block_refreshes():
-    # a zero column of A zeroes that coordinate of every gradient, so the
-    # variant-2 amplitude of that coordinate is exactly 0 on every step that
-    # starts at its reference: row 1 and each row after a refresh; T spans
-    # three blocks of draws
+@pytest.mark.parametrize("algo", ["signsvrg_v1", "signsvrg_v2"])
+def test_degenerate_flags_across_mid_block_refreshes(algo, monkeypatch):
+    # an amplitude is exactly 0 on a step that starts at its reference (row
+    # 1 and each row after a refresh) where the floor is: variant 1's
+    # ||grad f(ref)||_p, or one coordinate of variant 2's |grad f(ref)|. A
+    # budget of 4096 float64s cuts every horizon into several blocks of
+    # draws, and every seed's flags, refreshes and steps are reference_run's
+    # - a zero column of A zeroes that coordinate of every gradient:
+    #   variant 2 flags every step from a reference, variant 1 none
+    # - f = ||x||^2 / 4 from the origin in steps of 1/4, which keep the
+    #   iterates on a grid of exact floats: a refresh at the origin zeroes
+    #   the gradient, which both variants flag, and variant 2 also flags a
+    #   refresh on an axis
+    # - f = x^2 / 2 from its minimizer with D below one step: every
+    #   candidate is rejected and every refresh lands where grad f = 0, so
+    #   every step is degenerate
     from signopt.problems import LeastSquaresProblem
 
     gen = np.random.default_rng(5)
-    a = gen.standard_normal((6, 4))
-    a[:, 2] = 0.0
-    prob = LeastSquaresProblem(a, gen.standard_normal(6))
-    spec = RunSpec(algo="signsvrg_v2", gamma=0.01, x1=np.ones(4), q=1.0, D=0.1,
-                   L=prob.lipschitz_constant(1.0))
+    zero_column = gen.standard_normal((6, 4))
+    zero_column[:, 2] = 0.0
+    cases = {
+        "zero_column": (zero_column, gen.standard_normal(6), np.ones(4), 0.01, 0.1),
+        "origin": (np.eye(2), np.zeros(2), np.zeros(2), 0.25, 0.75),
+        "every_row": (np.array([[1.0]]), np.array([0.0]), np.zeros(1), 0.01, 0.005),
+    }
+    monkeypatch.setattr(vecmath, "_DRAW_ELEMENTS", 1 << 12)
     T, seeds = 3000, (0, 1, 2)
-    for seed, tr in zip(seeds, run_seeds(spec, prob, T, seeds)):
-        ref = reference_run(spec, prob, T, seed)
-        np.testing.assert_array_equal(tr.flags, ref["flags"])
-        np.testing.assert_array_equal(tr.k, ref["k"])
-        flagged = np.flatnonzero(tr.flags & FLAG_DEGENERATE)
-        # blocks have an even length, so an odd row never starts one
-        assert (flagged % 2 == 1).any() and flagged.max() > 2 * T // 3, seed
-        assert 0 < len(flagged) < T, seed
+    for case, (a, b, x1, gamma, D) in cases.items():
+        prob = LeastSquaresProblem(a, b)
+        spec = RunSpec(algo=algo, gamma=gamma, x1=x1, q=1.0, D=D, L=prob.lipschitz_constant(1.0),
+                       keep_iterates=True)
+        width = 1 if algo == "signsvrg_v1" else prob.d
+        blocks = vecmath.draw_blocks([RngStream(seed) for seed in seeds], prob.n, prob.d, T, width)
+        assert sum(1 for _ in blocks) >= 5, case
+        for seed, tr in zip(seeds, run_seeds(spec, prob, T, seeds)):
+            _assert_matches_reference(tr, spec, prob, seed)
+            flagged = np.flatnonzero(tr.flags & FLAG_DEGENERATE)
+            if case == "every_row":
+                assert flagged.tolist() == list(range(T)) and tr.k.tolist() == list(range(1, T + 2)), seed
+            elif case == "zero_column" and algo == "signsvrg_v1":
+                assert len(flagged) == 0, seed
+            else:
+                # blocks have an even length, so an odd row never starts one
+                assert (flagged % 2 == 1).any() and flagged.max() > 2 * T // 3, (case, seed)
+                assert 0 < len(flagged) < T and tr.k[-1] > 100, (case, seed)
 
 
 def test_runspec_validation():

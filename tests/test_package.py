@@ -47,6 +47,14 @@ def test_every_import_is_used():
     assert found == {}
 
 
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, and every check of the package
+    # must still run there: each is an explicit raise
+    found = [f"{path.name}:{node.lineno}" for path in sorted(Path(signopt.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_cli_import_leaves_the_oracles_unloaded():
     # only verify-key-identity uses signopt.oracles; every other command
     # should not pay for compiling and running it
