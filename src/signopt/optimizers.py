@@ -37,32 +37,24 @@ time from the raw Philox words of its own stream, bit for bit the same as
 those calls; a seed's trace never depends on the other seeds of the batch.
 A block is as long as keeps all it fills per seed and step (the indices,
 the noise, and the amplitudes or precomputed steps below) within one budget
-of float64s. The signed variance-reduced methods keep their amplitudes in
-one (steps, S, w) block buffer, check the amplitude premise and flag
-degenerate steps once per block of draws, not inside the step; a violation
-raises AssertionError naming the seed and the step, also under python -O.
-The iterates live in the rows of a step-major snapshot chunk, one contiguous
-(S, d) block per row, and each step computes the next row straight into its
-slot. Once per chunk of rows, not per step, the loop tests the rows for
-finiteness, snapshots f and the gradient norms of the distinct rows of the
-seeds that have not failed, a group of a few seeds per call as one
-contiguous (G, rows, d) stack, into each seed's trace columns (one 1-D
-array per seed and column, named as in Trace), and adds the rows to the
-iterate sums, in the order of one row after another. A row that a rejected
-step repeated is not evaluated again: it copies its source row's values. A
-wide problem's chunk takes more rows and its calls fewer seeds, since each
-seed's product streams the whole (n, d) data. A stacked snapshot gives
-each seed the bits of a call with its distinct rows alone, so a seed's f
-bits depend on its own rejections, and neither the groups nor the blocks
-reach a trace. A seed that fails (a
-non-finite iterate or a broken amplitude premise) steps on with the others;
-seed 0's error is raised at once, any other after the last step, that of
-the first failed seed in seed order, as running the seeds one after another
-would. When a problem's component subgradients are +-a_i
-(FiniteSumProblem.subgradient_rows), signsgd_plus computes both steps that
-each draw of a block can give before the iterates are known, and a step
-picks one by the sign of a_i^T x - b_i. The loop runs numpy's bundled BLAS
-on one thread, so no product's bits depend on the host's thread count.
+of float64s. The signed variance-reduced methods check the amplitude
+premise once per block of draws; a violation raises AssertionError naming
+the seed and the step, also under python -O. The iterates live in the rows
+of a step-major snapshot chunk, and once per chunk of rows, not per step,
+_Chunks.flush tests them for finiteness, snapshots f and the gradient norms
+of the distinct rows of the seeds that have not failed (a row that a
+rejected step repeated copies its source row's values), and adds the rows
+to the iterate sums. The trace columns are one C-contiguous (S, T + 1)
+array per column, row s for seed s, and flush writes the rows of all seeds
+at once. Neither the snapshot groups nor the draw blocks reach a trace. A
+seed that fails (a non-finite iterate or a broken amplitude premise) steps
+on with the others; seed 0's error is raised at once, any other after the
+last step, that of the first failed seed in seed order, as running the
+seeds one after another would. When a problem's component subgradients are
++-a_i (FiniteSumProblem.subgradient_rows), signsgd_plus computes both steps
+that each draw of a block can give before the iterates are known, and a
+step picks one by the sign of a_i^T x - b_i. The loop runs numpy's bundled
+BLAS on one thread, so no product's bits depend on the host's thread count.
 oracles.reference_run steps one seed at a time with the calls themselves,
 and tests hold the two to the bit.
 
@@ -178,19 +170,28 @@ _GROUP_ELEMENTS = 1 << 14
 _SNAPSHOT_ROWS = 32
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """np.maximum.reduce(a, axis=-1) bit for bit for an a like |g| (no -0.0, one NaN): where the rows
+    outnumber d, a d-major copy reduces at a cost per element, not at numpy's cost per row."""
+    if a.size <= a.shape[-1] ** 2:  # rows <= d
+        return np.maximum.reduce(a, axis=-1)
+    return np.maximum.reduce(a.transpose(a.ndim - 1, *range(a.ndim - 1)).copy(), axis=0)  # moveaxis: 5 us more
+
+
 def _sign_steps(gamma: float) -> np.ndarray:
     """[-gamma, gamma]: its take(g >= 0) is where(g >= 0, gamma, -gamma)."""
     return np.array([-gamma, gamma])
 
 
 class _Chunks:
-    """Every seed's trace columns, one 1-D array per seed and column named
-    as in Trace (Trace.COLUMNS and iterates), and the snapshot chunk where
-    the step loop keeps the iterates (and distances) of all S seeds,
-    step-major. Row t of all seeds is the contiguous (S, d) block
-    x[1 + t % size] (and dist[1 + t % size]), and the step from row t
-    computes row t + 1 straight into its slot. A chunk holds
-    _SNAPSHOT_ELEMENTS // max(n, d) rows; where that is fewer than
+    """The batch's trace columns, one C-contiguous (S, T + 1) array per
+    column named as in Trace.COLUMNS (t: one read-only arange that every
+    row views) and, if kept, the (S, T, d) iterates, whose row s is seed
+    s's; and the snapshot chunk where the step loop keeps the iterates (and
+    distances) of all S seeds, step-major. Row t of all seeds is the
+    contiguous (S, d) block x[1 + t % size] (and dist[1 + t % size]), and
+    the step from row t computes row t + 1 straight into its slot. A chunk
+    holds _SNAPSHOT_ELEMENTS // max(n, d) rows; where that is fewer than
     _SNAPSHOT_ROWS, it holds more, up to _SNAPSHOT_ROWS, as long as one
     seed's rows stay within _SNAPSHOT_ELEMENTS (rows * d) and its snapshot
     operands within _GROUP_ELEMENTS (rows * max(n, d)). So a chunk has one
@@ -204,7 +205,8 @@ class _Chunks:
     within _GROUP_ELEMENTS: each group is one contiguous (G, rows, d) copy
     of those rows, so the snapshot's BLAS calls see lda = d, and one
     value_and_full_gradient_batch call, whose slices get the bits of one
-    call per seed. A repeated row takes the values of its source. Chunk
+    call per seed; one assignment per column writes the whole group. A
+    repeated row takes the values of its source. Chunk
     bounds depend on n and d alone, so a seed's f and gradient norms
     depend on its own rows and rejections, never on the other seeds of the
     call or on its group. The S seeds are fixed for the whole run: a
@@ -214,12 +216,11 @@ class _Chunks:
     def __init__(self, prob: FiniteSumProblem, T: int, seeds: Sequence[int], x1: np.ndarray, keep_iterates: bool):
         self.prob, self.T, self.seeds = prob, T, seeds
         S, size = len(seeds), T + 1
-        self.t = [np.arange(1, size + 1, dtype=np.int64) for _ in range(S)]
-        self.f, self.gnorm1, self.gnorm2, self.gnorm_inf = ([np.empty(size) for _ in range(S)] for _ in range(4))
-        self.dist_to_ref = [np.zeros(size) for _ in range(S)]
+        self.t = np.broadcast_to(np.arange(1, size + 1, dtype=np.int64), (S, size))
+        self.f, self.gnorm1, self.gnorm2, self.gnorm_inf, self.dist_to_ref = (np.empty((S, size)) for _ in range(5))
         self.k, self.bits_cum, self.grad_evals_cum, self.flags = (
-            [np.zeros(size, dtype=np.int64) for _ in range(S)] for _ in range(4))
-        self.iterates = [np.empty((T, prob.d)) if keep_iterates else None for _ in range(S)]
+            np.zeros((S, size), dtype=np.int64) for _ in range(4))
+        self.iterates = np.empty((S, T, prob.d)) if keep_iterates else None
         self.errors: list[Exception | None] = [None] * S
         width = max(prob.n, prob.d)
         self.size = max(1, _SNAPSHOT_ELEMENTS // width,
@@ -257,11 +258,10 @@ class _Chunks:
             for s in np.flatnonzero(bad.any(axis=0)):
                 self.fail(s, NonFiniteIterateError(t - c + int(np.argmax(bad[:, s])), self.seeds[s]))
         rows = slice(t - c, t + 1)
-        for s, column in enumerate(self.dist_to_ref):
-            column[rows] = self.dist[1:c + 2, s]
+        self.dist_to_ref[:, rows] = self.dist[1:c + 2].T
         live = [s for s, error in enumerate(self.errors) if error is None]
         seed_major = self.x[1:c + 2].transpose(1, 0, 2)
-        distinct = np.array([k[rows] for k in self.k]) == 0  # (S, rows)
+        distinct = self.k[:, rows] == 0  # (S, rows)
         # a call takes the seeds of one count of distinct rows, so a seed's
         # values depend on its own rows and rejections alone
         counts = np.count_nonzero(distinct, axis=1).tolist()
@@ -273,28 +273,27 @@ class _Chunks:
             for i in range(0, len(seeds) if m else 0, self.group):  # no call where every row repeats
                 group = seeds[i:i + self.group]
                 if m == c + 1:  # no repeats: a copy and slice writes (the gather cost vr_trig 5% of run_s)
-                    xs, at = seed_major[group], [rows] * len(group)  # (G, rows, d), a contiguous copy
+                    if group[-1] - group[0] < len(group):  # consecutive seeds: a slice indexes faster than a list
+                        group = slice(group[0], group[-1] + 1)
+                    xs, at = np.ascontiguousarray(seed_major[group]), (group, rows)  # (G, rows, d)
                 else:  # the distinct rows alone, (G, m, d), also a contiguous copy
                     keep = np.nonzero(distinct[group])[1].reshape(len(group), m)
-                    xs, at = seed_major[np.array(group)[:, None], keep], keep + (t - c)
+                    group = np.array(group)[:, None]
+                    xs, at = seed_major[group, keep], (group, keep + (t - c))
                 fval, grad = self.prob.value_and_full_gradient_batch(xs)
                 gnorm2 = np.sqrt(row_dot(grad, grad))
                 ag = np.abs(grad, out=grad)
-                values = fval, np.add.reduce(ag, axis=-1), gnorm2, np.maximum.reduce(ag, axis=-1)
+                values = fval, np.add.reduce(ag, axis=-1), gnorm2, _row_max(ag)
                 for column, value in zip(columns, values):
-                    for s, where, seed_value in zip(group, at, value):
-                        column[s][where] = seed_value
+                    column[at] = value
         for s in live:
             if counts[s] <= c:
-                # each row's source row, t - c - 1 (the previous chunk's last
-                # row) for the repeats that open the chunk
                 source = np.maximum.accumulate(np.where(distinct[s], np.arange(c + 1), -1)) + (t - c)
                 for column in columns:
-                    column[s][rows] = column[s][source]
-        if self.iterates[0] is not None:  # kept for every seed or for none
+                    column[s][rows] = column[s][source]  # half the cost of column[s, rows] = column[s, source]
+        if self.iterates is not None:
             end = min(t + 1, self.T)  # row T+1 is no iterate
-            for s in live:
-                self.iterates[s][t - c:end] = seed_major[s, :end - t + c]
+            self.iterates[live, t - c:end] = seed_major[live, :end - t + c]
         # the sums of [sum; rows] accumulated in place are those of sum += row,
         # row after row (np.add.reduce sums pairwise where the rows are its
         # inner loop, as at S = d = 1); this overwrites every row but the last
@@ -440,24 +439,25 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
                     ref_grad[s] = g
                     if amp_floor:
                         floor[s] = amp_floor(g, pair.p)
-                    chunks.k[s][t + 1] = 1  # read by flush, summed into k below
+                    chunks.k[s, t + 1] = 1  # read by flush, summed into k below
         if amp_floor:
             steps = len(idx)
             amp, v = amps[:steps], noise[:steps]
             degenerate = (amp == 0.0).any(axis=2)
-            for s in np.flatnonzero(degenerate.any(axis=0)):
-                chunks.flags[s][t0:t0 + steps][degenerate[:, s]] = FLAG_DEGENERATE
+            chunks.flags[:, t0:t0 + steps][degenerate.T] = FLAG_DEGENERATE
             # the premise |v| <= amp + 1e-9 (1 + amp), coordinatewise, as an
-            # explicit test, so that it also runs under python -O; a few
-            # rows at a time, so that the tolerance stays a small temporary
-            held = np.empty((steps, S), dtype=bool)
+            # explicit test that also runs under python -O, a span of a few
+            # rows at a time (a small temporary), per step only if one fails
             span = max(1, _SNAPSHOT_ELEMENTS // amp[0].size)
             for r in range(0, steps, span):
                 a, w = amp[r:r + span], v[r:r + span]
-                held[r:r + span] = (np.abs(w, out=w) <= (a + 1.0) * 1e-9 + a).all(axis=2)
-            for s in np.flatnonzero(~held.all(axis=0)):
-                step, seed = t0 + int(np.argmin(held[:, s])), chunks.seeds[s]
-                chunks.fail(s, AssertionError(f"noise amplitude violated at iteration {step} of seed {seed}"))
+                within = np.abs(w, out=w) <= (a + 1.0) * 1e-9 + a
+                if not within.all():
+                    held = within.all(axis=2)  # (span, S)
+                    for s in np.flatnonzero(~held.all(axis=0)):
+                        step = t0 + r + int(np.argmin(held[:, s]))
+                        chunks.fail(s, AssertionError(
+                            f"noise amplitude violated at iteration {step} of seed {chunks.seeds[s]}"))
     chunks.flush(T)
     # every seed pays the initial reference sync (reference-point methods
     # only) and its steps; a refresh pays the sync in place of its step's
@@ -465,15 +465,13 @@ def _step_loop(spec: RunSpec, prob: FiniteSumProblem, T: int, rngs: list[RngStre
     sync_bits = n * d * spec.float_bits
     step_bits = sync_bits if algo == "signgd" else d if signed else d * spec.float_bits
     step_evals = n if algo == "signgd" else 2 if vr else 1
-    steps_done = np.arange(T + 1)
-    bits_done, evals_done = vr * sync_bits + steps_done * step_bits, vr * n + steps_done * step_evals
-    for k, bits, evals in zip(chunks.k, chunks.bits_cum, chunks.grad_evals_cum):
-        bits[:], evals[:] = bits_done, evals_done
-        if k.any():  # the cumulative sum is the slow part, and most seeds never refresh
-            refreshes = np.cumsum(k, out=k)
-            bits += refreshes * (sync_bits - step_bits)
-            evals += refreshes * n
-        k += vr  # the initial reference is k's first
+    k, bits, evals, steps_done = chunks.k, chunks.bits_cum, chunks.grad_evals_cum, np.arange(T + 1)
+    bits[:], evals[:] = vr * sync_bits + steps_done * step_bits, vr * n + steps_done * step_evals
+    for s in np.flatnonzero(k.any(axis=1)):  # the cumulative sum is the slow part; most seeds never refresh
+        refreshes = np.cumsum(k[s], out=k[s])
+        bits[s] += refreshes * (sync_bits - step_bits)
+        evals[s] += refreshes * n
+    k += vr  # the initial reference is k's first
 
 
 @functools.cache
@@ -544,7 +542,7 @@ def run_seeds(spec: RunSpec, prob: FiniteSumProblem, T: int, seeds: Sequence[int
             "float_bits": spec.float_bits, "T": T, "n": prob.n, "d": prob.d}
     return [Trace(
         **{name: getattr(chunks, name)[s] for name in Trace.COLUMNS},
-        iterates=chunks.iterates[s],
+        iterates=None if chunks.iterates is None else chunks.iterates[s],
         x1=x1.copy(),
         x_mean=chunks.x_sum[s] / T,
         x_final=x_final[s].copy(),

@@ -54,7 +54,9 @@ def _npy_header(rows: int) -> bytes:
 
 @dataclass
 class Trace:
-    """Struct-of-arrays record of one run; all arrays have length T+1."""
+    """Struct-of-arrays record of one run; all arrays have length T+1. The
+    columns of a run_seeds batch are row views of one (S, T+1) array per
+    column, and their t is one read-only arange that the seeds share."""
 
     # the metric columns, in the order of the file columns (CSV_HEADER)
     COLUMNS: ClassVar[tuple[str, ...]] = (

@@ -444,6 +444,10 @@ def test_block_premise_check_raises_exactly_when_a_seed_does():
         violates = [_breaks_premise(reference_run, spec, prob, T, seed) for seed in seeds]
         assert violates == [False, False, T >= 228, False], T
         assert _breaks_premise(run_seeds, spec, prob, T, seeds) == (T >= 228), T
+    # that violation lies in the block's second span of premise tests, and
+    # the batch names the step that reference_run does
+    with pytest.raises(AssertionError, match="iteration 227 of seed 1$"):
+        run_seeds(spec, prob, 400, seeds)
 
 
 def test_amplitude_premise_is_checked_under_python_O():
@@ -860,6 +864,54 @@ def test_trace_shapes_and_snapshot_semantics():
     assert tr.bits_cum[0] == 0  # nothing sent before the first snapshot
     assert tr.bits_cum[-1] == T * 4
     np.testing.assert_allclose(tr.x_mean, tr.iterates.mean(axis=0), atol=1e-12)
+
+
+def test_batch_columns_are_rows_of_one_array_and_t_is_shared():
+    # a batch's columns are row views of one (S, T + 1) array per column, so
+    # each must still be a contiguous column of its own seed; t is one
+    # read-only arange that every seed shares
+    prob = _ls(d=5, n=7, seed=3)
+    T = 40
+    spec = RunSpec(algo="signsvrg_v1", gamma=0.03, x1=0.5 * np.ones(5), q=1.0, D=0.1,
+                   L=prob.lipschitz_constant(1.0), keep_iterates=True)
+    batch = run_seeds(spec, prob, T, (4, 0, 9))
+    assert all(tr.k[-1] > 1 for tr in batch)  # every seed refreshes
+    for tr in batch:
+        for name in (*Trace.COLUMNS, "iterates"):
+            column = getattr(tr, name)
+            assert column.flags.c_contiguous and len(column) == (T if name == "iterates" else T + 1), name
+        np.testing.assert_array_equal(tr.t, np.arange(1, T + 2))
+        with pytest.raises(ValueError, match="read-only"):
+            tr.t[0] = 0
+    before = [{name: getattr(tr, name).copy() for name in (*Trace.COLUMNS, "iterates")} for tr in batch[1:]]
+    batch[0].f[:] = np.nan
+    batch[0].iterates[:] = np.nan
+    for tr, columns in zip(batch[1:], before):
+        for name, column in columns.items():
+            assert getattr(tr, name).tobytes() == column.tobytes(), name
+
+
+# the shapes of the order-free max in a snapshot: (4, 204, 5) on plus_abs,
+# (4, 81, 10) on vr_trig, (1, 32, 100) on vr_logistic_wide, and one whose
+# rows equal d
+@pytest.mark.parametrize("shape", [(4, 204, 5), (4, 81, 10), (1, 32, 100), (2, 3, 6)])
+def test_row_max_is_the_last_axis_max_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape) * shape[-1])
+    a = np.abs(rng.standard_normal(shape))
+    flat = a.reshape(-1, shape[-1])  # a view: rows of a
+    specials = (np.nan, np.inf, -np.inf, 0.0, 5e-324, 2.2e-308)
+    for r, row in enumerate(flat[:len(flat) // 2]):
+        # one special value per row in the first half, and in every third
+        # row a second one elsewhere; a row of subnormals and zeros alone
+        row[r % shape[-1]] = specials[r % len(specials)]
+        if r % 3 == 0:
+            row[(r + 1) % shape[-1]] = specials[(r // 3) % len(specials)]
+    flat[-1] = 0.0
+    flat[-1, ::2] = 5e-324
+    got, want = optimizers._row_max(a), np.maximum.reduce(a, axis=-1)
+    assert got.shape == want.shape == shape[:-1]
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(want).any() and np.isinf(want).any() and (want == 5e-324).any()
 
 
 def test_degenerate_flag_on_stationary_reference():
